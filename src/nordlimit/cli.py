@@ -162,7 +162,6 @@ class Manifest:
             "tool_version": __version__,
             "config": cfg,
             "seed": args.seed,
-            "threads": args.threads,
             "strict": bool(args.strict),
             "host": platform.node(),
             "platform": platform.platform(),
@@ -393,9 +392,6 @@ def build_parser():
     ap.add_argument("--config", metavar="PATH", help="run configuration file")
     ap.add_argument("--out", metavar="DIR", help="output directory "
                     "(env NORDLIMIT_OUT overrides)")
-    ap.add_argument("--threads", type=int, metavar="N",
-                    default=os.cpu_count() or 1,
-                    help="worker pool size (results are thread-count independent)")
     ap.add_argument("--seed", type=int, metavar="U64", default=0,
                     help="seed for randomized checks")
     ap.add_argument("--strict", action="store_true",

@@ -166,9 +166,8 @@ def assemble_eov_inhomogeneity(state, smoothed_w, phi_data):
     """
     consts, eos, grid = state.consts, state.eos, state.grid
     v = state.w[2:]
-    d_eta0 = grid.gradient(smoothed_w[0])
-    d_p0 = grid.gradient(smoothed_w[1])
-    dv0 = np.stack([grid.gradient(smoothed_w[2 + j]) for j in range(3)])
+    dw0 = grid.gradient(smoothed_w)
+    d_eta0, d_p0, dv0 = dw0[0], dw0[1], dw0[2:]
     adv = lambda grad: np.einsum("k...,k...->...", v, grad)
 
     f = -adv(d_eta0)
@@ -259,7 +258,7 @@ def _divergence_rhs(state, smoothed_w, phi_data):
     s = icc * gam2
     alpha = gam2 * (r + icc * big_p)
     dt_v, dt_inv_q, dt_alpha = _en_time_derivs(state)
-    dv = np.stack([grid.gradient(v[j]) for j in range(3)])
+    dv = grid.gradient(v)
     div_v = dv[0, 0] + dv[1, 1] + dv[2, 2]
     adv_v = np.einsum("k...,jk...->j...", v, dv)
 

@@ -95,25 +95,24 @@ def _source_terms(state, dphi, p=None, r_grav=None, q=None, gam2=None):
     return g_src, h_src
 
 
-def fluid_rhs(state):
+def fluid_rhs(state, thermo=None):
     """d_t W via the analytic block solve of the quasilinear system.
 
     The 4x4 (P, v) block reduces, after eliminating d_t P, to
     (alpha I + mu v v^T) x = r with mu = s (alpha - s q), s = gamma**2/c**2,
     inverted by the rank-one update formula.  Points where the pivot
     alpha + mu |v|**2 falls below 1e-12 * alpha fall back to a dense LU
-    solve of the assembled 5x5 system.
+    solve of the assembled 5x5 system.  thermo, if given, is the
+    _thermo(state) tuple, computed once per right-hand side by the caller.
     """
     grid = state.grid
     icc = state.consts.inv_c_sq
-    eta, big_p = state.w[0], state.w[1]
     v = state.w[2:]
-    p, r_grav, q, gam2, alpha = _thermo(state)
+    p, r_grav, q, gam2, alpha = _thermo(state) if thermo is None else thermo
     s = icc * gam2
 
-    deta = grid.gradient(eta)
-    dbig_p = grid.gradient(big_p)
-    dv = np.stack([grid.gradient(v[j]) for j in range(3)])  # dv[j, k] = d_k v^j
+    dw = grid.gradient(state.w)  # dw[m, k] = d_k W^m
+    deta, dbig_p, dv = dw[0], dw[1], dw[2:]  # dv[j, k] = d_k v^j
     dphi = grid.gradient(state.phi)
     g_src, h_src = _source_terms(state, dphi, p, r_grav, q, gam2)
 
@@ -138,8 +137,7 @@ def fluid_rhs(state):
     bad = np.abs(denom) < 1e-12 * np.abs(alpha)
     if np.any(bad):
         a0, ak, b = assemble_matrices(state)
-        dw = np.stack([deta, dbig_p, dv[0], dv[1], dv[2]], axis=1)  # (3, 5, ...)
-        rhs = b - np.einsum("kmn...,kn...->m...", ak, dw)
+        rhs = b - np.einsum("kmn...,nk...->m...", ak, dw)
         idx = np.nonzero(bad)
         sol = np.linalg.solve(
             np.moveaxis(a0[(slice(None), slice(None)) + idx], (0, 1), (-2, -1)),
@@ -195,18 +193,20 @@ def fluid_rhs_lu(state):
     """Dense LU oracle for fluid_rhs: solve the assembled 5x5 system pointwise."""
     grid = state.grid
     a0, ak, b = assemble_matrices(state)
-    dw = np.stack([grid.gradient(state.w[m]) for m in range(5)], axis=1)
-    rhs = b - np.einsum("kmn...,kn...->m...", ak, dw)
+    rhs = b - np.einsum("kmn...,nk...->m...", ak, grid.gradient(state.w))
     a0_pts = np.moveaxis(a0, (0, 1), (-2, -1))
     rhs_pts = np.moveaxis(rhs, 0, -1)[..., None]
     return np.moveaxis(np.linalg.solve(a0_pts, rhs_pts)[..., 0], -1, 0)
 
 
-def potential_rhs(state):
-    """(d_t phi, d_t pi) for the first-order form of the potential equation."""
+def potential_rhs(state, thermo=None):
+    """(d_t phi, d_t pi) for the first-order form of the potential equation.
+
+    thermo, if given, is the _thermo(state) tuple, as in fluid_rhs.
+    """
     consts = state.consts
     icc = consts.inv_c_sq
-    _, r_grav, _, _, _ = _thermo(state)
+    r_grav = (_thermo(state) if thermo is None else thermo)[1]
     src = r_grav - 3.0 * icc * state.w[1]
     lap = state.grid.laplacian(state.phi)
     dt_pi = consts.c**2 * (
@@ -215,8 +215,9 @@ def potential_rhs(state):
 
 
 def _deriv(state):
-    dw = fluid_rhs(state)
-    dphi, dpi = potential_rhs(state)
+    thermo = _thermo(state)
+    dw = fluid_rhs(state, thermo)
+    dphi, dpi = potential_rhs(state, thermo)
     full = np.concatenate([dw, dphi[None], dpi[None]])
     return state.grid.dealias(full)
 

@@ -65,9 +65,8 @@ def newtonian_rhs(state):
         raise ValueError("nonpositive limit density")
     q_inf = eos_mod.q_coefficient(state.consts, state.eos, eta, p)
 
-    deta = grid.gradient(eta)
-    dp = grid.gradient(p)
-    dv = np.stack([grid.gradient(v[j]) for j in range(3)])
+    dw = grid.gradient(state.w)
+    deta, dp, dv = dw[0], dw[1], dw[2:]
     dphi = grid.gradient(state.phi)
 
     adv = lambda f_grad: np.einsum("k...,k...->...", v, f_grad)
@@ -94,7 +93,7 @@ def mass_form_rhs(state_w_r, consts, eos, grid, eta_bar, p_bar):
         4.0 * math.pi * consts.grav_g * (r_inf - rho_bar), consts.kappa)
 
     deta = grid.gradient(eta)
-    dv = np.stack([grid.gradient(v[j]) for j in range(3)])
+    dv = grid.gradient(v)
     dp = grid.gradient(p)
     dphi = grid.gradient(phi)
     dt_eta = -np.einsum("k...,k...->...", v, deta)

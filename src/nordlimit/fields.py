@@ -3,8 +3,10 @@
 All fields live on the uniform grid of the torus [0, L)^3 with n points per
 axis, stored as float64 arrays indexed [ix, iy, iz].  Derivatives, inverse
 Helmholtz operators, smoothing, and Sobolev norms are computed with FFTs,
-which are exact on the band-limited trigonometric interpolant.  Nonlinear
-products are kept alias-free with the standard 2/3-rule mask.
+which are exact on the band-limited trigonometric interpolant.  A partial
+derivative takes one real transform pair along its own axis only; the other
+spectral operators use full 3D real transforms.  Nonlinear products are kept
+alias-free with the standard 2/3-rule mask.
 
 Snapshots use a small binary format: header {magic "NRDF", version u32,
 n u32, L f64, t f64, ncomp u32}, followed by ncomp * n**3 little-endian
@@ -25,8 +27,9 @@ class Grid3:
     """Uniform periodic grid with cached spectral machinery.
 
     Wavenumber arrays follow the rfftn layout (real transforms along the
-    last axis).  The 2/3-rule dealias mask and the Sobolev weight tables
-    are built lazily and cached.
+    last axis).  Derivatives use their own per-axis factors i k, laid out
+    for a real transform along that axis.  The 2/3-rule dealias mask and
+    the Sobolev weight tables are built lazily and cached.
     """
 
     def __init__(self, n, length):
@@ -42,6 +45,11 @@ class Grid3:
         self.kx = k1[:, None, None]
         self.ky = k1[None, :, None]
         self.kz = kr[None, None, :]
+        # i k for a real transform along axis a, shaped to broadcast against
+        # (..., n, n, n); the odd-derivative Nyquist mode is set to zero
+        ik = 1j * kr
+        ik[-1] = 0.0
+        self._ik_axis = tuple(ik.reshape((-1,) + (1,) * (2 - a)) for a in range(3))
         self.k_sq = self.kx**2 + self.ky**2 + self.kz**2
         kmax = np.pi / self.h  # Nyquist
         cut = (2.0 / 3.0) * kmax
@@ -66,16 +74,29 @@ class Grid3:
         return np.fft.irfftn(fh, s=(self.n, self.n, self.n), axes=(-3, -2, -1))
 
     def derivative(self, f, axis):
-        """Spectral partial derivative along axis in {0, 1, 2}."""
-        k = (self.kx, self.ky, self.kz)[axis]
-        return self.ifft(1j * k * self.fft(f))
+        """Spectral partial derivative along axis in {0, 1, 2}.
+
+        One real transform pair along that axis only; leading axes, if any,
+        are independent components.
+        """
+        a = axis - 3
+        fh = np.fft.rfft(f, axis=a)
+        fh *= self._ik_axis[axis]
+        return np.fft.irfft(fh, self.n, axis=a)
 
     def gradient(self, f):
-        """All three partials from a single forward transform."""
-        fh = self.fft(f)
-        return np.stack(
-            [self.ifft(1j * k * fh) for k in (self.kx, self.ky, self.kz)]
-        )
+        """All three partials: (n,n,n) -> (3,n,n,n), (m,n,n,n) -> (m,3,n,n,n).
+
+        For stacked components out[j, k] = d_k f[j].  Components are
+        differentiated one at a time, which measured faster at n = 64 than
+        batched transforms along the strided leading axis.
+        """
+        f = np.asarray(f)
+        out = np.empty(f.shape[:-3] + (3,) + f.shape[-3:])
+        for comp in np.ndindex(f.shape[:-3]):
+            for a in range(3):
+                out[comp + (a,)] = self.derivative(f[comp], a)
+        return out
 
     def laplacian(self, f):
         return self.ifft(-self.k_sq * self.fft(f))

@@ -189,9 +189,8 @@ def newtonian_operator_residual(w, dt_w, phi, consts_inf, eos, grid):
     v = w[2:]
     r_inf = eos_mod.mass_density(consts_inf, eos, eta, p)
     q_inf = eos_mod.q_coefficient(consts_inf, eos, eta, p)
-    deta = grid.gradient(eta)
-    dp = grid.gradient(p)
-    dv = np.stack([grid.gradient(v[j]) for j in range(3)])
+    dw = grid.gradient(w)
+    deta, dp, dv = dw[0], dw[1], dw[2:]
     dphi = grid.gradient(phi)
     adv = lambda grad: np.einsum("k...,k...->...", v, grad)
     res = np.empty_like(w)

@@ -3,12 +3,26 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nordlimit
 from nordlimit import cli
 from nordlimit import fields
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+
+# rates.csv of `nordlimit sweep` on configs/quick.ini as computed with
+# derivatives from full 3D transforms; one-axis transforms move these by
+# under 5e-11 relative
+QUICK_RATES = [
+    [10.0, 0.00055486491817880314, 0.0019323146683397096, 0.027195499851495719],
+    [20.0, 0.0001331246480150836, 0.001048827993643985, 0.0070138049390631174],
+    [40.0, 3.2566690649082622e-05, 0.00026772966158943859, 0.0017675824251957017],
+]
 
 QUIET = """
 [grid]
@@ -162,3 +176,35 @@ def test_run_c_value_parsing():
         cli._run_c_value({"run": {"c": "-3"}})
     with pytest.raises(cli.ConfigError):
         cli._run_c_value({"run": {"c": "fast"}})
+
+
+def test_sweep_quick_rates_golden(tmp_path):
+    # a change of transform arithmetic may move these by roundoff only
+    out = tmp_path / "out"
+    path = os.path.join(CONFIGS, "quick.ini")
+    assert cli.main(["--config", path, "--out", str(out), "sweep"]) == 0
+    lines = (out / "rates.csv").read_text().splitlines()
+    assert lines[0] == "c,supWdiff,supPhidiff,phiBarGap"
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert rows.shape == (3, 4)
+    assert np.max(np.abs(rows - QUICK_RATES) / np.abs(QUICK_RATES)) <= 1e-9
+
+
+def test_no_threads_flag(tmp_path):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["--threads", "2", "run-ep"])
+    path = write(tmp_path, QUIET)
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "run-ep"]) == 0
+    assert "threads" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_cli_does_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nordlimit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, nordlimit.cli; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -230,3 +230,35 @@ def test_snapshot_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 64)
     with pytest.raises(ValueError):
         read_snapshot(path)
+
+
+def test_derivative_and_gradient_match_3d_transform(grid):
+    # oracle: the same derivatives taken with full 3D transforms
+    rng = np.random.default_rng(67)
+    stacked = np.stack([band_limited_field(grid, rng) for _ in range(4)])
+    ks = (grid.kx, grid.ky, grid.kz)
+    expect = np.stack([[grid.ifft(1j * k * grid.fft(comp)) for k in ks]
+                       for comp in stacked])
+    for axis in range(3):
+        assert np.max(np.abs(grid.derivative(stacked[0], axis)
+                             - expect[0, axis])) <= 1e-12
+        assert np.max(np.abs(grid.derivative(stacked, axis)
+                             - expect[:, axis])) <= 1e-12
+    single = grid.gradient(stacked[0])
+    assert single.shape == (3, 32, 32, 32)
+    assert np.max(np.abs(single - expect[0])) <= 1e-12
+    both = grid.gradient(stacked)
+    assert both.shape == (4, 3, 32, 32, 32)  # both[j, k] = d_k f[j]
+    assert np.max(np.abs(both - expect)) <= 1e-12
+
+
+def test_derivative_of_nyquist_mode_is_zero(grid):
+    xs = grid.meshgrid()
+    for axis, x in enumerate(xs):
+        nyq = np.cos(grid.n * x / 2)  # (-1)^j along the axis
+        assert np.max(np.abs(nyq)) == pytest.approx(1.0)
+        for a in range(3):
+            assert np.max(np.abs(grid.derivative(nyq, a))) <= 1e-12
+        # also when the Nyquist mode rides on a smooth mode of another axis
+        mixed = nyq * np.cos(xs[(axis + 1) % 3])
+        assert np.max(np.abs(grid.derivative(mixed, axis))) <= 1e-12
