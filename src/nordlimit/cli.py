@@ -224,8 +224,10 @@ def cmd_run_en(args):
             eta_bar=sc.eta_bar, p_bar=sc.p_bar,
             admissible_box=(sc.eta_box, sc.p_box))
         lifted = initial_data.lift_to_relativistic(bundle, sc.consts(c))
-        traj = en.run(en.from_bundle(lifted), sc.t_final, cfl=sc.cfl,
-                      n_outputs=sc.n_outputs, eta_box=sc.eta_box, p_box=sc.p_box)
+        traj, record = lh.timed_run(
+            en.run, en.from_bundle(lifted), sc.t_final, cfl=sc.cfl,
+            n_outputs=sc.n_outputs, eta_box=sc.eta_box, p_box=sc.p_box)
+        manifest.data["run"] = dict(record, c=c)
         consts = sc.consts(c)
         kg = []
         for m in range(len(traj.ts)):
@@ -241,10 +243,11 @@ def cmd_run_en(args):
         manifest.add_output(snap)
         manifest.set_check("run_completed", traj.ok)
         if not traj.ok:
+            manifest.data["abort_reason"] = traj.abort_reason
             print("run aborted: " + traj.abort_reason, file=sys.stderr)
             return 2
-        print("run-en complete: t=%g, dt=%g, outputs=%d" %
-              (traj.ts[-1], traj.dt, len(traj.ts)))
+        print("run-en complete: t=%g, dt=%g (%s), steps=%d, outputs=%d" %
+              (traj.ts[-1], traj.dt, traj.dt_reason, traj.steps, len(traj.ts)))
         return 0
     finally:
         manifest.write()
@@ -273,6 +276,7 @@ def cmd_run_ep(args):
         manifest.add_output(snap)
         manifest.set_check("run_completed", traj.ok)
         if not traj.ok:
+            manifest.data["abort_reason"] = traj.abort_reason
             print("run aborted: " + traj.abort_reason, file=sys.stderr)
             return 2
         drift = float(np.max(np.abs(traj.ws[-1] - traj.ws[0])))
@@ -283,19 +287,31 @@ def cmd_run_ep(args):
         manifest.write()
 
 
+def _run_records(runs):
+    """Per-run telemetry keyed by the light speed as text ("inf" = limit)."""
+    return {"%g" % c: record for c, record in runs.items()}
+
+
 def cmd_sweep(args):
     cfg = parse_config(args.config, args.strict)
     sc = sweep_config_from(cfg)
     out = _out_dir(args)
     manifest = Manifest(out, cfg, args)
     try:
-        result = lh.run_sweep(sc, keep_trajectories=False)
+        try:
+            result = lh.run_sweep(sc, keep_trajectories=False,
+                                  progress=lambda line: print(line, file=sys.stderr))
+        except lh.SweepAborted as exc:
+            manifest.data["runs"] = _run_records(exc.result.runs)
+            manifest.data["abort_reasons"] = _run_records(exc.result.abort_reasons)
+            manifest.set_check("rate_thresholds", False)
+            print("sweep aborted: %s" % exc, file=sys.stderr)
+            return 2
+        manifest.data["runs"] = _run_records(result.runs)
         csv_path, summary_path = lh.emit_report(result.report, out)
         manifest.add_output(csv_path)
         manifest.add_output(summary_path)
-        rep = result.report
-        ok = (rep.slope_w <= -0.9 and rep.slope_phi <= -0.9
-              and abs(rep.slope_gap + 2.0) <= 0.1)
+        ok = result.report.meets_thresholds()
         manifest.set_check("rate_thresholds", ok)
         print(open(summary_path).read(), end="")
         return 0 if ok else 2

@@ -210,12 +210,14 @@ def background_potential(consts, eos, eta_bar, p_bar, tol=1e-14, max_iter=200):
     raise RuntimeError("background potential iteration did not converge")
 
 
-def _fit_slope(cs, vals):
-    """Least-squares slope of log(vals) against log(cs)."""
-    x = np.log(np.asarray(cs, dtype=float))
-    y = np.log(np.asarray(vals, dtype=float))
-    slope, _ = np.polyfit(x, y, 1)
-    return float(slope)
+def fit_slope(cs, vals):
+    """Log-log least-squares slope and root-mean-square fit residual."""
+    x = np.log(np.asarray(cs, float))
+    # floor at 1e-300 so exactly-zero samples (quiet sweeps) stay finite
+    y = np.log(np.maximum(np.asarray(vals, float), 1e-300))
+    coef = np.polyfit(x, y, 1)
+    resid = y - np.polyval(coef, x)
+    return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
 
 
 def rate_check(eos, eta_box, p_box, c_values, n_samples=200, seed=0):
@@ -242,4 +244,4 @@ def rate_check(eos, eta_box, p_box, c_values, n_samples=200, seed=0):
         gaps["rho"].append(np.max(np.abs(mass_density(k, eos, eta, p) - rho_inf)))
         gaps["sound_sq"].append(np.max(np.abs(sound_speed_sq(k, eos, eta, p) - ss_inf)))
         gaps["q"].append(np.max(np.abs(q_coefficient(k, eos, eta, p, phi) - q_inf)))
-    return {name: _fit_slope(c_values, vals) for name, vals in gaps.items()}
+    return {name: fit_slope(c_values, vals)[0] for name, vals in gaps.items()}

@@ -1,4 +1,4 @@
-"""RK4 pseudospectral integrator for the finite-c fluid-scalar system.
+"""Pseudospectral integrators for the finite-c fluid-scalar system.
 
 Evolved variables are W = (eta, P, v1, v2, v3) together with the potential
 pair (phi, pi), pi = d_t phi.  The fluid block is quasilinear,
@@ -8,10 +8,21 @@ pair (phi, pi), pi = d_t phi.  The fluid block is quasilinear,
 and is advanced by solving for d_t W pointwise; the scalar potential obeys
 the damped wave equation
 
-    -c**-2 d_t^2 phi + lap phi - kappa**2 phi = 4 pi G (R - 3 P / c**2),
+    -c**-2 d_t^2 phi + lap phi - kappa**2 phi = 4 pi G (R - 3 P / c**2).
 
-stepped as a first-order system in (phi, pi).  Spatial derivatives are
-spectral; each full right-hand side is passed through the 2/3-rule mask.
+Spatial derivatives are spectral and every right-hand side is passed
+through the 2/3-rule mask.
+
+`run` steps with the Cox-Matthews ETDRK4 scheme (`etd_step`).  Inside the
+mask the potential is carried as z+- = pi_hat +- i omega phi_hat with
+omega = c sqrt(|k|**2 + kappa**2), so that dz+-/dt = +-i omega z+- + N_hat:
+the Klein-Gordon part is integrated exactly mode by mode and only the
+source N = -4 pi G c**2 (R - 3 P / c**2) and the fluid block (linear part
+zero, hence classical RK4 weights) are treated by the Runge-Kutta stages.
+Modes outside the mask stay frozen, as under a masked right-hand side.
+The wave stability limit dt < h / c is gone; dt is the fluid CFL step or
+1 / (c kappa), whichever is smaller.  `step` is the classical RK4 scheme on
+the first-order system in (phi, pi) and is kept as the oracle.
 
 A note on the coefficient matrices: a0 is assembled directly from the
 evolution equations.  Its velocity rows couple to the pressure column with
@@ -47,7 +58,16 @@ class RelState:
 
     def script_w(self):
         """The limit-system variables (eta, p, v) recovered from (W, phi)."""
-        return np.concatenate([self.w[:1], self.pressure()[None], self.w[2:]])
+        return pull_back(self.w, self.phi, self.consts)
+
+
+def pull_back(w, phi, consts):
+    """Limit-system variables (eta, exp(-4 phi/c**2) P, v) of a finite-c state.
+
+    At c = inf the weight is exactly 1 and w comes back unchanged (copied).
+    """
+    p = np.exp(-4.0 * phi * consts.inv_c_sq) * w[1]
+    return np.concatenate([w[:1], p[None], w[2:]])
 
 
 def from_bundle(bundle):
@@ -199,15 +219,18 @@ def fluid_rhs_lu(state):
     return np.moveaxis(np.linalg.solve(a0_pts, rhs_pts)[..., 0], -1, 0)
 
 
+def _potential_source(state, thermo):
+    """Source R - 3 P / c**2 of the potential equation."""
+    return thermo[1] - 3.0 * state.consts.inv_c_sq * state.w[1]
+
+
 def potential_rhs(state, thermo=None):
     """(d_t phi, d_t pi) for the first-order form of the potential equation.
 
     thermo, if given, is the _thermo(state) tuple, as in fluid_rhs.
     """
     consts = state.consts
-    icc = consts.inv_c_sq
-    r_grav = (_thermo(state) if thermo is None else thermo)[1]
-    src = r_grav - 3.0 * icc * state.w[1]
+    src = _potential_source(state, _thermo(state) if thermo is None else thermo)
     lap = state.grid.laplacian(state.phi)
     dt_pi = consts.c**2 * (
         lap - consts.kappa**2 * state.phi - 4.0 * math.pi * consts.grav_g * src)
@@ -236,18 +259,118 @@ def step(state, dt):
     return _advance(state, dt, (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
 
 
-def max_signal_speed(state):
-    """CFL speed: max(c, max |v| + max sound speed)."""
-    consts = state.consts
+# contour nodes for the phi-functions; the trapezoid rule on the circle
+# converges like (e / points)**points for these entire functions
+CONTOUR_POINTS = 32
+
+
+def etd_coefficients(lam_dt, dt):
+    """Cox-Matthews ETDRK4 weights (q, f1, f2, f3) for u' = lam u + N(u).
+
+    lam_dt holds the values lam * dt.  q advances the half-step stages,
+    a = exp(lam dt/2) u + q N(u); f1, f2 and f3 weight N(u), N(a) + N(b)
+    and N(c) in the full step.  At lam = 0 they are dt/2, dt/6, dt/3 and
+    dt/6, the classical RK4 weights.  Each phi-function is the mean of its
+    closed form over the full circle of radius 1 around lam * dt
+    (Kassam-Trefethen), which avoids the cancellation of the closed forms
+    near 0.  The full circle is needed: the upper half-circle shortcut holds
+    only for real lam.  The nodes are turned so that the point of the
+    circle nearest the origin falls midway between two of them: a node at
+    distance d from 0 would cost eps / d**3 of accuracy.
+    """
+    lam_dt = np.asarray(lam_dt, complex)
+    nodes = 2.0 * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS
+    z = lam_dt[..., None] + np.exp(1j * (np.angle(-lam_dt)[..., None] + nodes))
+    ez = np.exp(z)
+    z3 = z**3
+    q = dt * np.mean((np.exp(0.5 * z) - 1.0) / z, axis=-1)
+    f1 = dt * np.mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3, axis=-1)
+    f2 = 2.0 * dt * np.mean((2.0 + z + ez * (z - 2.0)) / z3, axis=-1)
+    f3 = dt * np.mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3, axis=-1)
+    return q, f1, f2, f3
+
+
+class KleinGordonEtd:
+    """ETDRK4 tables of the potential's linear part for one grid, c and dt.
+
+    Only modes inside the 2/3 mask are evolved, as the pair
+    z = (pi_hat + i omega phi_hat, pi_hat - i omega phi_hat) of shape (2, M).
+    Each table (e = exp(i omega dt), e2 = exp(i omega dt / 2), q, f1, f2,
+    f3) has the same shape: row 0 for z+, row 1 its complex conjugate for
+    z-.  The tables are built on the distinct |k|**2 values and gathered.
+    """
+
+    def __init__(self, grid, consts, dt):
+        self.grid, self.dt = grid, dt
+        self.mask = grid.dealias_mask
+        ksq, where = np.unique(grid.k_sq[self.mask], return_inverse=True)
+        omega = consts.c * np.sqrt(ksq + consts.kappa**2)
+        lam_dt = 1j * omega * dt
+        tables = (np.exp(lam_dt), np.exp(0.5 * lam_dt)) + etd_coefficients(lam_dt, dt)
+        self.omega = omega[where]
+        self.e, self.e2, self.q, self.f1, self.f2, self.f3 = (
+            np.stack([t[where], t[where].conj()]) for t in tables)
+        self.source_scale = -4.0 * math.pi * consts.grav_g * consts.c**2
+
+    def split(self, spec):
+        """z of the masked modes of the spectra spec = (phi_hat, pi_hat)."""
+        phi_h, pi_h = spec[:, self.mask]
+        iw_phi = 1j * self.omega * phi_h
+        return np.stack([pi_h + iw_phi, pi_h - iw_phi])
+
+    def merge(self, z, spec):
+        """Copy of spec with the masked modes taken from z."""
+        out = spec.copy()
+        out[:, self.mask] = np.stack([(z[0] - z[1]) / (2j * self.omega),
+                                      0.5 * (z[0] + z[1])])
+        return out
+
+    def rhs(self, state):
+        """(dealiased d_t W, masked transform of the potential's source N)."""
+        thermo = _thermo(state)
+        dw = self.grid.dealias(fluid_rhs(state, thermo))
+        src = self.grid.fft(_potential_source(state, thermo))
+        return dw, self.source_scale * src[self.mask]
+
+
+def etd_step(state, spec, kg):
+    """One ETDRK4 step of size kg.dt; returns the new (state, spec).
+
+    spec = (phi_hat, pi_hat) holds the real-transform spectra of state.phi
+    and state.pi; it is carried between steps so that the modes outside the
+    mask stay bit for bit frozen.  The fluid block is updated exactly as in
+    `step`.
+    """
+    dt, grid = kg.dt, state.grid
+
+    def at(w, z, t):
+        new_spec = kg.merge(z, spec)
+        phi, pi = grid.ifft(new_spec)
+        return replace(state, w=w, phi=phi, pi=pi, t=t), new_spec
+
+    z = kg.split(spec)
+    k1, n1 = kg.rhs(state)
+    za = kg.e2 * z + kg.q * n1
+    k2, n2 = kg.rhs(at(state.w + 0.5 * dt * k1, za, state.t + 0.5 * dt)[0])
+    zb = kg.e2 * z + kg.q * n2
+    k3, n3 = kg.rhs(at(state.w + 0.5 * dt * k2, zb, state.t + 0.5 * dt)[0])
+    zc = kg.e2 * za + kg.q * (2.0 * n3 - n1)
+    k4, n4 = kg.rhs(at(state.w + dt * k3, zc, state.t + dt)[0])
+    z_new = kg.e * z + kg.f1 * n1 + kg.f2 * (n2 + n3) + kg.f3 * n4
+    w_new = state.w + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+    return at(w_new, z_new, state.t + dt)
+
+
+def fluid_signal_speed(state):
+    """CFL speed of the fluid: max |v| + max sound speed."""
     v = state.w[2:]
-    ssq = eos_mod.sound_speed_sq(consts, state.eos, state.w[0], state.pressure())
-    fluid = float(np.max(np.sqrt(np.sum(v * v, axis=0)))) + float(np.max(np.sqrt(ssq)))
-    return max(consts.c, fluid) if consts.finite_c else max(fluid, 1.0)
+    ssq = eos_mod.sound_speed_sq(state.consts, state.eos, state.w[0], state.pressure())
+    return float(np.max(np.sqrt(np.sum(v * v, axis=0)))) + float(np.max(np.sqrt(ssq)))
 
 
 @dataclass
 class Trajectory:
-    """Output-time snapshots of a run plus abort bookkeeping."""
+    """Output-time snapshots of a run, step telemetry and abort bookkeeping."""
 
     ts: list
     ws: list
@@ -255,6 +378,9 @@ class Trajectory:
     pis: list
     dt: float
     abort_reason: str = None
+    dt_reason: str = None
+    steps: int = 0
+    rhs_evals: int = 0
 
     @property
     def ok(self):
@@ -288,29 +414,47 @@ def check_admissibility(state, eta_box=None, p_box=None):
 
 
 def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
-    """Integrate to t_final, storing snapshots at n_outputs equal intervals.
+    """Integrate to t_final with ETDRK4, storing snapshots at n_outputs equal
+    intervals.
 
-    dt is fixed from the initial CFL speed and rounded down so every output
-    time is hit exactly; this keeps output times matched across runs with
-    different c.  The run aborts (partial trajectory returned) on
-    admissibility loss or a CFL margin violation.
+    dt = cfl * min(h / s_fluid, 1 / (c kappa)) from the initial state: the
+    fluid CFL step, and omega_min dt <= cfl for the slowest Klein-Gordon
+    mode.  It is rounded down so every output time is hit exactly; this
+    keeps output times matched across runs with different c.  The run
+    aborts (partial trajectory returned) on admissibility loss, a fluid
+    signal speed grown past 110% of its initial value, or a ValueError
+    raised inside a step.
     """
     if not (0 < cfl <= 1):
         raise ValueError("cfl must lie in (0, 1]")
-    speed0 = max_signal_speed(state)
-    dt_cfl = cfl * state.grid.h / speed0
+    consts = state.consts
+    if not consts.finite_c:
+        raise ValueError("the finite-c run needs a finite c")
+    speed0 = fluid_signal_speed(state)
+    fluid_dt = state.grid.h / speed0
+    kg_dt = 1.0 / (consts.c * consts.kappa)
     seg = t_final / n_outputs
-    per_seg = max(1, math.ceil(seg / dt_cfl - 1e-12))
-    dt = seg / per_seg
+    per_seg = max(1, math.ceil(seg / (cfl * min(fluid_dt, kg_dt)) - 1e-12))
+    kg = KleinGordonEtd(state.grid, consts, seg / per_seg)
+    spec = state.grid.fft(np.stack([state.phi, state.pi]))
     traj = Trajectory(ts=[state.t], ws=[state.w.copy()], phis=[state.phi.copy()],
-                      pis=[state.pi.copy()], dt=dt)
+                      pis=[state.pi.copy()], dt=kg.dt,
+                      dt_reason=("fluid CFL" if fluid_dt < kg_dt
+                                 else "Klein-Gordon 1/(c kappa)"))
     for m in range(n_outputs):
         for _ in range(per_seg):
-            state = step(state, dt)
+            try:
+                state, spec = etd_step(state, spec, kg)
+            except ValueError as exc:
+                traj.abort_reason = "step %d from t=%.6g failed: %s" % (
+                    traj.steps + 1, state.t, exc)
+                return traj
+            traj.steps += 1
+            traj.rhs_evals += 4
         # land exactly on the nominal output time despite roundoff
         state = replace(state, t=(m + 1) * seg)
         reason = check_admissibility(state, eta_box, p_box)
-        if reason is None and max_signal_speed(state) > 1.1 * speed0:
+        if reason is None and fluid_signal_speed(state) > 1.1 * speed0:
             reason = "CFL margin violated: signal speed grew past 110% of initial"
         if reason is not None:
             traj.abort_reason = reason

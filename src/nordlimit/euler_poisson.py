@@ -133,6 +133,9 @@ class Trajectory:
     phis: list
     dt: float
     abort_reason: str = None
+    dt_reason: str = None
+    steps: int = 0
+    rhs_evals: int = 0
 
     @property
     def ok(self):
@@ -153,7 +156,11 @@ def check_admissibility(state, eta_box=None, p_box=None):
 
 
 def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
-    """Mirror of the finite-c run: fixed dt, outputs at matched times."""
+    """Mirror of the finite-c run: fixed dt, outputs at matched times.
+
+    dt = cfl * h / max(fluid signal speed, 1), stepped with RK4; a
+    ValueError raised inside a step ends the run as a recorded abort.
+    """
     if not (0 < cfl <= 1):
         raise ValueError("cfl must lie in (0, 1]")
     state = with_constraint(state)
@@ -163,10 +170,18 @@ def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
     per_seg = max(1, math.ceil(seg / dt_cfl - 1e-12))
     dt = seg / per_seg
     traj = Trajectory(ts=[state.t], ws=[state.w.copy()], phis=[state.phi.copy()],
-                      dt=dt)
+                      dt=dt, dt_reason=("fluid CFL" if speed0 > 1.0
+                                        else "unit speed floor"))
     for m in range(n_outputs):
         for _ in range(per_seg):
-            state = step(state, dt)
+            try:
+                state = step(state, dt)
+            except ValueError as exc:
+                traj.abort_reason = "step %d from t=%.6g failed: %s" % (
+                    traj.steps + 1, state.t, exc)
+                return traj
+            traj.steps += 1
+            traj.rhs_evals += 4
         state = replace(state, t=(m + 1) * seg)
         reason = check_admissibility(state, eta_box, p_box)
         if reason is None and max_signal_speed(state) > 1.1 * speed0:

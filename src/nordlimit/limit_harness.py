@@ -16,6 +16,7 @@ is not a claim about continuum H^(N+1) control.
 """
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ from . import eos as eos_mod
 from . import euler_nordstrom as en
 from . import euler_poisson as ep
 from . import initial_data
+from .eos import fit_slope
 
 
 @dataclass
@@ -85,14 +87,9 @@ class SweepConfig:
         return eos_mod.PhysicalConstants(grav_g=self.grav_g, kappa=self.kappa, c=c)
 
 
-def fit_slope(cs, vals):
-    """Log-log slope and root-mean-square fit residual."""
-    x = np.log(np.asarray(cs, float))
-    # floor at 1e-300 so exactly-zero samples (quiet sweeps) stay finite
-    y = np.log(np.maximum(np.asarray(vals, float), 1e-300))
-    coef = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coef, x)
-    return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
+# rate acceptance: fluid and potential slopes at most -0.9, background-gap
+# slope within 0.1 of -2
+RATE_THRESHOLDS = {"slope_w": -0.9, "slope_phi": -0.9, "slope_gap": (-2.0, 0.1)}
 
 
 @dataclass
@@ -114,10 +111,21 @@ class RateReport:
         self.slope_gap, self.resid_gap = fit_slope(self.c_values, self.phi_bar_gap)
         return self
 
+    def meets_thresholds(self):
+        """Whether the fitted slopes meet RATE_THRESHOLDS."""
+        gap_target, gap_tol = RATE_THRESHOLDS["slope_gap"]
+        return (self.slope_w <= RATE_THRESHOLDS["slope_w"]
+                and self.slope_phi <= RATE_THRESHOLDS["slope_phi"]
+                and abs(self.slope_gap - gap_target) <= gap_tol)
+
 
 @dataclass
 class SweepResult:
-    """RateReport plus the raw trajectories for downstream diagnostics."""
+    """RateReport plus the raw trajectories for downstream diagnostics.
+
+    runs maps each light speed (math.inf for the limit run) to its dt,
+    dt_reason, steps, rhs_evals and wall_s.
+    """
 
     config: SweepConfig
     report: RateReport
@@ -126,10 +134,33 @@ class SweepResult:
     en_trajs: dict = field(default_factory=dict)
     en_bundles: dict = field(default_factory=dict)
     abort_reasons: dict = field(default_factory=dict)
+    runs: dict = field(default_factory=dict)
 
 
-def run_sweep(config, keep_trajectories=True):
-    """Run the full experiment; returns a SweepResult with a fitted report."""
+class SweepAborted(RuntimeError):
+    """A run of the sweep aborted; .result is the partial SweepResult."""
+
+    def __init__(self, message, result):
+        super().__init__(message)
+        self.result = result
+
+
+def timed_run(runner, *args, **kwargs):
+    """(trajectory, its telemetry record) of runner(*args, **kwargs)."""
+    start = time.perf_counter()
+    traj = runner(*args, **kwargs)
+    record = {"dt": traj.dt, "dt_reason": traj.dt_reason,
+              "steps": traj.steps, "rhs_evals": traj.rhs_evals,
+              "wall_s": time.perf_counter() - start}
+    return traj, record
+
+
+def run_sweep(config, keep_trajectories=True, progress=None):
+    """Run the full experiment; returns a SweepResult with a fitted report.
+
+    progress, if given, is called with one line of text per finished run.
+    An aborted run raises SweepAborted carrying the partial result.
+    """
     config.validate()
     grid = config.make_grid()
     eos = config.make_eos()
@@ -138,37 +169,44 @@ def run_sweep(config, keep_trajectories=True):
         config.make_perturbation(), consts_inf, eos, grid,
         eta_bar=config.eta_bar, p_bar=config.p_bar,
         admissible_box=(config.eta_box, config.p_box))
+    run_args = dict(cfl=config.cfl, n_outputs=config.n_outputs,
+                    eta_box=config.eta_box, p_box=config.p_box)
+    report_line = progress or (lambda line: None)
 
-    ep_traj = ep.run(ep.from_bundle(bundle, consts_inf), config.t_final,
-                     cfl=config.cfl, n_outputs=config.n_outputs,
-                     eta_box=config.eta_box, p_box=config.p_box)
+    ep_traj, record = timed_run(ep.run, ep.from_bundle(bundle, consts_inf),
+                                 config.t_final, **run_args)
+    result = SweepResult(config=config, report=None, bundle=bundle,
+                         ep_traj=ep_traj, runs={math.inf: record})
+    report_line("limit run: %d steps of dt=%.4g (%s), %d RHS evaluations, %.2f s"
+                % (record["steps"], record["dt"], record["dt_reason"],
+                   record["rhs_evals"], record["wall_s"]))
     if not ep_traj.ok:
-        raise RuntimeError("limit-system run aborted: " + ep_traj.abort_reason)
+        result.abort_reasons[math.inf] = ep_traj.abort_reason
+        raise SweepAborted("limit-system run aborted: " + ep_traj.abort_reason,
+                           result)
 
     order = config.sobolev_order
-    result = SweepResult(config=config, report=None, bundle=bundle,
-                         ep_traj=ep_traj)
     sup_w, sup_phi, gaps = [], [], []
     for c in config.c_values:
         consts_c = config.consts(c)
         lifted = initial_data.lift_to_relativistic(bundle, consts_c)
-        traj = en.run(en.from_bundle(lifted), config.t_final, cfl=config.cfl,
-                      n_outputs=config.n_outputs,
-                      eta_box=config.eta_box, p_box=config.p_box)
+        traj, record = timed_run(en.run, en.from_bundle(lifted),
+                                  config.t_final, **run_args)
+        result.runs[c] = record
+        report_line("c=%g: %d steps of dt=%.4g (%s), %d RHS evaluations, %.2f s"
+                    % (c, record["steps"], record["dt"], record["dt_reason"],
+                       record["rhs_evals"], record["wall_s"]))
         if not traj.ok:
             result.abort_reasons[c] = traj.abort_reason
-            raise RuntimeError(
-                "finite-c run aborted at c=%g: %s" % (c, traj.abort_reason))
-        icc = consts_c.inv_c_sq
+            raise SweepAborted(
+                "finite-c run aborted at c=%g: %s" % (c, traj.abort_reason),
+                result)
         w_sup = 0.0
         phi_sup = 0.0
         for m in range(len(traj.ts)):
-            script_w = np.concatenate([
-                traj.ws[m][:1],
-                (np.exp(-4.0 * traj.phis[m] * icc) * traj.ws[m][1])[None],
-                traj.ws[m][2:]])
             w_sup = max(w_sup, grid.sobolev_norm(
-                ep_traj.ws[m] - script_w, order - 1))
+                ep_traj.ws[m] - en.pull_back(traj.ws[m], traj.phis[m], consts_c),
+                order - 1))
             dev = ((ep_traj.phis[m] - bundle.phi_bar_inf)
                    - (traj.phis[m] - lifted.phi_bar_c))
             phi_sup = max(phi_sup, grid.sobolev_norm(dev, order + 1))
@@ -214,15 +252,10 @@ def approximate_solution_residuals(traj, phi_data, w_data_inf, consts, eos,
     """
     consts_inf = eos_mod.PhysicalConstants(grav_g=consts.grav_g,
                                            kappa=consts.kappa, c=math.inf)
-    icc = consts.inv_c_sq
     fourpg = 4.0 * math.pi * consts.grav_g
 
     def script_w(m):
-        w = traj.ws[m]
-        if not consts.finite_c:
-            return w
-        return np.concatenate([
-            w[:1], (np.exp(-4.0 * traj.phis[m] * icc) * w[1])[None], w[2:]])
+        return en.pull_back(traj.ws[m], traj.phis[m], consts)
 
     rho_data = eos_mod.mass_density(consts_inf, eos, w_data_inf[0], w_data_inf[1])
     sup_e1 = 0.0
@@ -243,7 +276,7 @@ def approximate_solution_residuals(traj, phi_data, w_data_inf, consts, eos,
     return sup_e1, sup_e2
 
 
-def emit_report(report, out_dir, thresholds=None):
+def emit_report(report, out_dir):
     """Write the rate CSV and a human-readable summary; returns file paths."""
     import os
 
@@ -255,7 +288,6 @@ def emit_report(report, out_dir, thresholds=None):
             fh.write("%.17g,%.17g,%.17g,%.17g\n" % (
                 c, report.sup_w[i], report.sup_phi[i], report.phi_bar_gap[i]))
     summary_path = os.path.join(out_dir, "summary.txt")
-    thresholds = thresholds or {"slope_w": -0.9, "slope_phi": -0.9}
     lines = [
         "convergence-rate sweep summary",
         "c values: %s" % (list(report.c_values),),
@@ -263,10 +295,8 @@ def emit_report(report, out_dir, thresholds=None):
         "potential slope: %.4f (rms fit residual %.4f)" % (report.slope_phi, report.resid_phi),
         "background-gap slope: %.4f (rms fit residual %.4f)" % (report.slope_gap, report.resid_gap),
     ]
-    ok = (report.slope_w <= thresholds["slope_w"]
-          and report.slope_phi <= thresholds["slope_phi"]
-          and abs(report.slope_gap + 2.0) <= 0.1)
-    lines.append("acceptance thresholds: %s" % ("PASS" if ok else "FAIL"))
+    lines.append("acceptance thresholds: %s"
+                 % ("PASS" if report.meets_thresholds() else "FAIL"))
     with open(summary_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return csv_path, summary_path

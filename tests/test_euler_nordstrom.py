@@ -276,3 +276,170 @@ def test_shared_thermo_matches_one_argument_forms(grid, eosf):
     assert np.array_equal(en.fluid_rhs(st, thermo), en.fluid_rhs(st))
     for a, b in zip(en.potential_rhs(st, thermo), en.potential_rhs(st)):
         assert np.array_equal(a, b)
+
+
+def test_pull_back_matches_script_w_and_is_identity_at_inf(grid, eosf):
+    st = perturbed_state(grid, eosf, 20.0)
+    assert np.array_equal(en.pull_back(st.w, st.phi, st.consts), st.script_w())
+    w = st.w.copy()
+    assert np.array_equal(en.pull_back(w, st.phi, INF), w)
+
+
+def etd_final(st, t_final, steps):
+    """ETDRK4 from st to t_final in `steps` equal steps."""
+    kg = en.KleinGordonEtd(st.grid, st.consts, t_final / steps)
+    spec = st.grid.fft(np.stack([st.phi, st.pi]))
+    for _ in range(steps):
+        st, spec = en.etd_step(st, spec, kg)
+    return st
+
+
+def test_etd_run_matches_rk4_oracle(grid, eosf):
+    # per output, the ETD run agrees with classical RK4 at the wave CFL step
+    # to 1e-3 of the perturbation, in the sweep's norms (H^3 for W, H^5 for
+    # the potential)
+    c, t_final, n_out = 40.0, 0.05, 5
+    st = perturbed_state(grid, eosf, c)
+    traj = en.run(st, t_final, n_outputs=n_out)
+    assert traj.ok and traj.steps == 5 and traj.rhs_evals == 20
+    seg = t_final / n_out
+    per_seg = math.ceil(seg / (0.5 * grid.h / c) - 1e-12)
+    ref = st
+    for m in range(1, n_out + 1):
+        for _ in range(per_seg):
+            ref = en.step(ref, seg / per_seg)
+        w_scale = grid.sobolev_norm(ref.w, 3, background=ref.w.mean(axis=(1, 2, 3)))
+        phi_scale = grid.sobolev_norm(ref.phi, 5, background=ref.phi.mean())
+        assert grid.sobolev_norm(traj.ws[m] - ref.w, 3) <= 1e-3 * w_scale
+        assert grid.sobolev_norm(traj.phis[m] - ref.phi, 5) <= 1e-3 * phi_scale
+
+
+def test_etd_step_freezes_modes_outside_mask(grid, eosf):
+    # RK4's masked right-hand side never moves the potential's modes outside
+    # the 2/3 mask; rotating them with exp(i omega dt) moved the H^5
+    # potential gap of the sweep by 4% to 600%
+    st = perturbed_state(grid, eosf, 40.0)
+    rng = np.random.default_rng(7)
+    st = replace(st, phi=st.phi + 1e-3 * rng.standard_normal(st.phi.shape),
+                 pi=st.pi + 1e-3 * rng.standard_normal(st.pi.shape))
+    kg = en.KleinGordonEtd(grid, st.consts, 0.0125)
+    spec = grid.fft(np.stack([st.phi, st.pi]))
+    _, new = en.etd_step(st, spec, kg)
+    outside = ~grid.dealias_mask
+    assert np.max(np.abs(spec[:, outside])) > 1e-3
+    assert np.array_equal(new[:, outside], spec[:, outside])
+    assert not np.array_equal(new[:, grid.dealias_mask], spec[:, grid.dealias_mask])
+
+
+def test_etd_minus_coefficients_are_conjugates(grid):
+    consts = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=80.0)
+    dt = 0.00625
+    kg = en.KleinGordonEtd(grid, consts, dt)
+    minus = en.etd_coefficients(-1j * kg.omega * dt, dt)
+    for row, direct in zip((kg.q, kg.f1, kg.f2, kg.f3), minus):
+        assert np.array_equal(row[1], row[0].conj())
+        assert np.max(np.abs(row[1] - direct)) <= 1e-12 * dt
+    assert np.array_equal(kg.e[1], np.exp(-1j * kg.omega * dt))
+
+
+def test_etd_contour_matches_closed_forms():
+    # away from 0 the closed forms are well conditioned; the full-circle
+    # contour mean must reproduce them, for complex as well as real z.  On
+    # |z| = 1 the circle passes through 0, where a node at distance d would
+    # cost eps / d**3 of accuracy
+    z = np.concatenate([[1.0, -1.0, 1j, -1j, 0.6 + 0.8j, 0.8 - 0.6j,
+                         -0.28 + 0.96j, 3.0 + 4.0j, -2.0 + 0.5j],
+                        1j * np.linspace(1.0, 30.0, 59), -1j * np.linspace(1.0, 30.0, 59)])
+    dt = 0.7
+    ez = np.exp(z)
+    closed = (dt * (np.exp(0.5 * z) - 1.0) / z,
+              dt * (-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z**3,
+              2.0 * dt * (2.0 + z + ez * (z - 2.0)) / z**3,
+              dt * (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z**3)
+    for got, want in zip(en.etd_coefficients(z, dt), closed):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_etd_coefficients_at_zero_are_rk4_weights():
+    dt = 0.3
+    got = en.etd_coefficients(np.zeros(1), dt)
+    for g, want in zip(got, (dt / 2, dt / 6, dt / 3, dt / 6)):
+        assert abs(g[0] - want) <= 1e-15 * dt
+
+
+def test_etd_time_floor_below_c160_gap(grid, eosf):
+    # halving dt moves the fluid and potential gaps of a c = 160 run by at
+    # most a tenth of their size (the time-discretisation floor)
+    t_final, c = 0.05, 160.0
+    spec = PerturbationSpec(amp_eta=0.05, amp_p=0.05, amp_v=(0.05, 0.0, 0.0),
+                            center=(math.pi,) * 3, width=math.pi / 4)
+    b = build_newtonian_data(spec, INF, eosf, grid, admissible_box=BOX)
+    limit = ep.run(ep.from_bundle(b, INF), t_final, n_outputs=1)
+    lift = lift_to_relativistic(b, eos.PhysicalConstants(grav_g=G, c=c))
+    st = en.from_bundle(lift)
+    traj = en.run(st, t_final, n_outputs=1)
+    assert traj.ok and traj.dt_reason == "Klein-Gordon 1/(c kappa)"
+
+    def gaps(w, phi):
+        pulled = en.pull_back(w, phi, st.consts)
+        dev = (limit.phis[-1] - b.phi_bar_inf) - (phi - lift.phi_bar_c)
+        return (grid.sobolev_norm(limit.ws[-1] - pulled, 3),
+                grid.sobolev_norm(dev, 5))
+
+    coarse = gaps(traj.ws[-1], traj.phis[-1])
+    fine_st = etd_final(st, t_final, 2 * traj.steps)
+    fine = gaps(fine_st.w, fine_st.phi)
+    for a, b_ in zip(coarse, fine):
+        assert abs(a - b_) <= 0.1 * b_
+    floor_w = grid.sobolev_norm(
+        en.pull_back(traj.ws[-1], traj.phis[-1], st.consts)
+        - en.pull_back(fine_st.w, fine_st.phi, st.consts), 3)
+    assert floor_w <= 0.1 * fine[0]
+    assert grid.sobolev_norm(traj.phis[-1] - fine_st.phi, 5) <= 0.1 * fine[1]
+
+
+def test_run_dt_rule_and_telemetry(grid, eosf):
+    # at c = 40 the slowest Klein-Gordon mode sets dt = cfl / (c kappa); at
+    # c = 5 the fluid CFL step h / s_fluid is the smaller one
+    st = perturbed_state(grid, eosf, 40.0)
+    traj = en.run(st, 0.05, n_outputs=2)
+    assert traj.dt_reason == "Klein-Gordon 1/(c kappa)"
+    assert traj.steps == 4 and traj.rhs_evals == 16
+    assert traj.dt == pytest.approx(0.0125, rel=1e-14)
+    slow = perturbed_state(grid, eosf, 5.0)
+    traj = en.run(slow, 0.2, n_outputs=1)
+    assert traj.ok and traj.dt_reason == "fluid CFL"
+    assert traj.dt <= 0.5 * grid.h / en.fluid_signal_speed(slow)
+
+
+def test_run_records_step_failure_as_abort(grid, eosf, monkeypatch):
+    st = perturbed_state(grid, eosf, 40.0)
+    real = en.etd_step
+    calls = []
+
+    def failing(state, spec, kg):
+        calls.append(state.t)
+        if len(calls) == 3:
+            raise ValueError("superluminal velocity at grid point (1, 2, 3)")
+        return real(state, spec, kg)
+
+    monkeypatch.setattr(en, "etd_step", failing)
+    traj = en.run(st, 0.05, n_outputs=4)
+    assert not traj.ok
+    assert traj.steps == 2 and len(traj.ts) == 3
+    assert "step 3 from t=0.025" in traj.abort_reason
+    assert "superluminal velocity at grid point (1, 2, 3)" in traj.abort_reason
+
+
+def test_ep_run_records_step_failure_as_abort(grid, eosf, monkeypatch):
+    b = build_newtonian_data(PerturbationSpec(amp_eta=0.05, amp_p=0.05,
+                                              amp_v=(0.05, 0.0, 0.0)),
+                             INF, eosf, grid, admissible_box=BOX)
+
+    def failing(state, dt):
+        raise ValueError("nonpositive limit density")
+
+    monkeypatch.setattr(ep, "step", failing)
+    traj = ep.run(ep.from_bundle(b, INF), 0.05, n_outputs=2)
+    assert not traj.ok and traj.steps == 0 and len(traj.ts) == 1
+    assert traj.abort_reason == "step 1 from t=0 failed: nonpositive limit density"
