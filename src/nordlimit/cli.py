@@ -194,7 +194,7 @@ def _out_dir(args):
     return out
 
 
-def _write_diagnostics(path, traj, grid, order, kg=None, ratios=None):
+def _write_diagnostics(path, traj, grid, order, kg=None):
     with open(path, "w") as fh:
         fh.write("t,dt,minEta,minP,maxV,hNw,kgE,minRatio,maxRatio\n")
         for m, t in enumerate(traj.ts):
@@ -203,88 +203,54 @@ def _write_diagnostics(path, traj, grid, order, kg=None, ratios=None):
             hn = grid.sobolev_norm(w, order,
                                    background=[float(np.mean(f)) for f in w])
             kge = kg[m] if kg is not None else 0.0
-            rmin, rmax = ratios[m] if ratios is not None else (0.0, 0.0)
             fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
                      % (t, traj.dt, float(np.min(w[0])), float(np.min(w[1])),
-                        vmax, hn, kge, rmin, rmax))
+                        vmax, hn, kge, 0.0, 0.0))
 
 
-def cmd_run_en(args):
-    cfg = parse_config(args.config, args.strict)
-    sc = sweep_config_from(cfg)
-    c = _run_c_value(cfg)
-    if not math.isfinite(c):
+def cmd_run(args, cfg, sc, out, manifest):
+    """run-en (the finite-c system at run.c) or run-ep (the limit system)."""
+    finite = args.command == "run-en"
+    c = _run_c_value(cfg) if finite else math.inf
+    if finite and not math.isfinite(c):
         raise ConfigError("run-en needs a finite run.c")
-    out = _out_dir(args)
-    manifest = Manifest(out, cfg, args)
-    try:
-        grid, eos = sc.make_grid(), sc.make_eos()
-        bundle = initial_data.build_newtonian_data(
-            sc.make_perturbation(), sc.consts(math.inf), eos, grid,
-            eta_bar=sc.eta_bar, p_bar=sc.p_bar,
-            admissible_box=(sc.eta_box, sc.p_box))
+    bundle = sc.make_bundle()
+    grid = bundle.grid
+    if finite:
         lifted = initial_data.lift_to_relativistic(bundle, sc.consts(c))
-        traj, record = lh.timed_run(
-            en.run, en.from_bundle(lifted), sc.t_final, cfl=sc.cfl,
-            n_outputs=sc.n_outputs, eta_box=sc.eta_box, p_box=sc.p_box)
-        manifest.data["run"] = dict(record, c=c)
-        consts = sc.consts(c)
+        runner, start = en.run, en.from_bundle(lifted)
+    else:
+        runner, start = ep.run, ep.from_bundle(bundle, sc.consts(c))
+    traj = runner(start, sc.t_final, cfl=sc.cfl, n_outputs=sc.n_outputs,
+                  eta_box=sc.eta_box, p_box=sc.p_box)
+    # c as text at c = inf, as in the sweep's records: JSON has no infinity
+    manifest.data["run"] = dict(traj.record(), c=c if finite else "inf")
+    kg = None
+    comps = [traj.ws[-1], traj.phis[-1][None]]
+    if finite:
         kg = []
         for m in range(len(traj.ts)):
             st = en.RelState(w=traj.ws[m], phi=traj.phis[m], pi=traj.pis[m],
-                             t=traj.ts[m], consts=consts, eos=eos, grid=grid)
+                             t=traj.ts[m], consts=lifted.consts, eos=bundle.eos,
+                             grid=grid)
             kg.append(ec.kg_energy(st, lifted.phi_c, sc.sobolev_order))
-        diag = os.path.join(out, "run_en_diagnostics.csv")
-        _write_diagnostics(diag, traj, grid, sc.sobolev_order, kg=kg)
-        snap = os.path.join(out, "run_en_final.nrdf")
-        fields.write_snapshot(snap, grid, traj.ts[-1], np.concatenate(
-            [traj.ws[-1], traj.phis[-1][None], traj.pis[-1][None]]))
-        manifest.add_output(diag)
-        manifest.add_output(snap)
-        manifest.set_check("run_completed", traj.ok)
-        if not traj.ok:
-            manifest.data["abort_reason"] = traj.abort_reason
-            print("run aborted: " + traj.abort_reason, file=sys.stderr)
-            return 2
-        print("run-en complete: t=%g, dt=%g (%s), steps=%d, outputs=%d" %
-              (traj.ts[-1], traj.dt, traj.dt_reason, traj.steps, len(traj.ts)))
-        return 0
-    finally:
-        manifest.write()
-
-
-def cmd_run_ep(args):
-    cfg = parse_config(args.config, args.strict)
-    sc = sweep_config_from(cfg)
-    out = _out_dir(args)
-    manifest = Manifest(out, cfg, args)
-    try:
-        grid, eos = sc.make_grid(), sc.make_eos()
-        bundle = initial_data.build_newtonian_data(
-            sc.make_perturbation(), sc.consts(math.inf), eos, grid,
-            eta_bar=sc.eta_bar, p_bar=sc.p_bar,
-            admissible_box=(sc.eta_box, sc.p_box))
-        traj = ep.run(ep.from_bundle(bundle, sc.consts(math.inf)), sc.t_final,
-                      cfl=sc.cfl, n_outputs=sc.n_outputs,
-                      eta_box=sc.eta_box, p_box=sc.p_box)
-        diag = os.path.join(out, "run_ep_diagnostics.csv")
-        _write_diagnostics(diag, traj, grid, sc.sobolev_order)
-        snap = os.path.join(out, "run_ep_final.nrdf")
-        fields.write_snapshot(snap, grid, traj.ts[-1], np.concatenate(
-            [traj.ws[-1], traj.phis[-1][None]]))
-        manifest.add_output(diag)
-        manifest.add_output(snap)
-        manifest.set_check("run_completed", traj.ok)
-        if not traj.ok:
-            manifest.data["abort_reason"] = traj.abort_reason
-            print("run aborted: " + traj.abort_reason, file=sys.stderr)
-            return 2
-        drift = float(np.max(np.abs(traj.ws[-1] - traj.ws[0])))
-        print("run-ep complete: t=%g, dt=%g, max state change=%.3g" %
-              (traj.ts[-1], traj.dt, drift))
-        return 0
-    finally:
-        manifest.write()
+        comps.append(traj.pis[-1][None])
+    name = args.command.replace("-", "_")
+    diag = os.path.join(out, name + "_diagnostics.csv")
+    _write_diagnostics(diag, traj, grid, sc.sobolev_order, kg=kg)
+    snap = os.path.join(out, name + "_final.nrdf")
+    fields.write_snapshot(snap, grid, traj.ts[-1], np.concatenate(comps))
+    manifest.add_output(diag)
+    manifest.add_output(snap)
+    manifest.set_check("run_completed", traj.ok)
+    if not traj.ok:
+        manifest.data["abort_reason"] = traj.abort_reason
+        print("run aborted: " + traj.abort_reason, file=sys.stderr)
+        return 2
+    print("%s complete: t=%g, dt=%g (%s), steps=%d, outputs=%d" %
+          (args.command, traj.ts[-1], traj.dt, traj.dt_reason, traj.steps,
+           len(traj.ts)))
+    return 0
 
 
 def _run_records(runs):
@@ -292,100 +258,82 @@ def _run_records(runs):
     return {"%g" % c: record for c, record in runs.items()}
 
 
-def cmd_sweep(args):
-    cfg = parse_config(args.config, args.strict)
-    sc = sweep_config_from(cfg)
-    out = _out_dir(args)
-    manifest = Manifest(out, cfg, args)
+def cmd_sweep(args, cfg, sc, out, manifest):
     try:
-        try:
-            result = lh.run_sweep(sc, keep_trajectories=False,
-                                  progress=lambda line: print(line, file=sys.stderr))
-        except lh.SweepAborted as exc:
-            manifest.data["runs"] = _run_records(exc.result.runs)
-            manifest.data["abort_reasons"] = _run_records(exc.result.abort_reasons)
-            manifest.set_check("rate_thresholds", False)
-            print("sweep aborted: %s" % exc, file=sys.stderr)
-            return 2
-        manifest.data["runs"] = _run_records(result.runs)
-        csv_path, summary_path = lh.emit_report(result.report, out)
-        manifest.add_output(csv_path)
-        manifest.add_output(summary_path)
-        ok = result.report.meets_thresholds()
-        manifest.set_check("rate_thresholds", ok)
-        print(open(summary_path).read(), end="")
-        return 0 if ok else 2
-    finally:
-        manifest.write()
+        result = lh.run_sweep(sc, keep_trajectories=False,
+                              progress=lambda line: print(line, file=sys.stderr))
+    except lh.SweepAborted as exc:
+        manifest.data["runs"] = _run_records(exc.result.runs)
+        manifest.data["abort_reasons"] = _run_records(exc.result.abort_reasons)
+        manifest.set_check("rate_thresholds", False)
+        print("sweep aborted: %s" % exc, file=sys.stderr)
+        return 2
+    manifest.data["runs"] = _run_records(result.runs)
+    csv_path, summary_path = lh.emit_report(result.report, out)
+    manifest.add_output(csv_path)
+    manifest.add_output(summary_path)
+    ok = result.report.meets_thresholds()
+    manifest.set_check("rate_thresholds", ok)
+    print(open(summary_path).read(), end="")
+    return 0 if ok else 2
 
 
-def cmd_check(args):
-    cfg = parse_config(args.config, args.strict)
-    sc = sweep_config_from(cfg)
-    out = _out_dir(args)
-    manifest = Manifest(out, cfg, args)
+def cmd_check(args, cfg, sc, out, manifest):
     rng = np.random.default_rng(args.seed)
     results = {}
-    try:
-        grid, eos = sc.make_grid(), sc.make_eos()
-        slopes = eos_mod.rate_check(eos, sc.eta_box, sc.p_box,
-                                    sc.c_values, seed=args.seed)
-        results["eos_rates"] = all(s <= -1.9 for s in slopes.values())
+    bundle = sc.make_bundle()
+    grid, eos = bundle.grid, bundle.eos
+    slopes = eos_mod.rate_check(eos, sc.eta_box, sc.p_box,
+                                sc.c_values, seed=args.seed)
+    results["eos_rates"] = all(s <= -1.9 for s in slopes.values())
 
-        consts_inf = sc.consts(math.inf)
-        bundle = initial_data.build_newtonian_data(
-            sc.make_perturbation(), consts_inf, eos, grid,
-            eta_bar=sc.eta_bar, p_bar=sc.p_bar,
-            admissible_box=(sc.eta_box, sc.p_box))
-        c_mid = sc.c_values[len(sc.c_values) // 2]
-        consts_c = sc.consts(c_mid)
-        lifted = initial_data.lift_to_relativistic(bundle, consts_c)
-        t_short = min(sc.t_final, 0.1)
-        traj = en.run(en.from_bundle(lifted), t_short, cfl=sc.cfl,
-                      n_outputs=max(8, sc.n_outputs),
-                      eta_box=sc.eta_box, p_box=sc.p_box)
-        results["en_run"] = traj.ok
+    c_mid = sc.c_values[len(sc.c_values) // 2]
+    consts_c = sc.consts(c_mid)
+    lifted = initial_data.lift_to_relativistic(bundle, consts_c)
+    t_short = min(sc.t_final, 0.1)
+    traj = en.run(en.from_bundle(lifted), t_short, cfl=sc.cfl,
+                  n_outputs=max(8, sc.n_outputs),
+                  eta_box=sc.eta_box, p_box=sc.p_box)
+    results["en_run"] = traj.ok
 
-        # positivity along the trajectory
-        variations = rng.normal(size=(16, 5))
-        ok = True
-        for m in range(len(traj.ts)):
-            bg = ec.background_coeffs(consts_c, eos, traj.ws[m], traj.phis[m])
-            lo, _ = ec.positivity_ratio(consts_c, bg, variations)
-            ok = ok and lo > 0
-        results["positivity"] = ok
+    # positivity along the trajectory
+    variations = rng.normal(size=(16, 5))
+    ok = True
+    for m in range(len(traj.ts)):
+        bg = ec.background_coeffs(consts_c, eos, traj.ws[m], traj.phis[m])
+        lo, _ = ec.positivity_ratio(consts_c, bg, variations)
+        ok = ok and lo > 0
+    results["positivity"] = ok
 
-        # divergence identity on the stored run
-        smoothed = initial_data.mollify_bundle(lifted, sc.mollify_eps)
-        rep = ec.divergence_identity_check(
-            traj, smoothed.w_c, lifted.phi_c, consts_c, eos, grid,
-            eta_bar=sc.eta_bar, p_bar=sc.p_bar)
-        results["divergence_identity"] = rep.max_defect <= 1e-3
-        rep.write_csv(os.path.join(out, "divergence_check.csv"))
-        manifest.add_output(os.path.join(out, "divergence_check.csv"))
+    # divergence identity on the stored run
+    smoothed = initial_data.mollify_bundle(lifted, sc.mollify_eps)
+    rep = ec.divergence_identity_check(
+        traj, smoothed.w_c, lifted.phi_c, consts_c, eos, grid,
+        eta_bar=sc.eta_bar, p_bar=sc.p_bar)
+    results["divergence_identity"] = rep.max_defect <= 1e-3
+    rep.write_csv(os.path.join(out, "divergence_check.csv"))
+    manifest.add_output(os.path.join(out, "divergence_check.csv"))
 
-        # scalar-field energy inequality
-        sup_l = 0.0
-        ok = True
-        e0 = None
-        for m in range(len(traj.ts)):
-            st = en.RelState(w=traj.ws[m], phi=traj.phis[m], pi=traj.pis[m],
-                             t=traj.ts[m], consts=consts_c, eos=eos, grid=grid)
-            l = ec.assemble_eov_inhomogeneity(st, smoothed.w_c, lifted.phi_c)[5]
-            sup_l = max(sup_l, grid.sobolev_norm(l, sc.sobolev_order))
-            e = ec.kg_energy(st, lifted.phi_c, sc.sobolev_order)
-            if e0 is None:
-                e0 = e
-            bound = e0 + consts_c.c * traj.ts[m] * sup_l * (1.0 + 1e-3)
-            ok = ok and e <= bound
-        results["kg_inequality"] = ok
+    # scalar-field energy inequality
+    sup_l = 0.0
+    ok = True
+    e0 = None
+    for m in range(len(traj.ts)):
+        st = en.RelState(w=traj.ws[m], phi=traj.phis[m], pi=traj.pis[m],
+                         t=traj.ts[m], consts=consts_c, eos=eos, grid=grid)
+        l = ec.assemble_eov_inhomogeneity(st, smoothed.w_c, lifted.phi_c)[5]
+        sup_l = max(sup_l, grid.sobolev_norm(l, sc.sobolev_order))
+        e = ec.kg_energy(st, lifted.phi_c, sc.sobolev_order)
+        if e0 is None:
+            e0 = e
+        bound = e0 + consts_c.c * traj.ts[m] * sup_l * (1.0 + 1e-3)
+        ok = ok and e <= bound
+    results["kg_inequality"] = ok
 
-        for name, flag in sorted(results.items()):
-            manifest.set_check(name, flag)
-            print("%-24s %s" % (name, "PASS" if flag else "FAIL"))
-        return 0 if all(results.values()) else 2
-    finally:
-        manifest.write()
+    for name, flag in sorted(results.items()):
+        manifest.set_check(name, flag)
+        print("%-24s %s" % (name, "PASS" if flag else "FAIL"))
+    return 0 if all(results.values()) else 2
 
 
 def cmd_info(args):
@@ -434,9 +382,16 @@ def main(argv=None):
         if not args.config:
             print("error: --config is required for this command", file=sys.stderr)
             return 1
-        handler = {"run-en": cmd_run_en, "run-ep": cmd_run_ep,
+        cfg = parse_config(args.config, args.strict)
+        sc = sweep_config_from(cfg)
+        out = _out_dir(args)
+        manifest = Manifest(out, cfg, args)
+        handler = {"run-en": cmd_run, "run-ep": cmd_run,
                    "sweep": cmd_sweep, "check": cmd_check}[args.command]
-        return handler(args)
+        try:
+            return handler(args, cfg, sc, out, manifest)
+        finally:
+            manifest.write()
     except (ConfigError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -318,14 +318,22 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
                           grid=grid, eta_bar=eta_bar, p_bar=p_bar)
         return ep.with_constraint(st)
 
-    energies = []
-    states = []
+    # per output: the energy, and the min/max of j0 / |wdot|**2 from the
+    # same density (floats only: the coefficient fields are not kept)
+    energies, ratios, states = [], [], []
     for m in range(len(traj.ts)):
         st = make_state(m)
         states.append(st)
-        bg = (background_coeffs(consts, eos, st.w, st.phi)
-              if consts.finite_c else background_coeffs(consts, eos, st.w))
-        energies.append(grid.integral(j0(consts, bg, st.w - smoothed_w)))
+        wdot = st.w - smoothed_w
+        dens = j0(consts, background_coeffs(consts, eos, st.w, st.phi), wdot)
+        energies.append(grid.integral(dens))
+        mag = np.einsum("m...,m...->...", wdot, wdot)
+        mask = mag > 1e-30
+        if np.any(mask):
+            ratio = dens[mask] / mag[mask]
+            ratios.append((float(np.min(ratio)), float(np.max(ratio))))
+        else:
+            ratios.append((math.nan, math.nan))
     e0 = abs(energies[0])
 
     rows = []
@@ -334,21 +342,9 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
         dt_out = traj.ts[m + 1] - traj.ts[m - 1]
         lhs = (energies[m + 1] - energies[m - 1]) / dt_out
         rhs = _divergence_rhs(states[m], smoothed_w, phi_data)
-        st = states[m]
-        bg = (background_coeffs(consts, eos, st.w, st.phi)
-              if consts.finite_c else background_coeffs(consts, eos, st.w))
-        wdot = st.w - smoothed_w
-        dens = j0(consts, bg, wdot)
-        mag = np.einsum("m...,m...->...", wdot, wdot)
-        mask = mag > 1e-30
-        if np.any(mask):
-            ratio = dens[mask] / mag[mask]
-            rmin, rmax = float(np.min(ratio)), float(np.max(ratio))
-        else:
-            rmin = rmax = float("nan")
         defect = abs(lhs - rhs) / max(abs(lhs), e0, 1e-300)
         max_defect = max(max_defect, defect)
-        rows.append((traj.ts[m], lhs, rhs, defect, rmin, rmax))
+        rows.append((traj.ts[m], lhs, rhs, defect) + ratios[m])
     return DivergenceReport(rows=rows, max_defect=max_defect)
 
 

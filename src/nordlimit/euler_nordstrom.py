@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eos as eos_mod
+from . import stepping
 
 
 @dataclass
@@ -361,106 +362,40 @@ def etd_step(state, spec, kg):
     return at(w_new, z_new, state.t + dt)
 
 
-def fluid_signal_speed(state):
-    """CFL speed of the fluid: max |v| + max sound speed."""
-    v = state.w[2:]
-    ssq = eos_mod.sound_speed_sq(state.consts, state.eos, state.w[0], state.pressure())
-    return float(np.max(np.sqrt(np.sum(v * v, axis=0)))) + float(np.max(np.sqrt(ssq)))
+class EtdStepper:
+    """The stepper `run` hands to `stepping.drive`: ETDRK4 steps of size dt.
 
-
-@dataclass
-class Trajectory:
-    """Output-time snapshots of a run, step telemetry and abort bookkeeping."""
-
-    ts: list
-    ws: list
-    phis: list
-    pis: list
-    dt: float
-    abort_reason: str = None
-    dt_reason: str = None
-    steps: int = 0
-    rhs_evals: int = 0
-
-    @property
-    def ok(self):
-        return self.abort_reason is None
-
-
-def check_admissibility(state, eta_box=None, p_box=None):
-    """Return a failure description or None.
-
-    Checks finiteness, positivity, the |v| < c/2 working regime, and (when
-    boxes are configured) a 1% margin inside the admissible boxes.
+    Builds the Klein-Gordon tables once and carries the spectra
+    (phi_hat, pi_hat) from step to step, so that the modes outside the mask
+    stay bit for bit frozen.
     """
-    for name, f in (("eta", state.w[0]), ("P", state.w[1]), ("phi", state.phi)):
-        if not np.all(np.isfinite(f)):
-            return "non-finite %s" % name
-    if not np.all(np.isfinite(state.w)) or not np.all(np.isfinite(state.pi)):
-        return "non-finite state"
-    p = state.pressure()
-    if np.any(state.w[0] <= 0) or np.any(p <= 0):
-        return "lost positivity of eta or p"
-    if state.consts.finite_c:
-        vmax = float(np.max(np.sqrt(np.sum(state.w[2:] ** 2, axis=0))))
-        if vmax >= 0.5 * state.consts.c:
-            return "velocity reached c/2"
-    for f, box in ((state.w[0], eta_box), (p, p_box)):
-        if box is not None:
-            margin = 0.01 * (box[1] - box[0])
-            if float(np.min(f)) < box[0] + margin or float(np.max(f)) > box[1] - margin:
-                return "admissibility margin below 1% of the configured box"
-    return None
+
+    def __init__(self, state, dt):
+        self.kg = KleinGordonEtd(state.grid, state.consts, dt)
+        self.spec = state.grid.fft(np.stack([state.phi, state.pi]))
+
+    def __call__(self, state):
+        state, self.spec = etd_step(state, self.spec, self.kg)
+        return state
 
 
 def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
     """Integrate to t_final with ETDRK4, storing snapshots at n_outputs equal
-    intervals.
+    intervals (`stepping.drive` does the output, abort and telemetry rules).
 
     dt = cfl * min(h / s_fluid, 1 / (c kappa)) from the initial state: the
     fluid CFL step, and omega_min dt <= cfl for the slowest Klein-Gordon
-    mode.  It is rounded down so every output time is hit exactly; this
-    keeps output times matched across runs with different c.  The run
-    aborts (partial trajectory returned) on admissibility loss, a fluid
-    signal speed grown past 110% of its initial value, or a ValueError
-    raised inside a step.
+    mode.  The CFL margin watches the fluid signal speed s_fluid.
     """
     if not (0 < cfl <= 1):
         raise ValueError("cfl must lie in (0, 1]")
     consts = state.consts
     if not consts.finite_c:
         raise ValueError("the finite-c run needs a finite c")
-    speed0 = fluid_signal_speed(state)
+    speed0 = stepping.fluid_signal_speed(state)
     fluid_dt = state.grid.h / speed0
     kg_dt = 1.0 / (consts.c * consts.kappa)
-    seg = t_final / n_outputs
-    per_seg = max(1, math.ceil(seg / (cfl * min(fluid_dt, kg_dt)) - 1e-12))
-    kg = KleinGordonEtd(state.grid, consts, seg / per_seg)
-    spec = state.grid.fft(np.stack([state.phi, state.pi]))
-    traj = Trajectory(ts=[state.t], ws=[state.w.copy()], phis=[state.phi.copy()],
-                      pis=[state.pi.copy()], dt=kg.dt,
-                      dt_reason=("fluid CFL" if fluid_dt < kg_dt
-                                 else "Klein-Gordon 1/(c kappa)"))
-    for m in range(n_outputs):
-        for _ in range(per_seg):
-            try:
-                state, spec = etd_step(state, spec, kg)
-            except ValueError as exc:
-                traj.abort_reason = "step %d from t=%.6g failed: %s" % (
-                    traj.steps + 1, state.t, exc)
-                return traj
-            traj.steps += 1
-            traj.rhs_evals += 4
-        # land exactly on the nominal output time despite roundoff
-        state = replace(state, t=(m + 1) * seg)
-        reason = check_admissibility(state, eta_box, p_box)
-        if reason is None and fluid_signal_speed(state) > 1.1 * speed0:
-            reason = "CFL margin violated: signal speed grew past 110% of initial"
-        if reason is not None:
-            traj.abort_reason = reason
-            return traj
-        traj.ts.append(state.t)
-        traj.ws.append(state.w.copy())
-        traj.phis.append(state.phi.copy())
-        traj.pis.append(state.pi.copy())
-    return traj
+    return stepping.drive(
+        state, EtdStepper, cfl * min(fluid_dt, kg_dt),
+        "fluid CFL" if fluid_dt < kg_dt else "Klein-Gordon 1/(c kappa)",
+        speed0, t_final, n_outputs, eta_box, p_box)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eos as eos_mod
+from . import stepping
 
 
 @dataclass
@@ -31,6 +32,10 @@ class NewtState:
     eta_bar: float
     p_bar: float
     phi: np.ndarray = None
+
+    def pressure(self):
+        """The pressure p, evolved directly in the limit system."""
+        return self.w[1]
 
 
 def from_bundle(bundle, consts_inf):
@@ -119,77 +124,22 @@ def step(state, dt):
     return with_constraint(out)
 
 
-def max_signal_speed(state):
-    v = state.w[2:]
-    ssq = eos_mod.sound_speed_sq(state.consts, state.eos, state.w[0], state.w[1])
-    fluid = float(np.max(np.sqrt(np.sum(v * v, axis=0)))) + float(np.max(np.sqrt(ssq)))
-    return max(fluid, 1.0)
-
-
-@dataclass
-class Trajectory:
-    ts: list
-    ws: list
-    phis: list
-    dt: float
-    abort_reason: str = None
-    dt_reason: str = None
-    steps: int = 0
-    rhs_evals: int = 0
-
-    @property
-    def ok(self):
-        return self.abort_reason is None
-
-
-def check_admissibility(state, eta_box=None, p_box=None):
-    if not np.all(np.isfinite(state.w)):
-        return "non-finite state"
-    if np.any(state.w[0] <= 0) or np.any(state.w[1] <= 0):
-        return "lost positivity of eta or p"
-    for f, box in ((state.w[0], eta_box), (state.w[1], p_box)):
-        if box is not None:
-            margin = 0.01 * (box[1] - box[0])
-            if float(np.min(f)) < box[0] + margin or float(np.max(f)) > box[1] - margin:
-                return "admissibility margin below 1% of the configured box"
-    return None
+def _rk4_stepper(state, dt):
+    """The stepper `run` hands to `stepping.drive`: `step` with the fixed dt."""
+    return lambda st: step(st, dt)
 
 
 def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
-    """Mirror of the finite-c run: fixed dt, outputs at matched times.
+    """Mirror of the finite-c run: fixed dt, outputs at matched times, the
+    same `stepping.drive` rules.
 
-    dt = cfl * h / max(fluid signal speed, 1), stepped with RK4; a
-    ValueError raised inside a step ends the run as a recorded abort.
+    dt = cfl * h / max(fluid signal speed, 1), stepped with RK4.
     """
     if not (0 < cfl <= 1):
         raise ValueError("cfl must lie in (0, 1]")
     state = with_constraint(state)
-    speed0 = max_signal_speed(state)
-    dt_cfl = cfl * state.grid.h / speed0
-    seg = t_final / n_outputs
-    per_seg = max(1, math.ceil(seg / dt_cfl - 1e-12))
-    dt = seg / per_seg
-    traj = Trajectory(ts=[state.t], ws=[state.w.copy()], phis=[state.phi.copy()],
-                      dt=dt, dt_reason=("fluid CFL" if speed0 > 1.0
-                                        else "unit speed floor"))
-    for m in range(n_outputs):
-        for _ in range(per_seg):
-            try:
-                state = step(state, dt)
-            except ValueError as exc:
-                traj.abort_reason = "step %d from t=%.6g failed: %s" % (
-                    traj.steps + 1, state.t, exc)
-                return traj
-            traj.steps += 1
-            traj.rhs_evals += 4
-        state = replace(state, t=(m + 1) * seg)
-        reason = check_admissibility(state, eta_box, p_box)
-        if reason is None and max_signal_speed(state) > 1.1 * speed0:
-            reason = "CFL margin violated: signal speed grew past 110% of initial"
-        if reason is not None:
-            traj.abort_reason = reason
-            return traj
-        traj.ts.append(state.t)
-        traj.ws.append(state.w.copy())
-        traj.phis.append(state.phi.copy())
-    return traj
+    speed0 = max(stepping.fluid_signal_speed(state), 1.0)
+    return stepping.drive(
+        state, _rk4_stepper, cfl * state.grid.h / speed0,
+        "fluid CFL" if speed0 > 1.0 else "unit speed floor",
+        speed0, t_final, n_outputs, eta_box, p_box)

@@ -16,7 +16,6 @@ is not a claim about continuum H^(N+1) control.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +85,13 @@ class SweepConfig:
     def consts(self, c):
         return eos_mod.PhysicalConstants(grav_g=self.grav_g, kappa=self.kappa, c=c)
 
+    def make_bundle(self):
+        """The limit-system data bundle (it carries the grid and the EOS)."""
+        return initial_data.build_newtonian_data(
+            self.make_perturbation(), self.consts(math.inf), self.make_eos(),
+            self.make_grid(), eta_bar=self.eta_bar, p_bar=self.p_bar,
+            admissible_box=(self.eta_box, self.p_box))
+
 
 # rate acceptance: fluid and potential slopes at most -0.9, background-gap
 # slope within 0.1 of -2
@@ -145,16 +151,6 @@ class SweepAborted(RuntimeError):
         self.result = result
 
 
-def timed_run(runner, *args, **kwargs):
-    """(trajectory, its telemetry record) of runner(*args, **kwargs)."""
-    start = time.perf_counter()
-    traj = runner(*args, **kwargs)
-    record = {"dt": traj.dt, "dt_reason": traj.dt_reason,
-              "steps": traj.steps, "rhs_evals": traj.rhs_evals,
-              "wall_s": time.perf_counter() - start}
-    return traj, record
-
-
 def run_sweep(config, keep_trajectories=True, progress=None):
     """Run the full experiment; returns a SweepResult with a fitted report.
 
@@ -162,24 +158,22 @@ def run_sweep(config, keep_trajectories=True, progress=None):
     An aborted run raises SweepAborted carrying the partial result.
     """
     config.validate()
-    grid = config.make_grid()
-    eos = config.make_eos()
+    bundle = config.make_bundle()
+    grid = bundle.grid
     consts_inf = config.consts(math.inf)
-    bundle = initial_data.build_newtonian_data(
-        config.make_perturbation(), consts_inf, eos, grid,
-        eta_bar=config.eta_bar, p_bar=config.p_bar,
-        admissible_box=(config.eta_box, config.p_box))
     run_args = dict(cfl=config.cfl, n_outputs=config.n_outputs,
                     eta_box=config.eta_box, p_box=config.p_box)
     report_line = progress or (lambda line: None)
+    ep_traj = ep.run(ep.from_bundle(bundle, consts_inf), config.t_final, **run_args)
+    result = SweepResult(config=config, report=None, bundle=bundle, ep_traj=ep_traj)
 
-    ep_traj, record = timed_run(ep.run, ep.from_bundle(bundle, consts_inf),
-                                 config.t_final, **run_args)
-    result = SweepResult(config=config, report=None, bundle=bundle,
-                         ep_traj=ep_traj, runs={math.inf: record})
-    report_line("limit run: %d steps of dt=%.4g (%s), %d RHS evaluations, %.2f s"
-                % (record["steps"], record["dt"], record["dt_reason"],
-                   record["rhs_evals"], record["wall_s"]))
+    def finished(c, label, traj):
+        result.runs[c] = traj.record()
+        report_line("%s: %d steps of dt=%.4g (%s), %d RHS evaluations, %.2f s"
+                    % (label, traj.steps, traj.dt, traj.dt_reason,
+                       traj.rhs_evals, traj.wall_s))
+
+    finished(math.inf, "limit run", ep_traj)
     if not ep_traj.ok:
         result.abort_reasons[math.inf] = ep_traj.abort_reason
         raise SweepAborted("limit-system run aborted: " + ep_traj.abort_reason,
@@ -190,12 +184,8 @@ def run_sweep(config, keep_trajectories=True, progress=None):
     for c in config.c_values:
         consts_c = config.consts(c)
         lifted = initial_data.lift_to_relativistic(bundle, consts_c)
-        traj, record = timed_run(en.run, en.from_bundle(lifted),
-                                  config.t_final, **run_args)
-        result.runs[c] = record
-        report_line("c=%g: %d steps of dt=%.4g (%s), %d RHS evaluations, %.2f s"
-                    % (c, record["steps"], record["dt"], record["dt_reason"],
-                       record["rhs_evals"], record["wall_s"]))
+        traj = en.run(en.from_bundle(lifted), config.t_final, **run_args)
+        finished(c, "c=%g" % c, traj)
         if not traj.ok:
             result.abort_reasons[c] = traj.abort_reason
             raise SweepAborted(

@@ -1,0 +1,144 @@
+"""The run loop shared by the finite-c and the limit system.
+
+The experiment compares the two runs at matched output times, so the rules
+that make them comparable (output-time rounding, admissibility and CFL
+margin checks, the abort format, telemetry) live here once, in `drive`.
+"""
+
+import math
+import time
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from . import eos as eos_mod
+
+
+def fluid_signal_speed(state):
+    """CFL speed of the fluid: max |v| + max sound speed."""
+    v = state.w[2:]
+    ssq = eos_mod.sound_speed_sq(state.consts, state.eos, state.w[0], state.pressure())
+    return float(np.max(np.sqrt(np.sum(v * v, axis=0)))) + float(np.max(np.sqrt(ssq)))
+
+
+@dataclass
+class Trajectory:
+    """Output-time snapshots of a run, step telemetry and abort bookkeeping.
+
+    pis holds the potential's time derivative, an evolved field only at
+    finite c; it stays empty for the limit run.
+    """
+
+    dt: float
+    dt_reason: str
+    ts: list = field(default_factory=list)
+    ws: list = field(default_factory=list)
+    phis: list = field(default_factory=list)
+    pis: list = field(default_factory=list)
+    abort_reason: str = None
+    steps: int = 0
+    wall_s: float = 0.0
+
+    @property
+    def ok(self):
+        return self.abort_reason is None
+
+    @property
+    def rhs_evals(self):
+        """Right-hand sides evaluated: both integrators take four per step."""
+        return 4 * self.steps
+
+    def add(self, state):
+        """Store the snapshot of state: its own arrays, not copies.
+
+        A step builds new arrays and nothing writes into a state's, so the
+        snapshot stays valid; a copy would keep the initial state twice, as
+        the caller of `drive` holds it for the whole run.
+        """
+        self.ts.append(state.t)
+        self.ws.append(state.w)
+        self.phis.append(state.phi)
+        if state.consts.finite_c:
+            self.pis.append(state.pi)
+
+    def record(self):
+        """Telemetry of the run, as written to the manifests."""
+        return {"dt": self.dt, "dt_reason": self.dt_reason, "steps": self.steps,
+                "rhs_evals": self.rhs_evals, "wall_s": self.wall_s}
+
+
+def check_admissibility(state, eta_box=None, p_box=None):
+    """Return a failure description or None.
+
+    Checks finiteness, positivity, at finite c the |v| < c/2 working regime,
+    and (when boxes are configured) a 1% margin inside the admissible boxes.
+    """
+    finite_c = state.consts.finite_c
+    for name, f in (("eta", state.w[0]), ("P", state.w[1]), ("phi", state.phi)):
+        if not np.all(np.isfinite(f)):
+            return "non-finite %s" % name
+    if not np.all(np.isfinite(state.w)) or (
+            finite_c and not np.all(np.isfinite(state.pi))):
+        return "non-finite state"
+    p = state.pressure()
+    if np.any(state.w[0] <= 0) or np.any(p <= 0):
+        return "lost positivity of eta or p"
+    if finite_c:
+        vmax = float(np.max(np.sqrt(np.sum(state.w[2:] ** 2, axis=0))))
+        if vmax >= 0.5 * state.consts.c:
+            return "velocity reached c/2"
+    for f, box in ((state.w[0], eta_box), (p, p_box)):
+        if box is not None:
+            margin = 0.01 * (box[1] - box[0])
+            if float(np.min(f)) < box[0] + margin or float(np.max(f)) > box[1] - margin:
+                return "admissibility margin below 1% of the configured box"
+    return None
+
+
+def drive(state, start, dt_max, dt_reason, speed, t_final, n_outputs,
+          eta_box=None, p_box=None):
+    """Integrate state to t_final, storing snapshots at n_outputs equal
+    intervals; returns the Trajectory.
+
+    The system supplies its step rule: dt_max, the largest step it allows,
+    set by dt_reason; speed, the signal speed behind dt_max; and the stepper
+    start(state, dt), which returns a function that advances a state by one
+    step of size dt.  dt is dt_max rounded down so that every output time is
+    hit exactly; this keeps output times matched across runs of either
+    system and any c.  The run aborts (partial trajectory returned) when the
+    initial state or an output is not admissible, when the fluid signal
+    speed at an output exceeds 110% of speed, or on a ValueError raised
+    inside a step.
+    """
+    clock = time.perf_counter()
+    seg = t_final / n_outputs
+    per_seg = max(1, math.ceil(seg / dt_max - 1e-12))
+    traj = Trajectory(dt=seg / per_seg, dt_reason=dt_reason)
+    traj.add(state)
+    try:
+        reason = check_admissibility(state, eta_box, p_box)
+        if reason is not None:
+            traj.abort_reason = "initial state: " + reason
+            return traj
+        step = start(state, traj.dt)
+        for m in range(n_outputs):
+            for _ in range(per_seg):
+                try:
+                    state = step(state)
+                except ValueError as exc:
+                    traj.abort_reason = "step %d from t=%.6g failed: %s" % (
+                        traj.steps + 1, state.t, exc)
+                    return traj
+                traj.steps += 1
+            # land exactly on the nominal output time despite roundoff
+            state = replace(state, t=(m + 1) * seg)
+            reason = check_admissibility(state, eta_box, p_box)
+            if reason is None and fluid_signal_speed(state) > 1.1 * speed:
+                reason = "CFL margin violated: signal speed grew past 110% of initial"
+            if reason is not None:
+                traj.abort_reason = reason
+                return traj
+            traj.add(state)
+        return traj
+    finally:
+        traj.wall_s = time.perf_counter() - clock

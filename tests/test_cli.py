@@ -235,15 +235,27 @@ def test_sweep_manifest_records_runs_and_progress(tmp_path, capsys):
         assert sum(line.startswith("c=%s: 5 steps" % c) for line in err) == 1
 
 
-def test_run_en_manifest_records_run(tmp_path):
+def _reject_constant(name):
+    raise ValueError("manifest holds %s, which strict JSON does not allow" % name)
+
+
+@pytest.mark.parametrize("command, c, dt_reason", [
+    ("run-en", 10.0, "Klein-Gordon 1/(c kappa)"),
+    ("run-ep", "inf", "fluid CFL"),
+], ids=["run-en", "run-ep"])
+def test_run_manifest_records_run(tmp_path, capsys, command, c, dt_reason):
     path = write(tmp_path, SMALL)
     out = tmp_path / "out"
-    assert cli.main(["--config", path, "--out", str(out), "run-en"]) == 0
-    run = json.loads((out / "manifest.json").read_text())["run"]
-    assert run["c"] == 10.0
-    assert run["dt_reason"] == "Klein-Gordon 1/(c kappa)"
+    assert cli.main(["--config", path, "--out", str(out), command]) == 0
+    run = json.loads((out / "manifest.json").read_text(),
+                     parse_constant=_reject_constant)["run"]
+    assert run["c"] == c
+    assert run["dt_reason"] == dt_reason
     assert run["steps"] == 2 and run["rhs_evals"] == 8
     assert run["dt"] == pytest.approx(0.01) and run["wall_s"] > 0
+    assert capsys.readouterr().out == (
+        "%s complete: t=0.02, dt=0.01 (%s), steps=2, outputs=3\n"
+        % (command, dt_reason))
 
 
 def _raise_in_step(*args):

@@ -9,6 +9,7 @@ import pytest
 from nordlimit import eos
 from nordlimit import euler_nordstrom as en
 from nordlimit import euler_poisson as ep
+from nordlimit import stepping
 from nordlimit.fields import Grid3
 from nordlimit.initial_data import (PerturbationSpec, build_newtonian_data,
                                     lift_to_relativistic)
@@ -409,37 +410,4 @@ def test_run_dt_rule_and_telemetry(grid, eosf):
     slow = perturbed_state(grid, eosf, 5.0)
     traj = en.run(slow, 0.2, n_outputs=1)
     assert traj.ok and traj.dt_reason == "fluid CFL"
-    assert traj.dt <= 0.5 * grid.h / en.fluid_signal_speed(slow)
-
-
-def test_run_records_step_failure_as_abort(grid, eosf, monkeypatch):
-    st = perturbed_state(grid, eosf, 40.0)
-    real = en.etd_step
-    calls = []
-
-    def failing(state, spec, kg):
-        calls.append(state.t)
-        if len(calls) == 3:
-            raise ValueError("superluminal velocity at grid point (1, 2, 3)")
-        return real(state, spec, kg)
-
-    monkeypatch.setattr(en, "etd_step", failing)
-    traj = en.run(st, 0.05, n_outputs=4)
-    assert not traj.ok
-    assert traj.steps == 2 and len(traj.ts) == 3
-    assert "step 3 from t=0.025" in traj.abort_reason
-    assert "superluminal velocity at grid point (1, 2, 3)" in traj.abort_reason
-
-
-def test_ep_run_records_step_failure_as_abort(grid, eosf, monkeypatch):
-    b = build_newtonian_data(PerturbationSpec(amp_eta=0.05, amp_p=0.05,
-                                              amp_v=(0.05, 0.0, 0.0)),
-                             INF, eosf, grid, admissible_box=BOX)
-
-    def failing(state, dt):
-        raise ValueError("nonpositive limit density")
-
-    monkeypatch.setattr(ep, "step", failing)
-    traj = ep.run(ep.from_bundle(b, INF), 0.05, n_outputs=2)
-    assert not traj.ok and traj.steps == 0 and len(traj.ts) == 1
-    assert traj.abort_reason == "step 1 from t=0 failed: nonpositive limit density"
+    assert traj.dt <= 0.5 * grid.h / stepping.fluid_signal_speed(slow)

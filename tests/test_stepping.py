@@ -1,0 +1,86 @@
+"""Tests for the run loop `stepping.drive`, shared by both systems."""
+
+import math
+
+import pytest
+
+from nordlimit import eos
+from nordlimit import euler_nordstrom as en
+from nordlimit import euler_poisson as ep
+from nordlimit.fields import Grid3
+from nordlimit.initial_data import (PerturbationSpec, build_newtonian_data,
+                                    lift_to_relativistic)
+
+G = 0.05
+INF = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=math.inf)
+BOX = ((0.5, 1.5), (0.5, 1.5))
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return Grid3(32, 2.0 * math.pi)
+
+
+@pytest.fixture(scope="module")
+def eosf():
+    return eos.PolytropicEos()
+
+
+def en_state(grid, eosf, c=40.0):
+    spec = PerturbationSpec(amp_eta=0.05, amp_p=0.05, amp_v=(0.05, 0.02, 0.01),
+                            center=(math.pi,) * 3, width=math.pi / 4)
+    b = build_newtonian_data(spec, INF, eosf, grid, admissible_box=BOX)
+    return en.from_bundle(lift_to_relativistic(b, eos.PhysicalConstants(grav_g=G, c=c)))
+
+
+def ep_state(grid, eosf):
+    b = build_newtonian_data(PerturbationSpec(amp_eta=0.05, amp_p=0.05,
+                                              amp_v=(0.05, 0.0, 0.0)),
+                             INF, eosf, grid, admissible_box=BOX)
+    return ep.from_bundle(b, INF)
+
+
+# per system: module, start state, the step function `drive` calls, the
+# call that raises and its message
+SYSTEMS = {
+    "en": (en, en_state, "etd_step", 3,
+           "superluminal velocity at grid point (1, 2, 3)"),
+    "ep": (ep, ep_state, "step", 1, "nonpositive limit density"),
+}
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_run_records_step_failure_as_abort(grid, eosf, monkeypatch, system):
+    module, start, attr, fail_at, message = SYSTEMS[system]
+    real = getattr(module, attr)
+    calls = []
+
+    def failing(state, *args):
+        calls.append(state.t)
+        if len(calls) == fail_at:
+            raise ValueError(message)
+        return real(state, *args)
+
+    monkeypatch.setattr(module, attr, failing)
+    if system == "en":
+        traj = module.run(start(grid, eosf), 0.05, n_outputs=4)
+        assert not traj.ok
+        assert traj.steps == 2 and len(traj.ts) == 3
+        assert "step 3 from t=0.025" in traj.abort_reason
+        assert "superluminal velocity at grid point (1, 2, 3)" in traj.abort_reason
+    else:
+        traj = module.run(start(grid, eosf), 0.05, n_outputs=2)
+        assert not traj.ok and traj.steps == 0 and len(traj.ts) == 1
+        assert traj.abort_reason == "step 1 from t=0 failed: nonpositive limit density"
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_run_aborts_on_inadmissible_initial_state(grid, eosf, system):
+    # eta reaches 1.05 at t = 0, past the 1% margin of (0.99, 1.01)
+    module, start = SYSTEMS[system][:2]
+    traj = module.run(start(grid, eosf), 0.05, n_outputs=2,
+                      eta_box=(0.99, 1.01), p_box=BOX[1])
+    assert not traj.ok and traj.steps == 0 and traj.rhs_evals == 0
+    assert len(traj.ts) == 1 and traj.ts[0] == 0.0
+    assert traj.abort_reason == ("initial state: admissibility margin below 1% "
+                                 "of the configured box")
