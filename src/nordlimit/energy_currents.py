@@ -156,17 +156,39 @@ def sound_cone_membership(consts, eos, eta, p, v, xi):
     return float(xi @ h @ xi) < 0.0
 
 
-def assemble_eov_inhomogeneity(state, smoothed_w, phi_data):
+def assemble_eov_inhomogeneity(state, smoothed_w, phi_data, bg=None):
     """Inhomogeneities (f, g, h1, h2, h3, l) of the trajectory variation.
 
     state is a RelState (finite c) or a NewtState with cached potential
     (c = inf); smoothed_w is the mollified initial fluid state in the same
     variables as state.w; phi_data is the (unsmoothed) initial potential
-    datum, entering only the scalar-field inhomogeneity l (finite c).
+    datum, entering only the scalar-field inhomogeneity l (finite c).  bg,
+    if given, is background_coeffs of state, built once by the caller.
     """
-    consts, eos, grid = state.consts, state.eos, state.grid
+    if bg is None:
+        bg = background_coeffs(state.consts, state.eos, state.w, state.phi)
+    dw0, l_data = _data_terms(state.consts, state.grid, smoothed_w, phi_data)
+    f, g, h, l = _inhomogeneity(state, bg, dw0, state.grid.gradient(state.phi),
+                                l_data)
+    return f, g, h[0], h[1], h[2], l
+
+
+def _data_terms(consts, grid, smoothed_w, phi_data):
+    """What the inhomogeneities take from the data, the same at every output:
+    the gradient of smoothed_w and, at finite c, kappa**2 phi_data - lap phi_data.
+    """
+    l_data = None
+    if consts.finite_c:
+        l_data = consts.kappa**2 * phi_data - grid.laplacian(phi_data)
+    return grid.gradient(smoothed_w), l_data
+
+
+def _inhomogeneity(state, bg, dw0, dphi, l_data):
+    """(f, g, h, l) of assemble_eov_inhomogeneity, h of shape (3, ...), from
+    their parts: the background bg, the data terms of `_data_terms` (dw0,
+    l_data) and the gradient dphi of state.phi."""
+    consts = state.consts
     v = state.w[2:]
-    dw0 = grid.gradient(smoothed_w)
     d_eta0, d_p0, dv0 = dw0[0], dw0[1], dw0[2:]
     adv = lambda grad: np.einsum("k...,k...->...", v, grad)
 
@@ -176,42 +198,36 @@ def assemble_eov_inhomogeneity(state, smoothed_w, phi_data):
     v_adv_v0 = np.einsum("j...,j...->...", v, adv_v0)
 
     if not consts.finite_c:
-        bg = background_coeffs(consts, eos, state.w)
-        dphi = grid.gradient(state.phi)
         g = -adv(d_p0) - bg["q"] * div_v0
         h = -bg["r"] * dphi - bg["r"] * adv_v0 - d_p0
-        l = np.zeros_like(f)
-        return f, g, h[0], h[1], h[2], l
+        return f, g, h, np.zeros_like(f)
 
     icc = consts.inv_c_sq
-    bg = background_coeffs(consts, eos, state.w, state.phi)
     q, r, gam2, big_p = bg["q"], bg["r"], bg["gam2"], bg["big_p"]
     s = icc * gam2
-    dphi = grid.gradient(state.phi)
     mat_phi = icc * (state.pi + adv(dphi))
     g = ((4.0 * big_p - 3.0 * q) * mat_phi
          - adv(d_p0) - q * div_v0 - s * q * v_adv_v0)
     h = ((3.0 * icc * big_p - r) * (dphi + v * mat_phi / gam2)
          - gam2 * (r + icc * big_p) * (adv_v0 + s * v * v_adv_v0)
          - d_p0 - s * v * adv(d_p0))
-    l = ((consts.kappa**2 * phi_data - grid.laplacian(phi_data))
-         + 4.0 * math.pi * consts.grav_g * (r - 3.0 * icc * big_p))
-    return f, g, h[0], h[1], h[2], l
+    l = l_data + 4.0 * math.pi * consts.grav_g * (r - 3.0 * icc * big_p)
+    return f, g, h, l
 
 
-def _en_time_derivs(state):
+def _en_time_derivs(state, bg, grads):
     """Exact time derivatives of the finite-c background coefficient fields.
 
     Returns (dt_v, dt_inv_q, dt_alpha) from the evolution equations; uses
     the closed-form identity q = gamma_ad * P of the polytropic family and
-    a constant entropy coefficient.
+    a constant entropy coefficient.  bg is background_coeffs of state and
+    grads the gradients (of state.w, of state.phi) that fluid_rhs takes.
     """
     consts, eos = state.consts, state.eos
     icc = consts.inv_c_sq
-    dw = en.fluid_rhs(state)
+    dw = en.fluid_rhs(state, grads=grads)
     dt_phi = state.pi
     dt_v = dw[2:]
-    bg = background_coeffs(consts, eos, state.w, state.phi)
     q, r, gam2 = bg["q"], bg["r"], bg["gam2"]
     dt_q = eos.gamma * dw[1]            # q = gamma * P exactly
     dt_inv_q = -dt_q / q**2
@@ -227,20 +243,22 @@ def _en_time_derivs(state):
     return dt_v, dt_inv_q, dt_alpha
 
 
-def _divergence_rhs(state, smoothed_w, phi_data):
-    """Integral over the torus of the continuum divergence of the current."""
+def _divergence_rhs(state, smoothed_w, bg, dw0, l_data):
+    """Integral over the torus of the continuum divergence of the current.
+
+    bg is background_coeffs of state; dw0 and l_data come from `_data_terms`.
+    """
     consts, eos, grid = state.consts, state.eos, state.grid
     v = state.w[2:]
     wdot = state.w - smoothed_w
     eta_dot, p_dot = wdot[0], wdot[1]
     v_dot = wdot[2:]
     vv = np.einsum("j...,j...->...", v_dot, v_dot)
-    f, g, h1, h2, h3 = assemble_eov_inhomogeneity(state, smoothed_w, phi_data)[:5]
-    h = np.stack([h1, h2, h3])
+    dphi = grid.gradient(state.phi)
+    f, g, h, _ = _inhomogeneity(state, bg, dw0, dphi, l_data)
+    q, r = bg["q"], bg["r"]
 
     if not consts.finite_c:
-        bg = background_coeffs(consts, eos, state.w)
-        q, r = bg["q"], bg["r"]
         dw = ep.newtonian_rhs(state)
         dt_q = eos.gamma * dw[1]
         dt_r = dw[1] / eos_mod.sound_speed_sq(consts, eos, state.w[0], state.w[1])
@@ -252,15 +270,21 @@ def _divergence_rhs(state, smoothed_w, phi_data):
                  + 2.0 * np.einsum("j...,j...->...", v_dot, h))
         return grid.integral(total)
 
+    # the inhomogeneity term first, so that f, g and h are not kept
+    # through the time derivatives
+    t5 = (2.0 * eta_dot * f + 2.0 * p_dot * g / q
+          + 2.0 * np.einsum("j...,j...->...", v_dot, h))
+    del f, g, h
     icc = consts.inv_c_sq
-    bg = background_coeffs(consts, eos, state.w, state.phi)
-    q, r, gam2, big_p = bg["q"], bg["r"], bg["gam2"], bg["big_p"]
+    gam2, big_p = bg["gam2"], bg["big_p"]
     s = icc * gam2
     alpha = gam2 * (r + icc * big_p)
-    dt_v, dt_inv_q, dt_alpha = _en_time_derivs(state)
-    dv = grid.gradient(v)
+    dw = grid.gradient(state.w)
+    dt_v, dt_inv_q, dt_alpha = _en_time_derivs(state, bg, (dw, dphi))
+    dv = dw[2:]
     div_v = dv[0, 0] + dv[1, 1] + dv[2, 2]
     adv_v = np.einsum("k...,jk...->j...", v, dv)
+    del dw, dv, dphi  # the largest temporaries: not kept through the terms
 
     vdot_b = np.einsum("j...,j...->...", v, v_dot)
     v_dt_v = np.einsum("j...,j...->...", v, dt_v)
@@ -281,9 +305,6 @@ def _divergence_rhs(state, smoothed_w, phi_data):
         vdot_b * np.einsum("j...,j...->...", v_dot, dt_v)
         + vdot_b * np.einsum("a...,a...->...", v_dot, adv_v)
         + s * vdot_b**2 * (v_dt_v + v_adv_v))
-
-    t5 = (2.0 * eta_dot * f + 2.0 * p_dot * g / q
-          + 2.0 * np.einsum("j...,j...->...", v_dot, h))
     return grid.integral(t1 + t2 + t3 + t4 + t5)
 
 
@@ -299,6 +320,18 @@ class DivergenceReport:
             fh.write("t,LHS,RHS,defect,minRatio,maxRatio\n")
             for row in self.rows:
                 fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row)
+
+
+def _energy_and_ratios(consts, bg, wdot, grid):
+    """The energy integral of j0(wdot) and the (min, max) of j0 / |wdot|**2
+    over the points where wdot is not zero (nan, nan where it is nowhere)."""
+    dens = j0(consts, bg, wdot)
+    mag = np.einsum("m...,m...->...", wdot, wdot)
+    mask = mag > 1e-30
+    if not np.any(mask):
+        return grid.integral(dens), (math.nan, math.nan)
+    ratio = dens[mask] / mag[mask]
+    return grid.integral(dens), (float(np.min(ratio)), float(np.max(ratio)))
 
 
 def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
@@ -318,30 +351,28 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
                           grid=grid, eta_bar=eta_bar, p_bar=p_bar)
         return ep.with_constraint(st)
 
-    # per output: the energy, and the min/max of j0 / |wdot|**2 from the
-    # same density (floats only: the coefficient fields are not kept)
-    energies, ratios, states = [], [], []
+    # per output, from one build of the background coefficients: the
+    # energy, the min/max of j0 / |wdot|**2 and, at interior outputs, the
+    # divergence integral (floats only: the coefficient fields are not kept)
+    dw0, l_data = _data_terms(consts, grid, smoothed_w, phi_data)
+    last = len(traj.ts) - 1
+    energies, ratios, div_rhs = [], [], []
     for m in range(len(traj.ts)):
         st = make_state(m)
-        states.append(st)
-        wdot = st.w - smoothed_w
-        dens = j0(consts, background_coeffs(consts, eos, st.w, st.phi), wdot)
-        energies.append(grid.integral(dens))
-        mag = np.einsum("m...,m...->...", wdot, wdot)
-        mask = mag > 1e-30
-        if np.any(mask):
-            ratio = dens[mask] / mag[mask]
-            ratios.append((float(np.min(ratio)), float(np.max(ratio))))
-        else:
-            ratios.append((math.nan, math.nan))
+        bg = background_coeffs(consts, eos, st.w, st.phi)
+        energy, ratio = _energy_and_ratios(consts, bg, st.w - smoothed_w, grid)
+        energies.append(energy)
+        ratios.append(ratio)
+        if 1 <= m < last:
+            div_rhs.append(_divergence_rhs(st, smoothed_w, bg, dw0, l_data))
     e0 = abs(energies[0])
 
     rows = []
     max_defect = 0.0
-    for m in range(1, len(traj.ts) - 1):
+    for m in range(1, last):
         dt_out = traj.ts[m + 1] - traj.ts[m - 1]
         lhs = (energies[m + 1] - energies[m - 1]) / dt_out
-        rhs = _divergence_rhs(states[m], smoothed_w, phi_data)
+        rhs = div_rhs[m - 1]
         defect = abs(lhs - rhs) / max(abs(lhs), e0, 1e-300)
         max_defect = max(max_defect, defect)
         rows.append((traj.ts[m], lhs, rhs, defect) + ratios[m])

@@ -116,7 +116,7 @@ def _source_terms(state, dphi, p=None, r_grav=None, q=None, gam2=None):
     return g_src, h_src
 
 
-def fluid_rhs(state, thermo=None):
+def fluid_rhs(state, thermo=None, grads=None):
     """d_t W via the analytic block solve of the quasilinear system.
 
     The 4x4 (P, v) block reduces, after eliminating d_t P, to
@@ -124,7 +124,9 @@ def fluid_rhs(state, thermo=None):
     inverted by the rank-one update formula.  Points where the pivot
     alpha + mu |v|**2 falls below 1e-12 * alpha fall back to a dense LU
     solve of the assembled 5x5 system.  thermo, if given, is the
-    _thermo(state) tuple, computed once per right-hand side by the caller.
+    _thermo(state) tuple, computed once per right-hand side by the caller;
+    grads, if given, is the pair (grid.gradient(state.w),
+    grid.gradient(state.phi)), for a caller that takes them anyway.
     """
     grid = state.grid
     icc = state.consts.inv_c_sq
@@ -132,9 +134,10 @@ def fluid_rhs(state, thermo=None):
     p, r_grav, q, gam2, alpha = _thermo(state) if thermo is None else thermo
     s = icc * gam2
 
-    dw = grid.gradient(state.w)  # dw[m, k] = d_k W^m
+    if grads is None:
+        grads = grid.gradient(state.w), grid.gradient(state.phi)
+    dw, dphi = grads  # dw[m, k] = d_k W^m
     deta, dbig_p, dv = dw[0], dw[1], dw[2:]  # dv[j, k] = d_k v^j
-    dphi = grid.gradient(state.phi)
     g_src, h_src = _source_terms(state, dphi, p, r_grav, q, gam2)
 
     adv_eta = np.einsum("k...,k...->...", v, deta)

@@ -109,16 +109,25 @@ def mass_form_rhs(state_w_r, consts, eos, grid, eta_bar, p_bar):
 
 
 def _deriv(state):
-    state = with_constraint(state)
+    """Dealiased d_t w; the constraint is solved only when phi is not cached."""
+    if state.phi is None:
+        state = with_constraint(state)
     return state.grid.dealias(newtonian_rhs(state))
 
 
 def step(state, dt):
-    """Classical RK4 with the constraint re-solved at every stage."""
+    """Classical RK4 with the constraint solved at every stage.
+
+    The stage states drop the potential (phi=None), so `_deriv` solves it
+    for their w; the first stage reuses the potential of state, which the
+    previous step (or `run`) solved for the same w.
+    """
     k1 = _deriv(state)
-    k2 = _deriv(replace(state, w=state.w + 0.5 * dt * k1, t=state.t + 0.5 * dt))
-    k3 = _deriv(replace(state, w=state.w + 0.5 * dt * k2, t=state.t + 0.5 * dt))
-    k4 = _deriv(replace(state, w=state.w + dt * k3, t=state.t + dt))
+    k2 = _deriv(replace(state, w=state.w + 0.5 * dt * k1, t=state.t + 0.5 * dt,
+                        phi=None))
+    k3 = _deriv(replace(state, w=state.w + 0.5 * dt * k2, t=state.t + 0.5 * dt,
+                        phi=None))
+    k4 = _deriv(replace(state, w=state.w + dt * k3, t=state.t + dt, phi=None))
     out = replace(state, w=state.w + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0,
                   t=state.t + dt)
     return with_constraint(out)

@@ -16,6 +16,7 @@ is not a claim about continuum H^(N+1) control.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,48 +152,47 @@ class SweepAborted(RuntimeError):
         self.result = result
 
 
-def run_sweep(config, keep_trajectories=True, progress=None):
-    """Run the full experiment; returns a SweepResult with a fitted report.
+@dataclass
+class RungResult:
+    """What one finite-c rung hands back to `run_sweep`.
 
-    progress, if given, is called with one line of text per finished run.
-    An aborted run raises SweepAborted carrying the partial result.
+    traj and lifted (the full trajectory and the lifted bundle) are set only
+    when the sweep keeps trajectories.
     """
-    config.validate()
-    bundle = config.make_bundle()
+
+    record: dict
+    sup_w: float
+    sup_phi: float
+    phi_bar_gap: float
+    abort_reason: str = None
+    traj: object = None
+    lifted: object = None
+
+
+def _run_args(config):
+    """Keyword arguments of `ep.run` and `en.run` for every run of the sweep."""
+    return dict(cfl=config.cfl, n_outputs=config.n_outputs,
+                eta_box=config.eta_box, p_box=config.p_box)
+
+
+# (config, bundle, ep_traj, keep_trajectories) of the sweep in progress:
+# set by `run_sweep` before the rung workers fork, so that they inherit it
+# instead of receiving it pickled
+_SWEEP = None
+
+
+def _run_rung(c):
+    """One finite-c rung of the sweep in progress: lift the data, run, and
+    take the sup-in-time Sobolev gaps against the limit run."""
+    config, bundle, ep_traj, keep = _SWEEP
     grid = bundle.grid
-    consts_inf = config.consts(math.inf)
-    run_args = dict(cfl=config.cfl, n_outputs=config.n_outputs,
-                    eta_box=config.eta_box, p_box=config.p_box)
-    report_line = progress or (lambda line: None)
-    ep_traj = ep.run(ep.from_bundle(bundle, consts_inf), config.t_final, **run_args)
-    result = SweepResult(config=config, report=None, bundle=bundle, ep_traj=ep_traj)
-
-    def finished(c, label, traj):
-        result.runs[c] = traj.record()
-        report_line("%s: %d steps of dt=%.4g (%s), %d RHS evaluations, %.2f s"
-                    % (label, traj.steps, traj.dt, traj.dt_reason,
-                       traj.rhs_evals, traj.wall_s))
-
-    finished(math.inf, "limit run", ep_traj)
-    if not ep_traj.ok:
-        result.abort_reasons[math.inf] = ep_traj.abort_reason
-        raise SweepAborted("limit-system run aborted: " + ep_traj.abort_reason,
-                           result)
-
+    consts_c = config.consts(c)
+    lifted = initial_data.lift_to_relativistic(bundle, consts_c)
+    traj = en.run(en.from_bundle(lifted), config.t_final, **_run_args(config))
     order = config.sobolev_order
-    sup_w, sup_phi, gaps = [], [], []
-    for c in config.c_values:
-        consts_c = config.consts(c)
-        lifted = initial_data.lift_to_relativistic(bundle, consts_c)
-        traj = en.run(en.from_bundle(lifted), config.t_final, **run_args)
-        finished(c, "c=%g" % c, traj)
-        if not traj.ok:
-            result.abort_reasons[c] = traj.abort_reason
-            raise SweepAborted(
-                "finite-c run aborted at c=%g: %s" % (c, traj.abort_reason),
-                result)
-        w_sup = 0.0
-        phi_sup = 0.0
+    w_sup = 0.0
+    phi_sup = 0.0
+    if traj.ok:
         for m in range(len(traj.ts)):
             w_sup = max(w_sup, grid.sobolev_norm(
                 ep_traj.ws[m] - en.pull_back(traj.ws[m], traj.phis[m], consts_c),
@@ -200,14 +200,85 @@ def run_sweep(config, keep_trajectories=True, progress=None):
             dev = ((ep_traj.phis[m] - bundle.phi_bar_inf)
                    - (traj.phis[m] - lifted.phi_bar_c))
             phi_sup = max(phi_sup, grid.sobolev_norm(dev, order + 1))
-        sup_w.append(w_sup)
-        sup_phi.append(phi_sup)
-        gaps.append(abs(bundle.phi_bar_inf - lifted.phi_bar_c))
-        if keep_trajectories:
-            result.en_trajs[c] = traj
-            result.en_bundles[c] = lifted
-    result.report = RateReport(c_values=list(config.c_values), sup_w=sup_w,
-                               sup_phi=sup_phi, phi_bar_gap=gaps).fit()
+    return RungResult(record=traj.record(), sup_w=w_sup, sup_phi=phi_sup,
+                      phi_bar_gap=abs(bundle.phi_bar_inf - lifted.phi_bar_c),
+                      abort_reason=traj.abort_reason,
+                      traj=traj if keep else None,
+                      lifted=lifted if keep else None)
+
+
+def run_sweep(config, keep_trajectories=True, progress=None):
+    """Run the full experiment; returns a SweepResult with a fitted report.
+
+    The limit run comes first.  The finite-c rungs share nothing but the
+    limit trajectory and the data, so they run in forked worker processes,
+    one per rung and at most one per CPU this process may run on (in this
+    process when that is one CPU), largest c first, as the
+    step count grows with c; each worker holds one rung's state and sends
+    back only the gaps and the telemetry.  The results are taken in ladder
+    order.  progress, if given, is called with one line of text per
+    finished run, in ladder order.  An aborted run raises SweepAborted
+    carrying the partial result: the runs up to the first aborted one.
+    """
+    global _SWEEP
+    config.validate()
+    bundle = config.make_bundle()
+    report_line = progress or (lambda line: None)
+    ep_traj = ep.run(ep.from_bundle(bundle, config.consts(math.inf)),
+                     config.t_final, **_run_args(config))
+    result = SweepResult(config=config, report=None, bundle=bundle, ep_traj=ep_traj)
+
+    def finished(c, label, record):
+        result.runs[c] = record
+        report_line("%s: %d steps of dt=%.4g (%s), %d RHS evaluations, %.2f s"
+                    % (label, record["steps"], record["dt"], record["dt_reason"],
+                       record["rhs_evals"], record["wall_s"]))
+
+    finished(math.inf, "limit run", ep_traj.record())
+    if not ep_traj.ok:
+        result.abort_reasons[math.inf] = ep_traj.abort_reason
+        raise SweepAborted("limit-system run aborted: " + ep_traj.abort_reason,
+                           result)
+
+    def collect(rungs):
+        """Fill result from the rungs, taken in ladder order."""
+        sup_w, sup_phi, gaps = [], [], []
+        for c, rung in zip(config.c_values, rungs):
+            finished(c, "c=%g" % c, rung.record)
+            if rung.abort_reason is not None:
+                result.abort_reasons[c] = rung.abort_reason
+                raise SweepAborted("finite-c run aborted at c=%g: %s"
+                                   % (c, rung.abort_reason), result)
+            sup_w.append(rung.sup_w)
+            sup_phi.append(rung.sup_phi)
+            gaps.append(rung.phi_bar_gap)
+            if keep_trajectories:
+                result.en_trajs[c] = rung.traj
+                result.en_bundles[c] = rung.lifted
+        result.report = RateReport(c_values=list(config.c_values), sup_w=sup_w,
+                                   sup_phi=sup_phi, phi_bar_gap=gaps).fit()
+
+    workers = min(len(config.c_values), len(os.sched_getaffinity(0)))
+    _SWEEP = (config, bundle, ep_traj, keep_trajectories)
+    try:
+        if workers == 1:
+            collect(map(_run_rung, config.c_values))
+        else:
+            # imported here: the pool's modules add about 2 MB of resident
+            # memory, which runs without parallel rungs need not carry
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                futures = {c: pool.submit(_run_rung, c)
+                           for c in sorted(config.c_values, reverse=True)}
+                try:
+                    collect(futures[c].result() for c in config.c_values)
+                finally:
+                    for future in futures.values():
+                        future.cancel()
+    finally:
+        _SWEEP = None
     return result
 
 
@@ -268,8 +339,6 @@ def approximate_solution_residuals(traj, phi_data, w_data_inf, consts, eos,
 
 def emit_report(report, out_dir):
     """Write the rate CSV and a human-readable summary; returns file paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "rates.csv")
     with open(csv_path, "w") as fh:

@@ -67,6 +67,18 @@ class Trajectory:
                 "rhs_evals": self.rhs_evals, "wall_s": self.wall_s}
 
 
+def non_finite_field(state):
+    """Name of the first field of state holding a NaN or an infinity, or None."""
+    named = [("eta", state.w[0]), ("P", state.w[1]), ("v", state.w[2:]),
+             ("phi", state.phi)]
+    if state.consts.finite_c:
+        named.append(("pi", state.pi))
+    for name, f in named:
+        if not np.all(np.isfinite(f)):
+            return name
+    return None
+
+
 def check_admissibility(state, eta_box=None, p_box=None):
     """Return a failure description or None.
 
@@ -74,12 +86,9 @@ def check_admissibility(state, eta_box=None, p_box=None):
     and (when boxes are configured) a 1% margin inside the admissible boxes.
     """
     finite_c = state.consts.finite_c
-    for name, f in (("eta", state.w[0]), ("P", state.w[1]), ("phi", state.phi)):
-        if not np.all(np.isfinite(f)):
-            return "non-finite %s" % name
-    if not np.all(np.isfinite(state.w)) or (
-            finite_c and not np.all(np.isfinite(state.pi))):
-        return "non-finite state"
+    bad = non_finite_field(state)
+    if bad is not None:
+        return "non-finite %s" % bad
     p = state.pressure()
     if np.any(state.w[0] <= 0) or np.any(p <= 0):
         return "lost positivity of eta or p"
@@ -105,14 +114,19 @@ def drive(state, start, dt_max, dt_reason, speed, t_final, n_outputs,
     start(state, dt), which returns a function that advances a state by one
     step of size dt.  dt is dt_max rounded down so that every output time is
     hit exactly; this keeps output times matched across runs of either
-    system and any c.  The run aborts (partial trajectory returned) when the
-    initial state or an output is not admissible, when the fluid signal
-    speed at an output exceeds 110% of speed, or on a ValueError raised
-    inside a step.
+    system and any c.  When one output interval is shorter than dt_max, the
+    interval sets dt and the recorded reason is "output interval".  The run
+    aborts (partial trajectory returned) when the initial state or an output
+    is not admissible, when the fluid signal speed at an output exceeds
+    110% of speed, on a ValueError raised inside a step, or when a step
+    leaves a NaN or an infinity in any field.
     """
     clock = time.perf_counter()
     seg = t_final / n_outputs
-    per_seg = max(1, math.ceil(seg / dt_max - 1e-12))
+    ratio = seg / dt_max
+    per_seg = max(1, math.ceil(ratio - 1e-12))
+    if ratio < 1.0 - 1e-12:
+        dt_reason = "output interval"
     traj = Trajectory(dt=seg / per_seg, dt_reason=dt_reason)
     traj.add(state)
     try:
@@ -124,11 +138,16 @@ def drive(state, start, dt_max, dt_reason, speed, t_final, n_outputs,
         for m in range(n_outputs):
             for _ in range(per_seg):
                 try:
-                    state = step(state)
+                    new = step(state)
+                    bad = non_finite_field(new)
+                    failure = None if bad is None else "non-finite " + bad
                 except ValueError as exc:
+                    failure = str(exc)
+                if failure is not None:
                     traj.abort_reason = "step %d from t=%.6g failed: %s" % (
-                        traj.steps + 1, state.t, exc)
+                        traj.steps + 1, state.t, failure)
                     return traj
+                state = new
                 traj.steps += 1
             # land exactly on the nominal output time despite roundoff
             state = replace(state, t=(m + 1) * seg)

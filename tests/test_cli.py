@@ -1,5 +1,6 @@
 """Tests for the command-line interface: configs, exit codes, outputs."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -206,15 +207,25 @@ def test_no_threads_flag(tmp_path):
     assert "threads" not in json.loads((out / "manifest.json").read_text())
 
 
-def test_cli_does_not_import_scipy():
+def _assert_cli_import_leaves_out(module):
+    """Importing nordlimit.cli in a fresh interpreter does not load module."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nordlimit.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, nordlimit.cli; assert 'scipy' not in sys.modules"
+    code = "import sys, nordlimit.cli; assert %r not in sys.modules" % module
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_does_not_import_scipy():
+    _assert_cli_import_leaves_out("scipy")
+
+
+def test_cli_does_not_import_process_pool():
+    # the pool's modules (about 2 MB resident) load only for a parallel sweep
+    _assert_cli_import_leaves_out("concurrent.futures.process")
 
 
 def test_sweep_manifest_records_runs_and_progress(tmp_path, capsys):
@@ -223,25 +234,32 @@ def test_sweep_manifest_records_runs_and_progress(tmp_path, capsys):
     assert cli.main(["--config", path, "--out", str(out), "sweep"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["runs"]) == {"inf", "10", "20", "40"}
+    # every stability step exceeds the output interval of 0.01, which sets dt
     for key in ("10", "20", "40"):
         run = manifest["runs"][key]
-        assert run["dt_reason"] == "Klein-Gordon 1/(c kappa)"
+        assert run["dt_reason"] == "output interval"
         assert run["steps"] == 5 and run["rhs_evals"] == 20
         assert run["dt"] == pytest.approx(0.01) and run["wall_s"] > 0
-    assert manifest["runs"]["inf"]["dt_reason"] == "fluid CFL"
+    assert manifest["runs"]["inf"]["dt_reason"] == "output interval"
     assert "abort_reasons" not in manifest
     err = capsys.readouterr().err.splitlines()
     for c in ("10", "20", "40"):
         assert sum(line.startswith("c=%s: 5 steps" % c) for line in err) == 1
+    # one progress line per run, in ladder order, though the rungs run in
+    # parallel largest c first
+    labels = [line.split(":")[0] for line in err
+              if line.startswith(("limit run:", "c="))]
+    assert labels == ["limit run", "c=10", "c=20", "c=40"]
 
 
 def _reject_constant(name):
     raise ValueError("manifest holds %s, which strict JSON does not allow" % name)
 
 
+# the output interval of 0.01 is shorter than both systems' stability steps
 @pytest.mark.parametrize("command, c, dt_reason", [
-    ("run-en", 10.0, "Klein-Gordon 1/(c kappa)"),
-    ("run-ep", "inf", "fluid CFL"),
+    ("run-en", 10.0, "output interval"),
+    ("run-ep", "inf", "output interval"),
 ], ids=["run-en", "run-ep"])
 def test_run_manifest_records_run(tmp_path, capsys, command, c, dt_reason):
     path = write(tmp_path, SMALL)
@@ -293,3 +311,61 @@ def test_sweep_abort_is_exit_2(tmp_path, monkeypatch, capsys):
     assert manifest["runs"]["inf"]["steps"] == 5
     assert not (out / "rates.csv").exists()
     assert "sweep aborted: finite-c run aborted at c=10" in capsys.readouterr().err
+
+
+def test_sweep_middle_rung_abort_is_exit_2(tmp_path, monkeypatch, capsys):
+    # only c = 20 fails: the partial result holds the runs up to it, in
+    # ladder order, although c = 40 was handed to a worker first
+    from nordlimit import euler_nordstrom as en
+    real = en.etd_step
+
+    def failing_at_20(state, spec, kg):
+        if state.consts.c == 20.0:
+            _raise_in_step()
+        return real(state, spec, kg)
+
+    monkeypatch.setattr(en, "etd_step", failing_at_20)
+    out = tmp_path / "out"
+    path = os.path.join(CONFIGS, "quick.ini")
+    assert cli.main(["--config", path, "--out", str(out), "sweep"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["abort_reasons"] == {
+        "20": "step 1 from t=0 failed: superluminal velocity at grid point (0, 1, 2)"}
+    assert set(manifest["runs"]) == {"inf", "10", "20"}
+    assert manifest["runs"]["10"]["steps"] == 5
+    assert manifest["runs"]["20"]["steps"] == 0
+    assert not (out / "rates.csv").exists()
+    assert "sweep aborted: finite-c run aborted at c=20" in capsys.readouterr().err
+
+
+def test_sweep_on_one_cpu_runs_in_process(tmp_path, monkeypatch):
+    # with one usable CPU the rungs run in this process: no pool is made
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "out"
+    path = os.path.join(CONFIGS, "quick.ini")
+    assert cli.main(["--config", path, "--out", str(out), "sweep"]) == 0
+    lines = (out / "rates.csv").read_text().splitlines()
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert np.max(np.abs(rows - QUICK_RATES_ETD) / np.abs(QUICK_RATES_ETD)) <= 1e-9
+
+
+def test_check_builds_background_once_per_output_and_pass(tmp_path, monkeypatch):
+    # 9 outputs: one build each for the positivity/field-energy loop and
+    # one each for the divergence identity (48 when every helper rebuilt it)
+    from nordlimit import energy_currents as ec
+    real = ec.background_coeffs
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ec, "background_coeffs", counted)
+    out = tmp_path / "out"
+    path = os.path.join(CONFIGS, "quick.ini")
+    assert cli.main(["--config", path, "--out", str(out), "check"]) == 0
+    assert len(calls) == 18

@@ -1,6 +1,7 @@
 """Tests for the constrained Newtonian-limit integrator."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -148,3 +149,52 @@ def test_run_abort_on_box(grid, eosf):
 def test_rhs_requires_constraint(grid, eosf):
     with pytest.raises(ValueError, match="constraint"):
         ep.newtonian_rhs(background_state(grid, eosf))
+
+
+def test_step_solves_constraint_four_times(grid, eosf, monkeypatch):
+    # the first stage reuses the potential the previous step solved for the
+    # same w: three stage solves and one for the new state
+    st = ep.with_constraint(perturbed_state(grid, eosf))
+    real = ep.solve_constraint
+    calls = []
+
+    def counted(state):
+        calls.append(state.t)
+        return real(state)
+
+    monkeypatch.setattr(ep, "solve_constraint", counted)
+    for _ in range(3):
+        st = ep.step(st, 0.01)
+    assert len(calls) == 12
+
+
+def _step_solving_every_stage(state, dt):
+    """The RK4 step before the first stage reused the cached potential."""
+    def deriv(st):
+        st = ep.with_constraint(st)
+        return st.grid.dealias(ep.newtonian_rhs(st))
+
+    k1 = deriv(state)
+    k2 = deriv(replace(state, w=state.w + 0.5 * dt * k1, t=state.t + 0.5 * dt))
+    k3 = deriv(replace(state, w=state.w + 0.5 * dt * k2, t=state.t + 0.5 * dt))
+    k4 = deriv(replace(state, w=state.w + dt * k3, t=state.t + dt))
+    out = replace(state, w=state.w + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0,
+                  t=state.t + dt)
+    return ep.with_constraint(out)
+
+
+def test_run_ep_snapshot_unchanged_by_cached_potential(tmp_path, monkeypatch):
+    # the run-ep final snapshot is byte-identical to one stepped with a
+    # constraint solve at every stage
+    from nordlimit import cli
+    config = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                          "configs", "quick.ini")
+
+    def final_snapshot(name):
+        out = tmp_path / name
+        assert cli.main(["--config", config, "--out", str(out), "run-ep"]) == 0
+        return (out / "run_ep_final.nrdf").read_bytes()
+
+    cached = final_snapshot("cached")
+    monkeypatch.setattr(ep, "step", _step_solving_every_stage)
+    assert final_snapshot("every_stage") == cached

@@ -1,6 +1,9 @@
 """Tests for the sweep harness, rate fits, and report emission."""
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -129,3 +132,63 @@ def test_newtonian_operator_residual_zero_on_rhs():
                                          eosf, grid)
     # velocity rows are scaled by the density, hence the loose absolute tol
     assert np.max(np.abs(res)) <= 1e-12
+
+
+class InlinePool:
+    """Stand-in for ProcessPoolExecutor that runs each job at submit, in
+    this process, and records its worker count and submission order."""
+
+    made = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.max_workers = max_workers
+        self.submitted = []
+        InlinePool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, c):
+        self.submitted.append(c)
+        future = concurrent.futures.Future()
+        future.set_result(fn(c))
+        return future
+
+
+@pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2), (1, 1)])
+def test_rung_workers_capped_by_rungs_and_cpus(monkeypatch, cpus, workers):
+    # the pool gets min(rungs, usable CPUs) workers and the largest c
+    # first; checked with an inline pool, so no process is started
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    InlinePool.made = []
+    result = lh.run_sweep(quiet_config(), keep_trajectories=False)
+    assert multiprocessing.active_children() == []
+    if workers == 1:
+        assert InlinePool.made == []
+    else:
+        [pool] = InlinePool.made
+        assert pool.max_workers == workers
+        assert pool.submitted == [40.0, 20.0, 10.0]
+    assert list(result.runs) == [math.inf, 10.0, 20.0, 40.0]
+    assert result.report.c_values == [10.0, 20.0, 40.0]
+    assert result.en_trajs == {} and result.en_bundles == {}
+
+
+def test_parallel_sweep_matches_in_process_sweep(monkeypatch):
+    # forked workers return the same gaps, bit for bit, and the kept
+    # trajectories and lifted bundles
+    parallel = lh.run_sweep(quiet_config())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = lh.run_sweep(quiet_config())
+    for key in ("sup_w", "sup_phi", "phi_bar_gap"):
+        assert getattr(parallel.report, key) == getattr(serial.report, key)
+    assert sorted(parallel.en_trajs) == [10.0, 20.0, 40.0]
+    for c, traj in serial.en_trajs.items():
+        other = parallel.en_trajs[c]
+        assert other.ts == traj.ts
+        assert all(np.array_equal(a, b) for a, b in zip(other.ws, traj.ws))
+        assert parallel.en_bundles[c].phi_bar_c == serial.en_bundles[c].phi_bar_c

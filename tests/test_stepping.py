@@ -1,10 +1,13 @@
 """Tests for the run loop `stepping.drive`, shared by both systems."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nordlimit import eos
+from nordlimit import stepping
 from nordlimit import euler_nordstrom as en
 from nordlimit import euler_poisson as ep
 from nordlimit.fields import Grid3
@@ -84,3 +87,55 @@ def test_run_aborts_on_inadmissible_initial_state(grid, eosf, system):
     assert len(traj.ts) == 1 and traj.ts[0] == 0.0
     assert traj.abort_reason == ("initial state: admissibility margin below 1% "
                                  "of the configured box")
+
+
+def ready(system, grid, eosf):
+    """Start state of a system with its potential in place."""
+    state = SYSTEMS[system][1](grid, eosf)
+    return ep.with_constraint(state) if system == "ep" else state
+
+
+# per system: the field a step spoils and its name in the abort reason
+SPOILED = {"en": ("pi", "pi"), "ep": ("w", "P")}
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_drive_aborts_on_non_finite_step_inside_segment(grid, eosf, system):
+    # a 3-step segment whose step 2 leaves a NaN: the run ends at that step,
+    # not at the output time after step 3
+    attr, name = SPOILED[system]
+    calls = []
+
+    def start(state, dt):
+        def step(st):
+            calls.append(st.t)
+            out = replace(st, t=st.t + dt)
+            if len(calls) == 2:
+                spoiled = getattr(out, attr).copy()
+                spoiled[(1,) * spoiled.ndim] = np.nan
+                out = replace(out, **{attr: spoiled})
+            return out
+        return step
+
+    state = ready(system, grid, eosf)
+    traj = stepping.drive(state, start, 0.01, "test rule",
+                          stepping.fluid_signal_speed(state), 0.03, 1)
+    assert not traj.ok and len(calls) == 2
+    assert traj.steps == 1 and len(traj.ts) == 1
+    assert traj.abort_reason == "step 2 from t=0.01 failed: non-finite %s" % name
+
+
+@pytest.mark.parametrize("dt_max, per_seg, reason", [
+    (0.05, 1, "output interval"),
+    (0.02, 1, "test rule"),
+    (0.02 * (1 + 1e-13), 1, "test rule"),
+    (0.0075, 3, "test rule"),
+], ids=["longer", "equal", "equal-within-roundoff", "shorter"])
+def test_drive_names_output_interval_when_it_sets_dt(grid, eosf, dt_max,
+                                                     per_seg, reason):
+    state = ready("ep", grid, eosf)
+    traj = stepping.drive(state, lambda st, dt: lambda s: replace(s, t=s.t + dt),
+                          dt_max, "test rule", 10.0, 0.04, 2)
+    assert traj.ok and traj.steps == 2 * per_seg
+    assert traj.dt == pytest.approx(0.02 / per_seg, rel=1e-14)
+    assert traj.dt_reason == reason
