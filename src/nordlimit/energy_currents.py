@@ -27,60 +27,35 @@ from . import euler_poisson as ep
 
 
 def background_coeffs(consts, eos, w, phi=None):
-    """Coefficient fields (p, q, r, gam2, big_p, v) of a background state.
+    """Coefficient fields (`eos.Coefficients`) of a background state.
 
     w stacks (eta, P, v) for finite c (phi required) or (eta, p, v) at
-    c = inf.
+    c = inf.  The pressure must be positive; the weight exp(-4 phi/c**2)
+    is, so p and P share their sign.
     """
-    eta = w[0]
-    v = w[2:]
-    if consts.finite_c:
-        if phi is None:
-            raise ValueError("finite-c background needs the potential")
-        p = np.exp(-4.0 * phi * consts.inv_c_sq) * w[1]
-        big_p = w[1]
-    else:
-        p = w[1]
-        big_p = w[1]
-    if np.any(p <= 0):
+    if np.any(w[1] <= 0):
         raise ValueError("background pressure must be positive")
-    q = eos_mod.q_coefficient(consts, eos, eta, p, phi)
-    r = eos_mod.gravitating_density(consts, eos, eta, p, phi)
-    gam2 = eos_mod.lorentz_factor_sq(consts, v)
-    return {"p": p, "q": q, "r": r, "gam2": gam2, "big_p": big_p, "v": v}
+    return eos_mod.coefficients(consts, eos, w, phi)
 
 
 def j0(consts, bg, wdot):
-    """Time component of the energy current of a variation."""
+    """Time component of the energy current of a variation; one formula
+    for both systems, as s = gamma**2/c**2 = 0 and alpha = r at c = inf."""
     eta_dot, p_dot = wdot[0], wdot[1]
     v_dot = wdot[2:]
-    out = eta_dot**2 + p_dot**2 / bg["q"]
+    out = eta_dot**2 + p_dot**2 / bg.q
     vv = np.einsum("j...,j...->...", v_dot, v_dot)
-    if not consts.finite_c:
-        return out + bg["r"] * vv
-    s = consts.inv_c_sq * bg["gam2"]
-    vdot_b = np.einsum("j...,j...->...", bg["v"], v_dot)
+    s = consts.inv_c_sq * bg.gam2
+    vdot_b = np.einsum("j...,j...->...", bg.v, v_dot)
     out += 2.0 * s * vdot_b * p_dot
-    out += bg["gam2"] * (bg["r"] + consts.inv_c_sq * bg["big_p"]) * (
-        vv + s * vdot_b**2)
+    out += bg.alpha * (vv + s * vdot_b**2)
     return out
 
 
 def j_spatial(consts, bg, wdot, axis):
-    """Spatial component of the energy current along the given axis."""
-    eta_dot, p_dot = wdot[0], wdot[1]
-    v_dot = wdot[2:]
-    vt = bg["v"][axis]
-    out = vt * eta_dot**2 + vt * p_dot**2 / bg["q"]
-    vv = np.einsum("j...,j...->...", v_dot, v_dot)
-    if not consts.finite_c:
-        return out + 2.0 * v_dot[axis] * p_dot + bg["r"] * vt * vv
-    s = consts.inv_c_sq * bg["gam2"]
-    vdot_b = np.einsum("j...,j...->...", bg["v"], v_dot)
-    out += 2.0 * (v_dot[axis] + s * vt * vdot_b) * p_dot
-    out += bg["gam2"] * vt * (bg["r"] + consts.inv_c_sq * bg["big_p"]) * (
-        vv + s * vdot_b**2)
-    return out
+    """Spatial component of the energy current along the given axis:
+    v^axis j0 + 2 v_dot^axis P_dot."""
+    return bg.v[axis] * j0(consts, bg, wdot) + 2.0 * wdot[2 + axis] * wdot[1]
 
 
 def quadratic_form_matrix(consts, bg):
@@ -89,23 +64,18 @@ def quadratic_form_matrix(consts, bg):
     Used as the eigenvalue oracle for positivity checks.  Output shape is
     grid_shape + (5, 5).
     """
-    v = np.asarray(bg["v"])
+    v = np.asarray(bg.v)
     shape = v.shape[1:]
     m = np.zeros(shape + (5, 5))
     m[..., 0, 0] = 1.0
-    m[..., 1, 1] = 1.0 / bg["q"]
-    if consts.finite_c:
-        s = consts.inv_c_sq * bg["gam2"]
-        coef = bg["gam2"] * (bg["r"] + consts.inv_c_sq * bg["big_p"])
-        for j in range(3):
-            m[..., 1, 2 + j] = s * v[j]
-            m[..., 2 + j, 1] = s * v[j]
-            for k in range(3):
-                m[..., 2 + j, 2 + k] = coef * (
-                    (1.0 if j == k else 0.0) + s * v[j] * v[k])
-    else:
-        for j in range(3):
-            m[..., 2 + j, 2 + j] = bg["r"]
+    m[..., 1, 1] = 1.0 / bg.q
+    s = consts.inv_c_sq * bg.gam2
+    for j in range(3):
+        m[..., 1, 2 + j] = s * v[j]
+        m[..., 2 + j, 1] = s * v[j]
+        for k in range(3):
+            m[..., 2 + j, 2 + k] = bg.alpha * (
+                (1.0 if j == k else 0.0) + s * v[j] * v[k])
     return m
 
 
@@ -113,10 +83,11 @@ def positivity_ratio(consts, bg, variations):
     """Min and max over the grid of j0(wdot)/|wdot|^2 for the variations.
 
     variations has shape (K, 5); each row is used as a constant variation
-    field (unit normalization enforced here).
+    field (unit normalization enforced here).  A min ratio <= 0 means the
+    current lost positivity; it is returned, for the caller to judge.
     """
     lo, hi = math.inf, -math.inf
-    shape = np.asarray(bg["v"]).shape[1:]
+    shape = np.asarray(bg.v).shape[1:]
     for row in np.atleast_2d(np.asarray(variations, float)):
         norm = math.sqrt(float(np.dot(row, row)))
         if norm == 0:
@@ -126,8 +97,6 @@ def positivity_ratio(consts, bg, variations):
         ratio = j0(consts, bg, wdot)
         lo = min(lo, float(np.min(ratio)))
         hi = max(hi, float(np.max(ratio)))
-    if lo <= 0:
-        raise ValueError("energy current lost positivity (min ratio %g)" % lo)
     return lo, hi
 
 
@@ -165,28 +134,34 @@ def assemble_eov_inhomogeneity(state, smoothed_w, phi_data, bg=None):
     datum, entering only the scalar-field inhomogeneity l (finite c).  bg,
     if given, is background_coeffs of state, built once by the caller.
     """
+    consts, grid = state.consts, state.grid
     if bg is None:
-        bg = background_coeffs(state.consts, state.eos, state.w, state.phi)
-    dw0, l_data = _data_terms(state.consts, state.grid, smoothed_w, phi_data)
-    f, g, h, l = _inhomogeneity(state, bg, dw0, state.grid.gradient(state.phi),
-                                l_data)
+        bg = background_coeffs(consts, state.eos, state.w, state.phi)
+    f, g, h = _inhomogeneity(state, bg, grid.gradient(smoothed_w),
+                             grid.gradient(state.phi))
+    if consts.finite_c:
+        l = kg_inhomogeneity(consts, bg, kg_data(consts, grid, phi_data))
+    else:
+        l = np.zeros_like(f)
     return f, g, h[0], h[1], h[2], l
 
 
-def _data_terms(consts, grid, smoothed_w, phi_data):
-    """What the inhomogeneities take from the data, the same at every output:
-    the gradient of smoothed_w and, at finite c, kappa**2 phi_data - lap phi_data.
-    """
-    l_data = None
-    if consts.finite_c:
-        l_data = consts.kappa**2 * phi_data - grid.laplacian(phi_data)
-    return grid.gradient(smoothed_w), l_data
+def kg_data(consts, grid, phi_data):
+    """kappa**2 phi_data - lap phi_data: the part of the scalar-field
+    inhomogeneity l that the data fix, the same at every output."""
+    return consts.kappa**2 * phi_data - grid.laplacian(phi_data)
 
 
-def _inhomogeneity(state, bg, dw0, dphi, l_data):
-    """(f, g, h, l) of assemble_eov_inhomogeneity, h of shape (3, ...), from
-    their parts: the background bg, the data terms of `_data_terms` (dw0,
-    l_data) and the gradient dphi of state.phi."""
+def kg_inhomogeneity(consts, bg, data):
+    """The scalar-field inhomogeneity l = data + 4 pi G (R - 3 P/c**2) of a
+    finite-c state with coefficient fields bg; data is `kg_data`."""
+    return data + 4.0 * math.pi * consts.grav_g * en._potential_source(consts, bg)
+
+
+def _inhomogeneity(state, bg, dw0, dphi):
+    """(f, g, h) of assemble_eov_inhomogeneity, h of shape (3, ...), from
+    the background bg, the gradient dw0 of the smoothed data and the
+    gradient dphi of state.phi."""
     consts = state.consts
     v = state.w[2:]
     d_eta0, d_p0, dv0 = dw0[0], dw0[1], dw0[2:]
@@ -198,21 +173,17 @@ def _inhomogeneity(state, bg, dw0, dphi, l_data):
     v_adv_v0 = np.einsum("j...,j...->...", v, adv_v0)
 
     if not consts.finite_c:
-        g = -adv(d_p0) - bg["q"] * div_v0
-        h = -bg["r"] * dphi - bg["r"] * adv_v0 - d_p0
-        return f, g, h, np.zeros_like(f)
+        g = -adv(d_p0) - bg.q * div_v0
+        h = -bg.r * dphi - bg.r * adv_v0 - d_p0
+        return f, g, h
 
-    icc = consts.inv_c_sq
-    q, r, gam2, big_p = bg["q"], bg["r"], bg["gam2"], bg["big_p"]
-    s = icc * gam2
-    mat_phi = icc * (state.pi + adv(dphi))
-    g = ((4.0 * big_p - 3.0 * q) * mat_phi
-         - adv(d_p0) - q * div_v0 - s * q * v_adv_v0)
-    h = ((3.0 * icc * big_p - r) * (dphi + v * mat_phi / gam2)
-         - gam2 * (r + icc * big_p) * (adv_v0 + s * v * v_adv_v0)
+    q = bg.q
+    s = consts.inv_c_sq * bg.gam2
+    g_src, h_src = en._source_terms(state, bg, dphi)
+    g = g_src - adv(d_p0) - q * div_v0 - s * q * v_adv_v0
+    h = (h_src - bg.alpha * (adv_v0 + s * v * v_adv_v0)
          - d_p0 - s * v * adv(d_p0))
-    l = l_data + 4.0 * math.pi * consts.grav_g * (r - 3.0 * icc * big_p)
-    return f, g, h, l
+    return f, g, h
 
 
 def _en_time_derivs(state, bg, grads):
@@ -223,62 +194,56 @@ def _en_time_derivs(state, bg, grads):
     a constant entropy coefficient.  bg is background_coeffs of state and
     grads the gradients (of state.w, of state.phi) that fluid_rhs takes.
     """
-    consts, eos = state.consts, state.eos
+    consts = state.consts
     icc = consts.inv_c_sq
-    dw = en.fluid_rhs(state, grads=grads)
+    dw = en.fluid_rhs(state, bg, grads)
     dt_phi = state.pi
     dt_v = dw[2:]
-    q, r, gam2 = bg["q"], bg["r"], bg["gam2"]
-    dt_q = eos.gamma * dw[1]            # q = gamma * P exactly
-    dt_inv_q = -dt_q / q**2
-    v = state.w[2:]
-    dt_gam2 = 2.0 * icc * gam2**2 * np.einsum("j...,j...->...", v, dt_v)
-    p = bg["p"]
-    dt_p = np.exp(-4.0 * state.phi * icc) * dw[1] - 4.0 * icc * dt_phi * p
-    ssq = eos_mod.sound_speed_sq(consts, eos, state.w[0], p)
-    dt_rho = dt_p / ssq                 # entropy coefficient is constant
+    r, gam2 = bg.r, bg.gam2
+    dt_q = state.eos.gamma * dw[1]      # q = gamma * P exactly
+    dt_inv_q = -dt_q / bg.q**2
+    dt_gam2 = 2.0 * icc * gam2**2 * np.einsum("j...,j...->...", bg.v, dt_v)
+    dt_p = (eos_mod.pull_back_pressure(consts, state.phi, dw[1])
+            - 4.0 * icc * dt_phi * bg.p)
+    dt_rho = dt_p / bg.ssq              # entropy coefficient is constant
     dt_r = 4.0 * icc * dt_phi * r + np.exp(4.0 * state.phi * icc) * dt_rho
-    dt_alpha = (dt_gam2 * (r + icc * bg["big_p"])
+    dt_alpha = (dt_gam2 * (r + icc * bg.big_p)
                 + gam2 * (dt_r + icc * dw[1]))
     return dt_v, dt_inv_q, dt_alpha
 
 
-def _divergence_rhs(state, smoothed_w, bg, dw0, l_data):
+def _divergence_rhs(state, smoothed_w, bg, dw0):
     """Integral over the torus of the continuum divergence of the current.
 
-    bg is background_coeffs of state; dw0 and l_data come from `_data_terms`.
+    bg is background_coeffs of state and dw0 the gradient of smoothed_w.
     """
-    consts, eos, grid = state.consts, state.eos, state.grid
+    consts, grid = state.consts, state.grid
     v = state.w[2:]
     wdot = state.w - smoothed_w
     eta_dot, p_dot = wdot[0], wdot[1]
     v_dot = wdot[2:]
     vv = np.einsum("j...,j...->...", v_dot, v_dot)
     dphi = grid.gradient(state.phi)
-    f, g, h, _ = _inhomogeneity(state, bg, dw0, dphi, l_data)
-    q, r = bg["q"], bg["r"]
-
-    if not consts.finite_c:
-        dw = ep.newtonian_rhs(state)
-        dt_q = eos.gamma * dw[1]
-        dt_r = dw[1] / eos_mod.sound_speed_sq(consts, eos, state.w[0], state.w[1])
-        div_vq = sum(grid.derivative(v[j] / q, j) for j in range(3))
-        div_rv = sum(grid.derivative(r * v[j], j) for j in range(3))
-        total = ((-dt_q / q**2 + div_vq) * p_dot**2
-                 + (dt_r + div_rv) * vv
-                 + 2.0 * eta_dot * f + 2.0 * p_dot * g / q
-                 + 2.0 * np.einsum("j...,j...->...", v_dot, h))
-        return grid.integral(total)
-
+    q, r = bg.q, bg.r
     # the inhomogeneity term first, so that f, g and h are not kept
     # through the time derivatives
+    f, g, h = _inhomogeneity(state, bg, dw0, dphi)
     t5 = (2.0 * eta_dot * f + 2.0 * p_dot * g / q
           + 2.0 * np.einsum("j...,j...->...", v_dot, h))
     del f, g, h
+
+    if not consts.finite_c:
+        dw = ep.newtonian_rhs(state)
+        dt_q = state.eos.gamma * dw[1]
+        dt_r = dw[1] / bg.ssq
+        div_vq = sum(grid.derivative(v[j] / q, j) for j in range(3))
+        div_rv = sum(grid.derivative(r * v[j], j) for j in range(3))
+        return grid.integral((-dt_q / q**2 + div_vq) * p_dot**2
+                             + (dt_r + div_rv) * vv + t5)
+
     icc = consts.inv_c_sq
-    gam2, big_p = bg["gam2"], bg["big_p"]
+    gam2, big_p = bg.gam2, bg.big_p
     s = icc * gam2
-    alpha = gam2 * (r + icc * big_p)
     dw = grid.gradient(state.w)
     dt_v, dt_inv_q, dt_alpha = _en_time_derivs(state, bg, (dw, dphi))
     dv = dw[2:]
@@ -297,7 +262,7 @@ def _divergence_rhs(state, smoothed_w, bg, dw0, l_data):
               + 2.0 * s * v * (v_dt_v + v_adv_v))
     t2 = 2.0 * s * p_dot * np.einsum("k...,k...->...", brace2, v_dot)
 
-    div_alpha_v = sum(grid.derivative(alpha * v[j], j) for j in range(3))
+    div_alpha_v = sum(grid.derivative(bg.alpha * v[j], j) for j in range(3))
     quad = vv + s * vdot_b**2
     t3 = (dt_alpha + div_alpha_v) * quad
 
@@ -342,6 +307,7 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
     wdot(t) = w(t) - smoothed_w.  At every interior output time the centered
     difference of the energy integral is compared with the exact divergence
     integral; the defect is normalized by max(|LHS|, initial energy).
+    phi_data is not used: l does not enter the fluid current's identity.
     """
     def make_state(m):
         if consts.finite_c:
@@ -354,7 +320,7 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
     # per output, from one build of the background coefficients: the
     # energy, the min/max of j0 / |wdot|**2 and, at interior outputs, the
     # divergence integral (floats only: the coefficient fields are not kept)
-    dw0, l_data = _data_terms(consts, grid, smoothed_w, phi_data)
+    dw0 = grid.gradient(smoothed_w)
     last = len(traj.ts) - 1
     energies, ratios, div_rhs = [], [], []
     for m in range(len(traj.ts)):
@@ -364,7 +330,7 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
         energies.append(energy)
         ratios.append(ratio)
         if 1 <= m < last:
-            div_rhs.append(_divergence_rhs(st, smoothed_w, bg, dw0, l_data))
+            div_rhs.append(_divergence_rhs(st, smoothed_w, bg, dw0))
     e0 = abs(energies[0])
 
     rows = []

@@ -10,7 +10,8 @@ with A_c(eta) = A_inf(eta) * (1 + a1 / c**2), and in the c -> infinity limit
     rho_inf(eta, p) = m0 * (p / A_inf(eta))**(1/gamma).
 
 All quantities below (sound speed, the pressure-equation coefficient q, the
-gravitating density) are closed-form consequences of these two formulas.
+coefficient fields of a state) are closed-form consequences of these two
+formulas.
 Finite-c quantities converge to their limits at rate c**-2; `rate_check`
 measures that rate empirically over a sampling box.
 """
@@ -130,27 +131,66 @@ def q_coefficient(consts, eos, eta, p, phi=None):
     return ss * rho
 
 
-def gravitating_density(consts, eos, eta, p, phi=None):
-    """Source density r_c = exp(4 phi/c**2) rho_c; r_inf = rho_inf."""
-    rho = mass_density(consts, eos, eta, p)
-    if consts.finite_c:
-        if phi is None:
-            raise ValueError("finite-c gravitating density needs the potential")
-        return np.exp(4.0 * phi * consts.inv_c_sq) * rho
-    return rho
-
-
 def lorentz_factor_sq(consts, v):
     """gamma_c**2 = c**2 / (c**2 - |v|**2); identically 1 in the limit.
 
-    v has shape (3, ...).  Raises on |v| >= c.
+    v has shape (3, ...).  Raises on |v| >= c, naming the grid point of the
+    largest |v|.
     """
     vsq = np.sum(np.square(np.asarray(v)), axis=0)
     if not consts.finite_c:
         return np.ones_like(vsq)
     if np.any(vsq >= consts.c**2):
-        raise ValueError("superluminal velocity")
+        idx = np.unravel_index(np.argmax(vsq), vsq.shape)
+        raise ValueError("superluminal velocity at grid point %s"
+                         % (tuple(int(i) for i in idx),))
     return consts.c**2 / (consts.c**2 - vsq)
+
+
+def pull_back_pressure(consts, phi, big_p):
+    """The pressure p = exp(-4 phi/c**2) P of the weighted pressure P."""
+    return np.exp(-4.0 * phi * consts.inv_c_sq) * big_p
+
+
+@dataclass(frozen=True)
+class Coefficients:
+    """Pointwise coefficient fields of a state w = (eta, P, v) with potential
+    phi, shared by the matrices a0, a^k of the fluid block and the energy
+    current: p = exp(-4 phi/c**2) P, r = exp(4 phi/c**2) rho_c,
+    q = s_c**2 exp(4 phi/c**2) (rho_c + p/c**2) (= gamma P for this family),
+    ssq = s_c**2, gam2 = gamma_c**2, alpha = gam2 (r + P/c**2) and v.
+    At c = inf, P is p and alpha is r.
+    """
+
+    p: np.ndarray
+    big_p: np.ndarray
+    r: np.ndarray
+    q: np.ndarray
+    ssq: np.ndarray
+    gam2: np.ndarray
+    alpha: np.ndarray
+    v: np.ndarray
+
+
+def coefficients(consts, eos, w, phi=None):
+    """`Coefficients` of w = (eta, P, v) and phi at finite c, or of
+    w = (eta, p, v) at c = inf, where phi is not needed."""
+    icc = consts.inv_c_sq
+    eta, big_p, v = w[0], w[1], w[2:]
+    gam2 = lorentz_factor_sq(consts, v)
+    if consts.finite_c:
+        if phi is None:
+            raise ValueError("finite-c coefficients need the potential")
+        p = pull_back_pressure(consts, phi, big_p)
+        weight = np.exp(4.0 * phi * icc)
+    else:
+        p, weight = big_p, 1.0
+    rho = mass_density(consts, eos, eta, p)
+    r = weight * rho
+    ssq = sound_speed_sq(consts, eos, eta, p)
+    q = ssq * weight * (rho + p * icc)
+    return Coefficients(p=p, big_p=big_p, r=r, q=q, ssq=ssq, gam2=gam2,
+                        alpha=gam2 * (r + icc * big_p), v=v)
 
 
 def background_potential(consts, eos, eta_bar, p_bar, tol=1e-14, max_iter=200):

@@ -55,7 +55,11 @@ class RelState:
 
     def pressure(self):
         """Unweighted pressure p = exp(-4 phi/c**2) P."""
-        return np.exp(-4.0 * self.phi * self.consts.inv_c_sq) * self.w[1]
+        return eos_mod.pull_back_pressure(self.consts, self.phi, self.w[1])
+
+    def coefficients(self):
+        """The coefficient fields (`eos.coefficients`) of the state."""
+        return eos_mod.coefficients(self.consts, self.eos, self.w, self.phi)
 
     def script_w(self):
         """The limit-system variables (eta, p, v) recovered from (W, phi)."""
@@ -67,7 +71,7 @@ def pull_back(w, phi, consts):
 
     At c = inf the weight is exactly 1 and w comes back unchanged (copied).
     """
-    p = np.exp(-4.0 * phi * consts.inv_c_sq) * w[1]
+    p = eos_mod.pull_back_pressure(consts, phi, w[1])
     return np.concatenate([w[:1], p[None], w[2:]])
 
 
@@ -78,67 +82,44 @@ def from_bundle(bundle):
                     eos=bundle.eos, grid=bundle.grid)
 
 
-def _thermo(state):
-    """Pointwise coefficient fields shared by the matrix and rhs paths."""
-    consts, eos = state.consts, state.eos
-    icc = consts.inv_c_sq
-    eta, big_p = state.w[0], state.w[1]
-    v = state.w[2:]
-    if consts.finite_c and np.any(np.sum(v * v, axis=0) >= consts.c**2):
-        vsq = np.sum(v * v, axis=0)
-        idx = np.unravel_index(np.argmax(vsq), vsq.shape)
-        raise ValueError("superluminal velocity at grid point %s" % (idx,))
-    p = np.exp(-4.0 * state.phi * icc) * big_p
-    rho = eos_mod.mass_density(consts, eos, eta, p)
-    weight = np.exp(4.0 * state.phi * icc)
-    r_grav = weight * rho
-    ssq = eos_mod.sound_speed_sq(consts, eos, eta, p)
-    q = ssq * weight * (rho + p * icc)
-    gam2 = eos_mod.lorentz_factor_sq(consts, v)
-    alpha = gam2 * (r_grav + icc * big_p)
-    return p, r_grav, q, gam2, alpha
-
-
-def _source_terms(state, dphi, p=None, r_grav=None, q=None, gam2=None):
-    """Potential source rows of the fluid right-hand side b.
+def _source_terms(state, co, dphi):
+    """Potential source rows of the fluid right-hand side b, from the
+    coefficient fields co of state and the gradient dphi of its potential.
 
     Returns (g_src, h_src) with h_src shape (3, ...); the eta row of b is 0.
     """
     icc = state.consts.inv_c_sq
-    big_p = state.w[1]
-    v = state.w[2:]
-    if p is None:
-        p, r_grav, q, gam2, _ = _thermo(state)
+    big_p, v = co.big_p, co.v
     mat_phi = icc * (state.pi + np.sum(v * dphi, axis=0))
-    g_src = (4.0 * big_p - 3.0 * q) * mat_phi
-    coeff = 3.0 * icc * big_p - r_grav
-    h_src = coeff * (dphi + v * mat_phi / gam2)
+    g_src = (4.0 * big_p - 3.0 * co.q) * mat_phi
+    coeff = 3.0 * icc * big_p - co.r
+    h_src = coeff * (dphi + v * mat_phi / co.gam2)
     return g_src, h_src
 
 
-def fluid_rhs(state, thermo=None, grads=None):
+def fluid_rhs(state, co=None, grads=None):
     """d_t W via the analytic block solve of the quasilinear system.
 
     The 4x4 (P, v) block reduces, after eliminating d_t P, to
     (alpha I + mu v v^T) x = r with mu = s (alpha - s q), s = gamma**2/c**2,
     inverted by the rank-one update formula.  Points where the pivot
     alpha + mu |v|**2 falls below 1e-12 * alpha fall back to a dense LU
-    solve of the assembled 5x5 system.  thermo, if given, is the
-    _thermo(state) tuple, computed once per right-hand side by the caller;
-    grads, if given, is the pair (grid.gradient(state.w),
+    solve of the assembled 5x5 system.  co, if given, is the coefficient
+    record of state (`eos.coefficients`), computed once per right-hand side
+    by the caller; grads, if given, is the pair (grid.gradient(state.w),
     grid.gradient(state.phi)), for a caller that takes them anyway.
     """
     grid = state.grid
-    icc = state.consts.inv_c_sq
-    v = state.w[2:]
-    p, r_grav, q, gam2, alpha = _thermo(state) if thermo is None else thermo
-    s = icc * gam2
+    if co is None:
+        co = state.coefficients()
+    v, q, alpha = co.v, co.q, co.alpha
+    s = state.consts.inv_c_sq * co.gam2
 
     if grads is None:
         grads = grid.gradient(state.w), grid.gradient(state.phi)
     dw, dphi = grads  # dw[m, k] = d_k W^m
     deta, dbig_p, dv = dw[0], dw[1], dw[2:]  # dv[j, k] = d_k v^j
-    g_src, h_src = _source_terms(state, dphi, p, r_grav, q, gam2)
+    g_src, h_src = _source_terms(state, co, dphi)
 
     adv_eta = np.einsum("k...,k...->...", v, deta)
     adv_p = np.einsum("k...,k...->...", v, dbig_p)
@@ -178,10 +159,9 @@ def assemble_matrices(state):
     the analytic solve in fluid_rhs.
     """
     grid = state.grid
-    icc = state.consts.inv_c_sq
-    v = state.w[2:]
-    p, r_grav, q, gam2, alpha = _thermo(state)
-    s = icc * gam2
+    co = state.coefficients()
+    v, q, alpha = co.v, co.q, co.alpha
+    s = state.consts.inv_c_sq * co.gam2
     n = grid.n
     shape = (n, n, n)
     delta = np.eye(3)
@@ -206,7 +186,7 @@ def assemble_matrices(state):
                 ak[k, 2 + j, 2 + m] = alpha * v[k] * (delta[j, m] + s * v[j] * v[m])
 
     dphi = grid.gradient(state.phi)
-    g_src, h_src = _source_terms(state, dphi, p, r_grav, q, gam2)
+    g_src, h_src = _source_terms(state, co, dphi)
     b = np.zeros((5,) + shape)
     b[1] = g_src
     b[2:] = h_src
@@ -223,18 +203,19 @@ def fluid_rhs_lu(state):
     return np.moveaxis(np.linalg.solve(a0_pts, rhs_pts)[..., 0], -1, 0)
 
 
-def _potential_source(state, thermo):
-    """Source R - 3 P / c**2 of the potential equation."""
-    return thermo[1] - 3.0 * state.consts.inv_c_sq * state.w[1]
+def _potential_source(consts, co):
+    """Source R - 3 P / c**2 of the potential equation, from the
+    coefficient fields co of a state."""
+    return co.r - 3.0 * consts.inv_c_sq * co.big_p
 
 
-def potential_rhs(state, thermo=None):
+def potential_rhs(state, co=None):
     """(d_t phi, d_t pi) for the first-order form of the potential equation.
 
-    thermo, if given, is the _thermo(state) tuple, as in fluid_rhs.
+    co, if given, is the coefficient record of state, as in fluid_rhs.
     """
     consts = state.consts
-    src = _potential_source(state, _thermo(state) if thermo is None else thermo)
+    src = _potential_source(consts, state.coefficients() if co is None else co)
     lap = state.grid.laplacian(state.phi)
     dt_pi = consts.c**2 * (
         lap - consts.kappa**2 * state.phi - 4.0 * math.pi * consts.grav_g * src)
@@ -242,9 +223,9 @@ def potential_rhs(state, thermo=None):
 
 
 def _deriv(state):
-    thermo = _thermo(state)
-    dw = fluid_rhs(state, thermo)
-    dphi, dpi = potential_rhs(state, thermo)
+    co = state.coefficients()
+    dw = fluid_rhs(state, co)
+    dphi, dpi = potential_rhs(state, co)
     full = np.concatenate([dw, dphi[None], dpi[None]])
     return state.grid.dealias(full)
 
@@ -331,9 +312,9 @@ class KleinGordonEtd:
 
     def rhs(self, state):
         """(dealiased d_t W, masked transform of the potential's source N)."""
-        thermo = _thermo(state)
-        dw = self.grid.dealias(fluid_rhs(state, thermo))
-        src = self.grid.fft(_potential_source(state, thermo))
+        co = state.coefficients()
+        dw = self.grid.dealias(fluid_rhs(state, co))
+        src = self.grid.fft(_potential_source(state.consts, co))
         return dw, self.source_scale * src[self.mask]
 
 

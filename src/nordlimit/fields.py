@@ -14,6 +14,7 @@ float64 values in x-fastest order.
 """
 
 import itertools
+import os
 import struct
 
 import numpy as np
@@ -180,18 +181,26 @@ def write_snapshot(path, grid, t, fields):
 
 
 def read_snapshot(path):
-    """Read a snapshot; returns (grid, t, fields with shape (ncomp, n, n, n))."""
+    """Read a snapshot; returns (grid, t, fields with shape (ncomp, n, n, n)).
+
+    The payload size in the header is checked against the file first, so a
+    corrupt n or ncomp raises ValueError instead of asking for a huge buffer.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
-            raise ValueError("truncated snapshot header")
+            raise ValueError("truncated snapshot header: %d of %d bytes"
+                             % (len(head), _HEADER.size))
         magic, version, n, length, t, ncomp = _HEADER.unpack(head)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError("bad snapshot magic")
         if version != SNAPSHOT_VERSION:
             raise ValueError("unsupported snapshot version %d" % version)
-        raw = np.fromfile(fh, dtype="<f8", count=ncomp * n**3)
-    if raw.size != ncomp * n**3:
-        raise ValueError("truncated snapshot payload")
+        count = ncomp * n**3
+        have = (os.fstat(fh.fileno()).st_size - _HEADER.size) // 8
+        if have < count:
+            raise ValueError("truncated snapshot payload: %d of %d values"
+                             % (have, count))
+        raw = np.fromfile(fh, dtype="<f8", count=count)
     fields = raw.reshape(ncomp, n, n, n).transpose(0, 3, 2, 1)
     return Grid3(n, length), t, np.ascontiguousarray(fields)

@@ -118,7 +118,7 @@ def test_run_ep_quiet(tmp_path):
     assert manifest["checks"]["run_completed"] is True
     assert "run_ep_final.nrdf" in manifest["outputs"]
     diag = (out / "run_ep_diagnostics.csv").read_text().splitlines()
-    assert diag[0] == "t,dt,minEta,minP,maxV,hNw,kgE,minRatio,maxRatio"
+    assert diag[0] == "t,dt,minEta,minP,maxV,hNw,kgE"
     grid, t, data = fields.read_snapshot(str(out / "run_ep_final.nrdf"))
     assert grid.n == 16 and t == pytest.approx(0.02)
     assert data.shape[0] == 6  # five fluid fields plus the potential
@@ -369,3 +369,16 @@ def test_check_builds_background_once_per_output_and_pass(tmp_path, monkeypatch)
     path = os.path.join(CONFIGS, "quick.ini")
     assert cli.main(["--config", path, "--out", str(out), "check"]) == 0
     assert len(calls) == 18
+
+
+def test_lost_positivity_is_exit_2(tmp_path, monkeypatch):
+    # a current that is negative everywhere is a physics failure: check
+    # records it and exits 2 (not 1, the usage/config-error code)
+    from nordlimit import energy_currents as ec
+    real = ec.j0
+    monkeypatch.setattr(ec, "j0", lambda *args: -real(*args))
+    out = tmp_path / "out"
+    path = os.path.join(CONFIGS, "quick.ini")
+    assert cli.main(["--config", path, "--out", str(out), "check"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["checks"]["positivity"] is False

@@ -1,6 +1,7 @@
 """Tests for energy currents, positivity, the sound cone, and divergence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def eosf():
 
 
 def rest_background(grid, c):
-    """Uniform rest state (eta, p or P, v=0) as a coefficient dict."""
+    """Uniform rest state (eta, p or P, v=0) as a coefficient record."""
     consts = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=c)
     eosf = eos.PolytropicEos()
     shape = (grid.n,) * 3
@@ -75,7 +76,7 @@ def test_j0_finite_c_rest(grid):
     c = 20.0
     consts, bg = rest_background(grid, c)
     wdot = unit_variation(grid, 2)
-    expect = bg["r"] + bg["big_p"] / c**2
+    expect = bg.r + bg.big_p / c**2
     assert np.allclose(ec.j0(consts, bg, wdot), expect)
 
 
@@ -132,6 +133,15 @@ def test_positivity_eigen_oracle(grid, eosf):
     rng = np.random.default_rng(3)
     lo, hi = ec.positivity_ratio(consts, bg, rng.standard_normal((12, 5)))
     assert lam_min - 1e-12 <= lo <= hi <= lam_max + 1e-12
+
+
+def test_positivity_reports_lost_positivity(grid):
+    # a nonpositive ratio is returned for the caller to judge, not raised
+    consts, bg = rest_background(grid, math.inf)
+    flipped = replace(bg, q=-bg.q)
+    lo, hi = ec.positivity_ratio(consts, flipped, np.eye(5))
+    assert lo == pytest.approx(-0.5, abs=1e-12)
+    assert hi == pytest.approx(1.0, abs=1e-12)
 
 
 def test_positivity_rejects_zero_variation(grid):
@@ -199,8 +209,17 @@ def test_inhomogeneity_f_vanishes_at_rest(grid, eosf):
     assert np.max(np.abs(f)) <= 1e-14
 
 
+def test_kg_inhomogeneity_matches_assembled_l(grid, eosf):
+    # the l-only helpers give the last inhomogeneity bit for bit
+    b = perturbed_bundle(grid, eosf, 20.0)
+    st = en.from_bundle(b)
+    smoothed = mollify_bundle(b, 0.2).w_c
+    bg = ec.background_coeffs(b.consts, eosf, st.w, st.phi)
+    l = ec.kg_inhomogeneity(b.consts, bg, ec.kg_data(b.consts, grid, b.phi_c))
+    assert np.array_equal(l, ec.assemble_eov_inhomogeneity(st, smoothed, b.phi_c)[5])
+
+
 def test_kg_energy_zero_at_datum(grid, eosf):
-    from dataclasses import replace
     b = perturbed_bundle(grid, eosf, 20.0)
     st = en.from_bundle(b)
     st = replace(st, pi=np.zeros_like(st.pi))

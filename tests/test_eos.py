@@ -72,8 +72,38 @@ def test_lorentz_factor():
     g2 = eos.lorentz_factor_sq(eos.PhysicalConstants(c=10.0), v)
     assert np.allclose(g2, 100.0 / 64.0)
     assert np.all(eos.lorentz_factor_sq(INF, v) == 1.0)
-    with pytest.raises(ValueError):
+    v[1, 2] = 1.0  # the fastest point names itself, as plain ints
+    with pytest.raises(ValueError, match=r"superluminal velocity at grid point \(2,\)$"):
         eos.lorentz_factor_sq(eos.PhysicalConstants(c=5.0), v)
+
+
+def test_coefficients_match_the_one_field_forms():
+    # every field of the record equals its formula from the EOS primitives
+    e = eos.PolytropicEos(a1=0.3)
+    rng = np.random.default_rng(4)
+    eta = rng.uniform(0.5, 1.5, 6)
+    p = rng.uniform(0.5, 1.5, 6)
+    v = rng.uniform(-0.5, 0.5, (3, 6))
+    phi = rng.uniform(-1.0, 0.0, 6)
+    for k in (eos.PhysicalConstants(c=10.0), INF):
+        icc = k.inv_c_sq
+        big_p = np.exp(4.0 * phi * icc) * p
+        w = np.concatenate([eta[None], big_p[None], v])
+        co = eos.coefficients(k, e, w, phi if k.finite_c else None)
+        p_back = eos.pull_back_pressure(k, phi, big_p)
+        assert np.array_equal(co.p, p_back if k.finite_c else big_p)
+        assert np.allclose(co.p, p, rtol=1e-14, atol=0)
+        assert np.array_equal(co.big_p, big_p)
+        assert np.array_equal(co.v, v)
+        assert np.array_equal(co.q, eos.q_coefficient(k, e, eta, co.p, phi))
+        assert np.array_equal(co.ssq, eos.sound_speed_sq(k, e, eta, co.p))
+        assert np.array_equal(co.gam2, eos.lorentz_factor_sq(k, v))
+        rho = eos.mass_density(k, e, eta, co.p)
+        assert np.array_equal(co.r, np.exp(4.0 * phi * icc) * rho)
+        assert np.array_equal(co.alpha, co.gam2 * (co.r + icc * big_p))
+    assert np.array_equal(co.alpha, co.r)  # at c = inf
+    with pytest.raises(ValueError, match="potential"):
+        eos.coefficients(eos.PhysicalConstants(c=10.0), e, w)
 
 
 def test_background_potential_limit_closed_form():

@@ -269,13 +269,13 @@ def test_run_output_times_are_exact(grid, eosf):
     assert traj.ts == pytest.approx([0.0, 0.005, 0.01, 0.015, 0.02], abs=1e-15)
 
 
-def test_shared_thermo_matches_one_argument_forms(grid, eosf):
-    # the RHS computes _thermo once and hands it to both halves; the result
-    # must not depend on whether the caller supplies it
+def test_shared_coefficients_match_one_argument_forms(grid, eosf):
+    # the RHS computes eos.coefficients once and hands it to both halves;
+    # the result must not depend on whether the caller supplies it
     st = perturbed_state(grid, eosf, 20.0)
-    thermo = en._thermo(st)
-    assert np.array_equal(en.fluid_rhs(st, thermo), en.fluid_rhs(st))
-    for a, b in zip(en.potential_rhs(st, thermo), en.potential_rhs(st)):
+    co = eos.coefficients(st.consts, eosf, st.w, st.phi)
+    assert np.array_equal(en.fluid_rhs(st, co), en.fluid_rhs(st))
+    for a, b in zip(en.potential_rhs(st, co), en.potential_rhs(st)):
         assert np.array_equal(a, b)
 
 
