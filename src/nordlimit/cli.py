@@ -381,7 +381,7 @@ def main(argv=None):
             print("error: --config is required for this command", file=sys.stderr)
             return 1
         cfg = parse_config(args.config, args.strict)
-        sc = sweep_config_from(cfg)
+        sc = sweep_config_from(cfg).validate()
         out = _out_dir(args)
         manifest = Manifest(out, cfg, args)
         handler = {"run-en": cmd_run, "run-ep": cmd_run,

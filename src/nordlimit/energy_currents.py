@@ -10,10 +10,12 @@ current is the quadratic form
 
 with g2 the squared Lorentz factor of the background velocity; at c = inf
 this collapses to the diagonal form eta_dot**2 + p_dot**2/q + R |v_dot|**2.
-When the variation is built as (solution - smoothed initial data), the
-current satisfies an exact divergence identity whose right-hand side
-involves only the background derivatives and the inhomogeneities (f, g, h);
-`divergence_identity_check` measures the discrete defect of that identity.
+When the variation is built as (solution - smoothed initial data W0), its
+inhomogeneities (f, g, h) are the fluid operator b - a^k d_k W0
+(`euler_nordstrom.fluid_residual`), and the current satisfies an exact
+divergence identity whose right-hand side involves only the background
+derivatives and (f, g, h); `divergence_identity_check` measures its
+discrete defect.  One formula serves both systems (s = 0 at c = inf).
 """
 
 import math
@@ -137,8 +139,8 @@ def assemble_eov_inhomogeneity(state, smoothed_w, phi_data, bg=None):
     consts, grid = state.consts, state.grid
     if bg is None:
         bg = background_coeffs(consts, state.eos, state.w, state.phi)
-    f, g, h = _inhomogeneity(state, bg, grid.gradient(smoothed_w),
-                             grid.gradient(state.phi))
+    f, g, h = en.fluid_residual(consts, bg, state.pi, grid.gradient(smoothed_w),
+                                grid.gradient(state.phi))
     if consts.finite_c:
         l = kg_inhomogeneity(consts, bg, kg_data(consts, grid, phi_data))
     else:
@@ -158,36 +160,8 @@ def kg_inhomogeneity(consts, bg, data):
     return data + 4.0 * math.pi * consts.grav_g * en._potential_source(consts, bg)
 
 
-def _inhomogeneity(state, bg, dw0, dphi):
-    """(f, g, h) of assemble_eov_inhomogeneity, h of shape (3, ...), from
-    the background bg, the gradient dw0 of the smoothed data and the
-    gradient dphi of state.phi."""
-    consts = state.consts
-    v = state.w[2:]
-    d_eta0, d_p0, dv0 = dw0[0], dw0[1], dw0[2:]
-    adv = lambda grad: np.einsum("k...,k...->...", v, grad)
-
-    f = -adv(d_eta0)
-    div_v0 = dv0[0, 0] + dv0[1, 1] + dv0[2, 2]
-    adv_v0 = np.einsum("k...,jk...->j...", v, dv0)
-    v_adv_v0 = np.einsum("j...,j...->...", v, adv_v0)
-
-    if not consts.finite_c:
-        g = -adv(d_p0) - bg.q * div_v0
-        h = -bg.r * dphi - bg.r * adv_v0 - d_p0
-        return f, g, h
-
-    q = bg.q
-    s = consts.inv_c_sq * bg.gam2
-    g_src, h_src = en._source_terms(state, bg, dphi)
-    g = g_src - adv(d_p0) - q * div_v0 - s * q * v_adv_v0
-    h = (h_src - bg.alpha * (adv_v0 + s * v * v_adv_v0)
-         - d_p0 - s * v * adv(d_p0))
-    return f, g, h
-
-
 def _en_time_derivs(state, bg, grads):
-    """Exact time derivatives of the finite-c background coefficient fields.
+    """Exact time derivatives of the background coefficient fields.
 
     Returns (dt_v, dt_inv_q, dt_alpha) from the evolution equations; uses
     the closed-form identity q = gamma_ad * P of the polytropic family and
@@ -215,7 +189,8 @@ def _en_time_derivs(state, bg, grads):
 def _divergence_rhs(state, smoothed_w, bg, dw0):
     """Integral over the torus of the continuum divergence of the current.
 
-    bg is background_coeffs of state and dw0 the gradient of smoothed_w.
+    bg is background_coeffs of state and dw0 the gradient of smoothed_w;
+    at c = inf, s = 0 drops t2 and t4, and alpha = r.
     """
     consts, grid = state.consts, state.grid
     v = state.w[2:]
@@ -224,25 +199,15 @@ def _divergence_rhs(state, smoothed_w, bg, dw0):
     v_dot = wdot[2:]
     vv = np.einsum("j...,j...->...", v_dot, v_dot)
     dphi = grid.gradient(state.phi)
-    q, r = bg.q, bg.r
+    q = bg.q
     # the inhomogeneity term first, so that f, g and h are not kept
     # through the time derivatives
-    f, g, h = _inhomogeneity(state, bg, dw0, dphi)
+    f, g, h = en.fluid_residual(consts, bg, state.pi, dw0, dphi)
     t5 = (2.0 * eta_dot * f + 2.0 * p_dot * g / q
           + 2.0 * np.einsum("j...,j...->...", v_dot, h))
     del f, g, h
 
-    if not consts.finite_c:
-        dw = ep.newtonian_rhs(state)
-        dt_q = state.eos.gamma * dw[1]
-        dt_r = dw[1] / bg.ssq
-        div_vq = sum(grid.derivative(v[j] / q, j) for j in range(3))
-        div_rv = sum(grid.derivative(r * v[j], j) for j in range(3))
-        return grid.integral((-dt_q / q**2 + div_vq) * p_dot**2
-                             + (dt_r + div_rv) * vv + t5)
-
-    icc = consts.inv_c_sq
-    gam2, big_p = bg.gam2, bg.big_p
+    icc, gam2 = consts.inv_c_sq, bg.gam2
     s = icc * gam2
     dw = grid.gradient(state.w)
     dt_v, dt_inv_q, dt_alpha = _en_time_derivs(state, bg, (dw, dphi))
@@ -266,7 +231,7 @@ def _divergence_rhs(state, smoothed_w, bg, dw0):
     quad = vv + s * vdot_b**2
     t3 = (dt_alpha + div_alpha_v) * quad
 
-    t4 = 2.0 * icc * gam2**2 * (r + icc * big_p) * (
+    t4 = 2.0 * icc * gam2**2 * (bg.r + icc * bg.big_p) * (
         vdot_b * np.einsum("j...,j...->...", v_dot, dt_v)
         + vdot_b * np.einsum("a...,a...->...", v_dot, adv_v)
         + s * vdot_b**2 * (v_dt_v + v_adv_v))

@@ -82,53 +82,62 @@ def from_bundle(bundle):
                     eos=bundle.eos, grid=bundle.grid)
 
 
-def _source_terms(state, co, dphi):
-    """Potential source rows of the fluid right-hand side b, from the
-    coefficient fields co of state and the gradient dphi of its potential.
-
-    Returns (g_src, h_src) with h_src shape (3, ...); the eta row of b is 0.
-    """
-    icc = state.consts.inv_c_sq
+def _source_terms(consts, co, pi, dphi):
+    """Potential source rows (g_src, h_src) of the fluid right-hand side b,
+    h_src of shape (3, ...), from the coefficient fields co of a state, its
+    d_t phi = pi and its potential's gradient dphi; the eta row of b is 0."""
+    icc = consts.inv_c_sq
     big_p, v = co.big_p, co.v
-    mat_phi = icc * (state.pi + np.sum(v * dphi, axis=0))
+    mat_phi = icc * (pi + np.sum(v * dphi, axis=0))
     g_src = (4.0 * big_p - 3.0 * co.q) * mat_phi
     coeff = 3.0 * icc * big_p - co.r
     h_src = coeff * (dphi + v * mat_phi / co.gam2)
     return g_src, h_src
 
 
+def fluid_residual(consts, co, pi, dw, dphi):
+    """Rows (r_eta, r_p, r_v) of the fluid operator b - a^k d_k W, r_v of
+    shape (3, ...), with co, pi and dphi as in `_source_terms` and any fluid
+    gradient dw[m, k] = d_k W^m: that of the state's W gives a0 d_t W, that
+    of the smoothed data the inhomogeneity (f, g, h) of the equations of
+    variation.  At c = inf (s = 0, alpha = r) it is the limit operator."""
+    v, q, alpha = co.v, co.q, co.alpha
+    s = consts.inv_c_sq * co.gam2
+    deta, dbig_p, dv = dw[0], dw[1], dw[2:]  # dv[j, k] = d_k v^j
+    g_src, h_src = _source_terms(consts, co, pi, dphi)
+
+    adv_p = np.einsum("k...,k...->...", v, dbig_p)
+    div_v = dv[0, 0] + dv[1, 1] + dv[2, 2]
+    adv_v = np.einsum("k...,jk...->j...", v, dv)       # (v . grad) v^j
+    v_adv_v = np.einsum("j...,j...->...", v, adv_v)    # v_k (v . grad) v^k
+
+    r_eta = -np.einsum("k...,k...->...", v, deta)
+    r_p = g_src - adv_p - q * div_v - s * q * v_adv_v
+    r_v = (h_src - dbig_p - s * v * adv_p - alpha * (adv_v + s * v * v_adv_v))
+    return r_eta, r_p, r_v
+
+
 def fluid_rhs(state, co=None, grads=None):
-    """d_t W via the analytic block solve of the quasilinear system.
+    """d_t W from a0 d_t W = `fluid_residual` by an analytic block solve.
 
     The 4x4 (P, v) block reduces, after eliminating d_t P, to
     (alpha I + mu v v^T) x = r with mu = s (alpha - s q), s = gamma**2/c**2,
-    inverted by the rank-one update formula.  Points where the pivot
-    alpha + mu |v|**2 falls below 1e-12 * alpha fall back to a dense LU
-    solve of the assembled 5x5 system.  co, if given, is the coefficient
-    record of state (`eos.coefficients`), computed once per right-hand side
-    by the caller; grads, if given, is the pair (grid.gradient(state.w),
-    grid.gradient(state.phi)), for a caller that takes them anyway.
+    inverted by the rank-one update formula.  Its pivot alpha + mu |v|**2 is
+    at least alpha > 0, as causality (s_c < c, `eos.sound_speed_sq`) gives
+    mu = s gamma**2 exp(4 phi/c**2) (rho_c + p/c**2) (1 - s_c**2/c**2) >= 0.
+    co, if given, is the coefficient record of state (`eos.coefficients`),
+    computed once per right-hand side by the caller; grads, if given, is the
+    pair (grid.gradient(state.w), grid.gradient(state.phi)), for a caller
+    that takes them anyway.
     """
-    grid = state.grid
     if co is None:
         co = state.coefficients()
     v, q, alpha = co.v, co.q, co.alpha
     s = state.consts.inv_c_sq * co.gam2
 
     if grads is None:
-        grads = grid.gradient(state.w), grid.gradient(state.phi)
-    dw, dphi = grads  # dw[m, k] = d_k W^m
-    deta, dbig_p, dv = dw[0], dw[1], dw[2:]  # dv[j, k] = d_k v^j
-    g_src, h_src = _source_terms(state, co, dphi)
-
-    adv_eta = np.einsum("k...,k...->...", v, deta)
-    adv_p = np.einsum("k...,k...->...", v, dbig_p)
-    div_v = dv[0, 0] + dv[1, 1] + dv[2, 2]
-    adv_v = np.einsum("k...,jk...->j...", v, dv)       # (v . grad) v^j
-    v_adv_v = np.einsum("j...,j...->...", v, adv_v)    # v_k (v . grad) v^k
-
-    r_p = g_src - adv_p - q * div_v - s * q * v_adv_v
-    r_v = (h_src - dbig_p - s * v * adv_p - alpha * (adv_v + s * v * v_adv_v))
+        grads = state.grid.gradient(state.w), state.grid.gradient(state.phi)
+    r_eta, r_p, r_v = fluid_residual(state.consts, co, state.pi, *grads)
 
     r_tilde = r_v - s * v * r_p
     mu = s * (alpha - s * q)
@@ -137,18 +146,7 @@ def fluid_rhs(state, co=None, grads=None):
     vdotr = np.einsum("j...,j...->...", v, r_tilde)
     x = r_tilde / alpha - (mu * vdotr / (alpha * denom)) * v
     dt_p = r_p - s * q * np.einsum("j...,j...->...", v, x)
-    out = np.concatenate([(-adv_eta)[None], dt_p[None], x])
-
-    bad = np.abs(denom) < 1e-12 * np.abs(alpha)
-    if np.any(bad):
-        a0, ak, b = assemble_matrices(state)
-        rhs = b - np.einsum("kmn...,nk...->m...", ak, dw)
-        idx = np.nonzero(bad)
-        sol = np.linalg.solve(
-            np.moveaxis(a0[(slice(None), slice(None)) + idx], (0, 1), (-2, -1)),
-            np.moveaxis(rhs[(slice(None),) + idx], 0, -1)[..., None])[..., 0]
-        out[(slice(None),) + idx] = np.moveaxis(sol, -1, 0)
-    return out
+    return np.concatenate([r_eta[None], dt_p[None], x])
 
 
 def assemble_matrices(state):
@@ -186,7 +184,7 @@ def assemble_matrices(state):
                 ak[k, 2 + j, 2 + m] = alpha * v[k] * (delta[j, m] + s * v[j] * v[m])
 
     dphi = grid.gradient(state.phi)
-    g_src, h_src = _source_terms(state, co, dphi)
+    g_src, h_src = _source_terms(state.consts, co, state.pi, dphi)
     b = np.zeros((5,) + shape)
     b[1] = g_src
     b[2:] = h_src

@@ -32,6 +32,7 @@ class NewtState:
     eta_bar: float
     p_bar: float
     phi: np.ndarray = None
+    pi = 0.0  # d_t phi: the c**-2 pi terms vanish at c = inf
 
     def pressure(self):
         """The pressure p, evolved directly in the limit system."""

@@ -196,6 +196,8 @@ def read_snapshot(path):
             raise ValueError("bad snapshot magic")
         if version != SNAPSHOT_VERSION:
             raise ValueError("unsupported snapshot version %d" % version)
+        if ncomp == 0:
+            raise ValueError("snapshot holds no fields")
         count = ncomp * n**3
         have = (os.fstat(fh.fileno()).st_size - _HEADER.size) // 8
         if have < count:

@@ -64,6 +64,8 @@ class SweepConfig:
             raise ValueError("c_values must be finite and positive")
         if not (self.t_final > 0):
             raise ValueError("t_final must be positive")
+        if self.n_outputs < 1:
+            raise ValueError("n_outputs must be >= 1")
         if self.sobolev_order < 4:
             raise ValueError("sobolev_order must be >= 4")
         if not (0 < self.cfl <= 1):

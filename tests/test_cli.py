@@ -134,6 +134,20 @@ def test_run_en_small(tmp_path):
     assert t == pytest.approx(0.02)
 
 
+@pytest.mark.parametrize("command", ["run-en", "run-ep", "sweep"])
+@pytest.mark.parametrize("line, bad", [("n_outputs = 2", "n_outputs = 0"),
+                                       ("t_final = 0.02", "t_final = -0.05")],
+                         ids=["n_outputs=0", "t_final=-0.05"])
+def test_malformed_run_values_fail_cleanly(tmp_path, capsys, command, line, bad):
+    # no division by zero in the run loop, no backward integration
+    path = write(tmp_path, SMALL.replace(line, bad))
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
+                     command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s must be" % bad.split()[0])
+    assert "Traceback" not in err
+
+
 def test_run_en_requires_finite_c(tmp_path):
     path = write(tmp_path, QUIET)  # no run.c, defaults to inf
     assert cli.main(["--config", path, "--out", str(tmp_path), "run-en"]) == 1

@@ -41,10 +41,14 @@ def background_state(grid, eosf, c):
                        t=0.0, consts=consts, eos=eosf, grid=grid)
 
 
-def perturbed_state(grid, eosf, c, amp_v=(0.05, 0.02, 0.01)):
+def limit_data(grid, eosf, amp_v=(0.05, 0.02, 0.01)):
     spec = PerturbationSpec(amp_eta=0.05, amp_p=0.05, amp_v=amp_v,
                             center=(math.pi,) * 3, width=math.pi / 4)
-    b = build_newtonian_data(spec, INF, eosf, grid, admissible_box=BOX)
+    return build_newtonian_data(spec, INF, eosf, grid, admissible_box=BOX)
+
+
+def perturbed_state(grid, eosf, c, amp_v=(0.05, 0.02, 0.01)):
+    b = limit_data(grid, eosf, amp_v)
     lift = lift_to_relativistic(b, eos.PhysicalConstants(grav_g=G, c=c))
     return en.from_bundle(lift)
 
@@ -85,11 +89,52 @@ def test_energy_weighted_symmetry(grid, eosf):
     assert np.min(eigs) > 0
 
 
+def fast_flow_state(grid, eosf, c=2.0):
+    """A state at low c whose speed reaches 0.49 c, where the rank-one term
+    of the (P, v) block is largest."""
+    st = perturbed_state(grid, eosf, c)
+    x, y, z = grid.meshgrid()
+    w = st.w.copy()
+    w[2:] = 0.49 * c / math.sqrt(3.0) * np.stack([np.cos(y), np.cos(z), np.cos(x)])
+    return replace(st, w=w)
+
+
 def test_fluid_rhs_matches_dense_lu(grid, eosf):
-    st = perturbed_state(grid, eosf, 20.0)
-    r1 = en.fluid_rhs(st)
-    r2 = en.fluid_rhs_lu(st)
-    assert np.max(np.abs(r1 - r2)) <= 1e-12 * np.max(np.abs(r2))
+    for st in (perturbed_state(grid, eosf, 20.0), fast_flow_state(grid, eosf)):
+        r1 = en.fluid_rhs(st)
+        r2 = en.fluid_rhs_lu(st)
+        assert np.max(np.abs(r1 - r2)) <= 1e-12 * np.max(np.abs(r2))
+
+
+@pytest.mark.parametrize("c", [10.0, 160.0])
+def test_fluid_residual_matches_assembled_operator(grid, eosf, c):
+    # b - a^k d_k W0 for mollified data W0 != W, against the matrices
+    st = perturbed_state(grid, eosf, c)
+    dw0 = grid.gradient(grid.mollify(st.w, 0.2))
+    assert np.max(np.abs(dw0 - grid.gradient(st.w))) > 1e-3
+    a0, ak, b = en.assemble_matrices(st)
+    want = b - np.einsum("kmn...,nk...->m...", ak, dw0)
+    r_eta, r_p, r_v = en.fluid_residual(st.consts, st.coefficients(), st.pi,
+                                        dw0, grid.gradient(st.phi))
+    got = np.concatenate([r_eta[None], r_p[None], r_v])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fluid_residual_limit_closed_form(grid, eosf):
+    # at c = inf: f = -v.grad eta0, g = -v.grad p0 - q div v0 and
+    # h = -r grad phi - r (v.grad) v0 - grad p0
+    st = ep.with_constraint(ep.from_bundle(limit_data(grid, eosf), INF))
+    dw0 = grid.gradient(grid.mollify(st.w, 0.2))
+    dphi = grid.gradient(st.phi)
+    co = eos.coefficients(INF, eosf, st.w)
+    v, dv0 = st.w[2:], dw0[2:]
+    f = -np.einsum("k...,k...->...", v, dw0[0])
+    g = (-np.einsum("k...,k...->...", v, dw0[1])
+         - co.q * (dv0[0, 0] + dv0[1, 1] + dv0[2, 2]))
+    h = -co.r * dphi - co.r * np.einsum("k...,jk...->j...", v, dv0) - dw0[1]
+    got = en.fluid_residual(INF, co, st.pi, dw0, dphi)
+    for term, want in zip(got, (f, g, h)):
+        assert np.max(np.abs(term - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_background_is_fluid_fixed_point(grid, eosf):

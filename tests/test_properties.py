@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nordlimit import cli
@@ -74,6 +74,7 @@ def test_truncated_snapshot_raises_clear_error(snap, cut):
 
 @PROPERTY
 @given(n=st.integers(0, 2**32 - 1), ncomp=st.integers(0, 2**32 - 1))
+@example(n=32, ncomp=0)
 def test_snapshot_header_sizes_are_checked_against_the_file(n, ncomp):
     # a header announcing more values than the file holds is reported as
     # truncated before any buffer of that size is asked for
@@ -84,6 +85,9 @@ def test_snapshot_header_sizes_are_checked_against_the_file(n, ncomp):
             fh.write(b"\0" * 8 * 16**3)
         if ncomp * n**3 > 16**3:
             with pytest.raises(ValueError, match="truncated snapshot payload: "):
+                read_snapshot(path)
+        elif ncomp == 0:
+            with pytest.raises(ValueError, match="no fields"):
                 read_snapshot(path)
         elif n != 16:
             with pytest.raises(ValueError, match="grid size"):
