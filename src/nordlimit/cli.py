@@ -55,7 +55,10 @@ def parse_config(path, strict=False):
     otherwise.
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError("malformed config: %s" % exc)
     if not read:
         raise ConfigError("config file not found: %s" % path)
     out = {}
@@ -154,9 +157,10 @@ def _run_c_value(cfg):
 
 
 class Manifest:
-    """Run manifest: config, environment, emitted files, pass/fail flags."""
+    """Run manifest: config, environment (with the CPUs the run may use and
+    the threads of its grid transforms), emitted files, pass/fail flags."""
 
-    def __init__(self, out_dir, cfg, args):
+    def __init__(self, out_dir, cfg, args, n):
         self.path = os.path.join(out_dir, "manifest.json")
         self.data = {
             "tool_version": __version__,
@@ -165,6 +169,8 @@ class Manifest:
             "strict": bool(args.strict),
             "host": platform.node(),
             "platform": platform.platform(),
+            "cpus": len(os.sched_getaffinity(0)),
+            "transform_threads": fields.transform_threads(n),
             "start_time": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "end_time": None,
             "outputs": [],
@@ -263,13 +269,17 @@ def cmd_sweep(args, cfg, sc, out, manifest):
         result = lh.run_sweep(sc, keep_trajectories=False,
                               progress=lambda line: print(line, file=sys.stderr))
     except lh.SweepAborted as exc:
+        manifest.data["phases_s"] = exc.result.phases_s
         manifest.data["runs"] = _run_records(exc.result.runs)
         manifest.data["abort_reasons"] = _run_records(exc.result.abort_reasons)
         manifest.set_check("rate_thresholds", False)
         print("sweep aborted: %s" % exc, file=sys.stderr)
         return 2
     manifest.data["runs"] = _run_records(result.runs)
+    clock = time.perf_counter()
     csv_path, summary_path = lh.emit_report(result.report, out)
+    manifest.data["phases_s"] = dict(result.phases_s,
+                                     report=time.perf_counter() - clock)
     manifest.add_output(csv_path)
     manifest.add_output(summary_path)
     ok = result.report.meets_thresholds()
@@ -383,7 +393,7 @@ def main(argv=None):
         cfg = parse_config(args.config, args.strict)
         sc = sweep_config_from(cfg).validate()
         out = _out_dir(args)
-        manifest = Manifest(out, cfg, args)
+        manifest = Manifest(out, cfg, args, sc.n)
         handler = {"run-en": cmd_run, "run-ep": cmd_run,
                    "sweep": cmd_sweep, "check": cmd_check}[args.command]
         try:

@@ -97,7 +97,7 @@ def build_newtonian_data(spec, consts_inf, eos, grid, eta_bar=1.0, p_bar=1.0,
                 idx = np.unravel_index(np.argmax(bad), f.shape)
                 raise ValueError(
                     "initial %s leaves the admissible box at grid point %s "
-                    "(value %.6g)" % (name, idx, f[idx]))
+                    "(value %.6g)" % (name, tuple(int(i) for i in idx), f[idx]))
     if np.any(eta <= 0) or np.any(p <= 0):
         raise ValueError("initial data must keep eta and p positive")
 

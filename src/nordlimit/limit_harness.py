@@ -17,6 +17,7 @@ is not a claim about continuum H^(N+1) control.
 
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from . import eos as eos_mod
 from . import euler_nordstrom as en
 from . import euler_poisson as ep
+from . import fields
 from . import initial_data
 from .eos import fit_slope
 
@@ -73,8 +75,7 @@ class SweepConfig:
         return self
 
     def make_grid(self):
-        from .fields import Grid3
-        return Grid3(self.n, self.length)
+        return fields.Grid3(self.n, self.length)
 
     def make_eos(self):
         return eos_mod.PolytropicEos(m0=self.m0, gamma=self.gamma,
@@ -133,7 +134,8 @@ class SweepResult:
     """RateReport plus the raw trajectories for downstream diagnostics.
 
     runs maps each light speed (math.inf for the limit run) to its dt,
-    dt_reason, steps, rhs_evals and wall_s.
+    dt_reason, steps, rhs_evals and wall_s; phases_s maps each phase run so
+    far (bundle, limit_run, rungs) to its wall time.
     """
 
     config: SweepConfig
@@ -144,6 +146,7 @@ class SweepResult:
     en_bundles: dict = field(default_factory=dict)
     abort_reasons: dict = field(default_factory=dict)
     runs: dict = field(default_factory=dict)
+    phases_s: dict = field(default_factory=dict)
 
 
 class SweepAborted(RuntimeError):
@@ -224,11 +227,16 @@ def run_sweep(config, keep_trajectories=True, progress=None):
     """
     global _SWEEP
     config.validate()
+    clock = time.perf_counter()
     bundle = config.make_bundle()
+    phases_s = {"bundle": time.perf_counter() - clock}
     report_line = progress or (lambda line: None)
+    clock = time.perf_counter()
     ep_traj = ep.run(ep.from_bundle(bundle, config.consts(math.inf)),
                      config.t_final, **_run_args(config))
-    result = SweepResult(config=config, report=None, bundle=bundle, ep_traj=ep_traj)
+    phases_s["limit_run"] = time.perf_counter() - clock
+    result = SweepResult(config=config, report=None, bundle=bundle,
+                         ep_traj=ep_traj, phases_s=phases_s)
 
     def finished(c, label, record):
         result.runs[c] = record
@@ -262,6 +270,7 @@ def run_sweep(config, keep_trajectories=True, progress=None):
 
     workers = min(len(config.c_values), len(os.sched_getaffinity(0)))
     _SWEEP = (config, bundle, ep_traj, keep_trajectories)
+    clock = time.perf_counter()
     try:
         if workers == 1:
             collect(map(_run_rung, config.c_values))
@@ -270,6 +279,9 @@ def run_sweep(config, keep_trajectories=True, progress=None):
             # memory, which runs without parallel rungs need not carry
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
+            # the limit run may have started transform threads; each
+            # worker starts its own
+            fields.stop_transform_threads()
             with ProcessPoolExecutor(
                     workers, mp_context=multiprocessing.get_context("fork")) as pool:
                 futures = {c: pool.submit(_run_rung, c)
@@ -281,6 +293,7 @@ def run_sweep(config, keep_trajectories=True, progress=None):
                         future.cancel()
     finally:
         _SWEEP = None
+        phases_s["rungs"] = time.perf_counter() - clock
     return result
 
 

@@ -148,6 +148,18 @@ def test_malformed_run_values_fail_cleanly(tmp_path, capsys, command, line, bad)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    SMALL + "\n[grid]\nn = 8\n",
+    SMALL.replace("n = 16", "n = 16\nn = 8"),
+    "n = 16\n" + SMALL,
+], ids=["duplicate-section", "duplicate-option", "no-section-header"])
+def test_malformed_config_is_usage_error(tmp_path, capsys, text):
+    path = write(tmp_path, text)
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
+                     "run-ep"]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed config: ")
+
+
 def test_run_en_requires_finite_c(tmp_path):
     path = write(tmp_path, QUIET)  # no run.c, defaults to inf
     assert cli.main(["--config", path, "--out", str(tmp_path), "run-en"]) == 1
@@ -242,6 +254,11 @@ def test_cli_does_not_import_process_pool():
     _assert_cli_import_leaves_out("concurrent.futures.process")
 
 
+def test_cli_does_not_import_thread_pool():
+    # transforms start threads only on a grid large enough to fan out
+    _assert_cli_import_leaves_out("concurrent.futures.thread")
+
+
 def test_sweep_manifest_records_runs_and_progress(tmp_path, capsys):
     out = tmp_path / "out"
     path = os.path.join(CONFIGS, "quick.ini")
@@ -256,6 +273,9 @@ def test_sweep_manifest_records_runs_and_progress(tmp_path, capsys):
         assert run["dt"] == pytest.approx(0.01) and run["wall_s"] > 0
     assert manifest["runs"]["inf"]["dt_reason"] == "output interval"
     assert "abort_reasons" not in manifest
+    assert set(manifest["phases_s"]) == {"bundle", "limit_run", "rungs", "report"}
+    assert all(t >= 0 for t in manifest["phases_s"].values())
+    assert_records_parallelism(manifest)
     err = capsys.readouterr().err.splitlines()
     for c in ("10", "20", "40"):
         assert sum(line.startswith("c=%s: 5 steps" % c) for line in err) == 1
@@ -264,6 +284,12 @@ def test_sweep_manifest_records_runs_and_progress(tmp_path, capsys):
     labels = [line.split(":")[0] for line in err
               if line.startswith(("limit run:", "c="))]
     assert labels == ["limit run", "c=10", "c=20", "c=40"]
+
+
+def assert_records_parallelism(manifest):
+    # below 64**3 the grid transforms run on the calling thread alone
+    assert manifest["cpus"] == len(os.sched_getaffinity(0))
+    assert manifest["transform_threads"] == 1
 
 
 def _reject_constant(name):
@@ -279,8 +305,10 @@ def test_run_manifest_records_run(tmp_path, capsys, command, c, dt_reason):
     path = write(tmp_path, SMALL)
     out = tmp_path / "out"
     assert cli.main(["--config", path, "--out", str(out), command]) == 0
-    run = json.loads((out / "manifest.json").read_text(),
-                     parse_constant=_reject_constant)["run"]
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=_reject_constant)
+    assert_records_parallelism(manifest)
+    run = manifest["run"]
     assert run["c"] == c
     assert run["dt_reason"] == dt_reason
     assert run["steps"] == 2 and run["rhs_evals"] == 8
@@ -383,6 +411,7 @@ def test_check_builds_background_once_per_output_and_pass(tmp_path, monkeypatch)
     path = os.path.join(CONFIGS, "quick.ini")
     assert cli.main(["--config", path, "--out", str(out), "check"]) == 0
     assert len(calls) == 18
+    assert_records_parallelism(json.loads((out / "manifest.json").read_text()))
 
 
 def test_lost_positivity_is_exit_2(tmp_path, monkeypatch):

@@ -1,12 +1,17 @@
 """Tests for the periodic grid, spectral calculus, norms, and snapshot I/O."""
 
+import concurrent.futures.thread
 import itertools
 import math
+import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from nordlimit import fields
 from nordlimit.fields import Grid3, read_snapshot, write_snapshot
 
 L = 2.0 * math.pi
@@ -262,3 +267,114 @@ def test_derivative_of_nyquist_mode_is_zero(grid):
         # also when the Nyquist mode rides on a smooth mode of another axis
         mixed = nyq * np.cos(xs[(axis + 1) % 3])
         assert np.max(np.abs(grid.derivative(mixed, axis))) <= 1e-12
+
+
+def serial_transforms(grid, single, stacked, order, background):
+    """The one-thread results of every fanned-out method, written out with
+    numpy: (gradient of single, gradient of stacked, dealias of stacked,
+    fft of stacked, ifft of that, sobolev_norm of stacked)."""
+    n, axes = grid.n, (-3, -2, -1)
+    ik = 1j * 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.h)
+    ik[-1] = 0.0  # the odd-derivative Nyquist mode
+
+    def gradient(f):
+        out = np.empty(f.shape[:-3] + (3,) + f.shape[-3:])
+        for comp in np.ndindex(f.shape[:-3]):
+            for a in range(3):
+                fh = np.fft.rfft(f[comp], axis=a)
+                fh *= ik.reshape((-1,) + (1,) * (2 - a))
+                out[comp + (a,)] = np.fft.irfft(fh, n, axis=a)
+        return out
+
+    spec = np.fft.rfftn(stacked, axes=axes)
+    dealiased = np.fft.irfftn(spec * grid.dealias_mask, s=(n, n, n), axes=axes)
+    weight = sum(grid.kx ** (2 * a) * grid.ky ** (2 * b) * grid.kz ** (2 * c)
+                 for a, b, c in itertools.product(range(order + 1), repeat=3)
+                 if a + b + c <= order)
+    mult = np.full(n // 2 + 1, 2.0)
+    mult[[0, -1]] = 1.0
+    total = 0.0
+    for comp, bg in zip(stacked, background):
+        ch = np.fft.rfftn(comp - bg)
+        total += np.sum((ch.real**2 + ch.imag**2) * weight * mult)
+    norm = float(np.sqrt(total * grid.length**3 / n**6))
+    return (gradient(single), gradient(stacked), dealiased, spec,
+            np.fft.irfftn(spec, s=(n, n, n), axes=axes), norm)
+
+
+def fanned_transforms(grid, single, stacked, order, background):
+    spec = grid.fft(stacked)
+    return (grid.gradient(single), grid.gradient(stacked), grid.dealias(stacked),
+            spec, grid.ifft(spec),
+            grid.sobolev_norm(stacked, order, background=background))
+
+
+@pytest.fixture(scope="module")
+def fields64():
+    rng = np.random.default_rng(83)
+    return rng.normal(size=(64, 64, 64)), rng.normal(size=(5, 64, 64, 64))
+
+
+def assert_bit_identical(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_fanned_out_transforms_are_bit_identical(monkeypatch, fields64):
+    # at 64**3 on two CPUs every method fans out; each result must equal
+    # the one-thread computation bit for bit
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert fields.transform_threads(64) == 2
+    grid = Grid3(64, L)
+    background = [0.1, -0.2, 0.3, 0.0, 1.5]
+    want = serial_transforms(grid, *fields64, 4, background)
+    assert_bit_identical(fanned_transforms(grid, *fields64, 4, background), want)
+
+
+def test_fan_out_under_thread_contention(monkeypatch, fields64):
+    # more threads than cores and a very short switch interval: a task taken
+    # twice or a scratch buffer shared between threads would show as a
+    # changed result
+    grid = Grid3(64, L)
+    background = [0.0] * 5
+    want = serial_transforms(grid, *fields64, 4, background)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert_bit_identical(
+                fanned_transforms(grid, *fields64, 4, background), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_stop_transform_threads_ends_the_pool_threads(monkeypatch, fields64):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    before = set(threading.enumerate())
+    Grid3(64, L).gradient(fields64[0])
+    started = set(threading.enumerate()) - before
+    assert fields._pool is not None and started
+    fields.stop_transform_threads()
+    assert fields._pool is None
+    assert not any(thread.is_alive() for thread in started)
+
+
+class NoThreadPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a transform started a thread pool")
+
+
+def test_no_thread_pool_on_one_cpu_or_below_64_cubed(monkeypatch, fields64):
+    monkeypatch.setattr(fields, "_pool", None)
+    monkeypatch.setattr(concurrent.futures.thread, "ThreadPoolExecutor",
+                        NoThreadPool)
+    single, stacked = fields64
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert fields.transform_threads(64) == 1
+    fanned_transforms(Grid3(64, L), single, stacked[:2], 4, None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert fields.transform_threads(32) == 1
+    fanned_transforms(Grid3(32, L), single[::2, ::2, ::2],
+                      stacked[:2, ::2, ::2, ::2], 4, None)
+    assert fields._pool is None

@@ -110,6 +110,13 @@ def test_admissibility_margin_enforced(grid, eosf):
         build_newtonian_data(spec, INF, eosf, grid, admissible_box=BOX)
 
 
+def test_admissibility_message_names_grid_point_as_plain_ints(grid, eosf):
+    # every point lies below the eta box, so the first one is named
+    box = ((2.0, 3.0), BOX[1])
+    with pytest.raises(ValueError, match=r"at grid point \(0, 0, 0\) "):
+        build_newtonian_data(generic_spec(), INF, eosf, grid, admissible_box=box)
+
+
 def test_mollify_bundle_gap_decreases(grid, eosf):
     b = build_newtonian_data(generic_spec(), INF, eosf, grid)
     gaps = []

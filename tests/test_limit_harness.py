@@ -1,6 +1,7 @@
 """Tests for the sweep harness, rate fits, and report emission."""
 
 import concurrent.futures
+import json
 import math
 import multiprocessing
 import os
@@ -8,7 +9,9 @@ import os
 import numpy as np
 import pytest
 
+from nordlimit import cli
 from nordlimit import eos
+from nordlimit import fields
 from nordlimit import limit_harness as lh
 from nordlimit import euler_poisson as ep
 from nordlimit.initial_data import build_newtonian_data
@@ -192,3 +195,50 @@ def test_parallel_sweep_matches_in_process_sweep(monkeypatch):
         assert other.ts == traj.ts
         assert all(np.array_equal(a, b) for a, b in zip(other.ws, traj.ws))
         assert parallel.en_bundles[c].phi_bar_c == serial.en_bundles[c].phi_bar_c
+
+
+# a 64**3 grid, where the grid transforms fan out over threads; one step
+# per run.  That is too short a time for the potential slope, so its sweep
+# ends with exit 2 (the rate thresholds fail) after writing its report.
+FAN_OUT = """
+[grid]
+n = 64
+
+[run]
+t_final = 0.01
+n_outputs = 1
+
+[sweep]
+c_values = 10,20,40
+"""
+
+
+def run_cli(tmp_path, name, command, cpus, monkeypatch, code=0):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    path = tmp_path / "fan_out.ini"
+    path.write_text(FAN_OUT)
+    out = tmp_path / name
+    assert cli.main(["--config", str(path), "--out", str(out), command]) == code
+    return out
+
+
+def test_run_ep_on_two_cpus_matches_one_cpu(tmp_path, monkeypatch):
+    one = run_cli(tmp_path, "one", "run-ep", 1, monkeypatch)
+    two = run_cli(tmp_path, "two", "run-ep", 2, monkeypatch)
+    for out, threads in ((one, 1), (two, 2)):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["transform_threads"] == threads
+    for name in ("run_ep_final.nrdf", "run_ep_diagnostics.csv"):
+        assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+def test_forked_sweep_after_thread_pool_matches_one_cpu(tmp_path, monkeypatch):
+    # three CPUs: the limit run fans out over three threads in this
+    # process, which stops them before it forks three rung workers; each
+    # worker builds its own three-thread pool
+    three = run_cli(tmp_path, "three", "sweep", 3, monkeypatch, code=2)
+    assert fields._pool is None
+    one = run_cli(tmp_path, "one", "sweep", 1, monkeypatch, code=2)
+    assert multiprocessing.active_children() == []
+    for name in ("rates.csv", "summary.txt"):
+        assert (three / name).read_bytes() == (one / name).read_bytes()
