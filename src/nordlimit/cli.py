@@ -291,11 +291,23 @@ def cmd_sweep(args, cfg, sc, out, manifest):
 def cmd_check(args, cfg, sc, out, manifest):
     rng = np.random.default_rng(args.seed)
     results = {}
+    phases_s = manifest.data["phases_s"] = {}
+    clock = time.perf_counter()
+
+    def lap(phase):
+        """Record the wall time since the previous lap as phase."""
+        nonlocal clock
+        now = time.perf_counter()
+        phases_s[phase] = now - clock
+        clock = now
+
     bundle = sc.make_bundle()
     grid, eos = bundle.grid, bundle.eos
+    lap("bundle")
     slopes = eos_mod.rate_check(eos, sc.eta_box, sc.p_box,
                                 sc.c_values, seed=args.seed)
     results["eos_rates"] = all(s <= -1.9 for s in slopes.values())
+    lap("eos_rates")
 
     c_mid = sc.c_values[len(sc.c_values) // 2]
     consts_c = sc.consts(c_mid)
@@ -305,29 +317,41 @@ def cmd_check(args, cfg, sc, out, manifest):
                   n_outputs=max(8, sc.n_outputs),
                   eta_box=sc.eta_box, p_box=sc.p_box)
     results["en_run"] = traj.ok
+    lap("en_run")
 
     # positivity and the scalar-field energy inequality along the
     # trajectory, from one build of the background coefficients per output
     variations = rng.normal(size=(16, 5))
-    positive = kg_ok = True
     l_data = ec.kg_data(consts_c, grid, lifted.phi_c)
-    sup_l = 0.0
-    e0 = None
-    for m in range(len(traj.ts)):
+
+    def at_output(m):
+        """The min positivity ratio, |l|_{H^N} and E at output m."""
         bg = ec.background_coeffs(consts_c, eos, traj.ws[m], traj.phis[m])
         lo, _ = ec.positivity_ratio(consts_c, bg, variations)
-        positive = positive and lo > 0
         st = en.RelState(w=traj.ws[m], phi=traj.phis[m], pi=traj.pis[m],
                          t=traj.ts[m], consts=consts_c, eos=eos, grid=grid)
         l = ec.kg_inhomogeneity(consts_c, bg, l_data)
-        sup_l = max(sup_l, grid.sobolev_norm(l, sc.sobolev_order))
-        e = ec.kg_energy(st, lifted.phi_c, sc.sobolev_order)
+        return (lo, grid.sobolev_norm(l, sc.sobolev_order),
+                ec.kg_energy(st, lifted.phi_c, sc.sobolev_order))
+
+    # one output per item, in the workers of a fork map (both maps of the
+    # check have one item per output); the sup of |l| and the inequality
+    # are taken here, in output order
+    manifest.data["fork_workers"] = fields.fork_workers(len(traj.ts))
+    positive = kg_ok = True
+    sup_l = 0.0
+    e0 = None
+    per_output = fields.fork_map(at_output, range(len(traj.ts)))
+    for t, (lo, l_norm, e) in zip(traj.ts, per_output):
+        positive = positive and lo > 0
+        sup_l = max(sup_l, l_norm)
         if e0 is None:
             e0 = e
-        bound = e0 + consts_c.c * traj.ts[m] * sup_l * (1.0 + 1e-3)
+        bound = e0 + consts_c.c * t * sup_l * (1.0 + 1e-3)
         kg_ok = kg_ok and e <= bound
     results["positivity"] = positive
     results["kg_inequality"] = kg_ok
+    lap("outputs")
 
     # divergence identity on the stored run
     smoothed = initial_data.mollify_bundle(lifted, sc.mollify_eps)
@@ -337,6 +361,7 @@ def cmd_check(args, cfg, sc, out, manifest):
     results["divergence_identity"] = rep.max_defect <= 1e-3
     rep.write_csv(os.path.join(out, "divergence_check.csv"))
     manifest.add_output(os.path.join(out, "divergence_check.csv"))
+    lap("divergence")
 
     for name, flag in sorted(results.items()):
         manifest.set_check(name, flag)

@@ -26,6 +26,7 @@ import numpy as np
 from . import eos as eos_mod
 from . import euler_nordstrom as en
 from . import euler_poisson as ep
+from . import fields
 
 
 def background_coeffs(consts, eos, w, phi=None):
@@ -282,20 +283,22 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
                           grid=grid, eta_bar=eta_bar, p_bar=p_bar)
         return ep.with_constraint(st)
 
-    # per output, from one build of the background coefficients: the
-    # energy, the min/max of j0 / |wdot|**2 and, at interior outputs, the
-    # divergence integral (floats only: the coefficient fields are not kept)
     dw0 = grid.gradient(smoothed_w)
     last = len(traj.ts) - 1
-    energies, ratios, div_rhs = [], [], []
-    for m in range(len(traj.ts)):
+
+    def at_output(m):
+        """From one build of the background coefficients of output m: the
+        energy, the min/max of j0 / |wdot|**2 and, at interior outputs, the
+        divergence integral (floats only: the coefficient fields are not
+        kept)."""
         st = make_state(m)
         bg = background_coeffs(consts, eos, st.w, st.phi)
         energy, ratio = _energy_and_ratios(consts, bg, st.w - smoothed_w, grid)
-        energies.append(energy)
-        ratios.append(ratio)
-        if 1 <= m < last:
-            div_rhs.append(_divergence_rhs(st, smoothed_w, bg, dw0))
+        div = _divergence_rhs(st, smoothed_w, bg, dw0) if 1 <= m < last else None
+        return energy, ratio, div
+
+    # one output per item, in the workers of a fork map
+    energies, ratios, div_rhs = zip(*fields.fork_map(at_output, range(last + 1)))
     e0 = abs(energies[0])
 
     rows = []
@@ -303,7 +306,7 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
     for m in range(1, last):
         dt_out = traj.ts[m + 1] - traj.ts[m - 1]
         lhs = (energies[m + 1] - energies[m - 1]) / dt_out
-        rhs = div_rhs[m - 1]
+        rhs = div_rhs[m]
         defect = abs(lhs - rhs) / max(abs(lhs), e0, 1e-300)
         max_defect = max(max_defect, defect)
         rows.append((traj.ts[m], lhs, rhs, defect) + ratios[m])

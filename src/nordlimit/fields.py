@@ -15,6 +15,10 @@ stacked components are split over the calling thread and a pool of threads
 component runs the same transforms on the same data as on one thread, so
 every result is bit-identical to the serial one.
 
+`fork_map` maps a function over items in worker processes forked from the
+caller, one per usable CPU; the sweep's rungs and the check suite's
+per-output work run through it.
+
 Snapshots use a small binary format: header {magic "NRDF", version u32,
 n u32, L f64, t f64, ncomp u32}, followed by ncomp * n**3 little-endian
 float64 values in x-fastest order.
@@ -57,6 +61,58 @@ def stop_transform_threads():
     if _pool is not None and _pool[0] == os.getpid():
         _pool[2].shutdown()
     _pool = None
+
+
+# the function of the fork_map in progress: set before its pool forks, so
+# that the workers inherit it, with everything it closes over, instead of
+# receiving it pickled
+_fork_fn = None
+
+
+def fork_workers(count):
+    """Worker processes of a fork_map over count items: one per usable CPU,
+    at most one per item (1 means it runs in this process)."""
+    return min(count, len(os.sched_getaffinity(0)))
+
+
+def _fork_call(item):
+    return _fork_fn(item)
+
+
+def fork_map(fn, items):
+    """[fn(item) for item in items], computed in forked worker processes.
+
+    fn may be any callable, a closure over large arrays included: the
+    workers are forked from this process and inherit it, so only each item
+    and its result are pickled.  Items are handed out in order, each to the
+    next free worker.  With fork_workers(len(items)) == 1 it runs here, with
+    no pool.  A worker's exception is raised here with its type and message.
+    This process's transform threads are stopped before the pool forks, and
+    each worker starts its own.
+    """
+    global _fork_fn
+    items = list(items)
+    workers = fork_workers(len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    # imported here: the pool's modules add about 2 MB of resident memory,
+    # which a process that never forks need not carry
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    stop_transform_threads()
+    _fork_fn = fn
+    try:
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_fork_call, item) for item in items]
+            try:
+                return [future.result() for future in futures]
+            finally:
+                # after a worker's exception, start no other item
+                for future in futures:
+                    future.cancel()
+    finally:
+        _fork_fn = None
 
 
 class _Scratch:

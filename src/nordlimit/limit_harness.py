@@ -72,6 +72,10 @@ class SweepConfig:
             raise ValueError("sobolev_order must be >= 4")
         if not (0 < self.cfl <= 1):
             raise ValueError("cfl must lie in (0, 1]")
+        for name, (lo, hi) in (("eta", self.eta_box), ("p", self.p_box)):
+            if not lo < hi:
+                raise ValueError("admissible %s box [%g, %g] is empty: %s_min "
+                                 "must be below %s_max" % (name, lo, hi, name, name))
         return self
 
     def make_grid(self):
@@ -180,52 +184,20 @@ def _run_args(config):
                 eta_box=config.eta_box, p_box=config.p_box)
 
 
-# (config, bundle, ep_traj, keep_trajectories) of the sweep in progress:
-# set by `run_sweep` before the rung workers fork, so that they inherit it
-# instead of receiving it pickled
-_SWEEP = None
-
-
-def _run_rung(c):
-    """One finite-c rung of the sweep in progress: lift the data, run, and
-    take the sup-in-time Sobolev gaps against the limit run."""
-    config, bundle, ep_traj, keep = _SWEEP
-    grid = bundle.grid
-    consts_c = config.consts(c)
-    lifted = initial_data.lift_to_relativistic(bundle, consts_c)
-    traj = en.run(en.from_bundle(lifted), config.t_final, **_run_args(config))
-    order = config.sobolev_order
-    w_sup = 0.0
-    phi_sup = 0.0
-    if traj.ok:
-        for m in range(len(traj.ts)):
-            w_sup = max(w_sup, grid.sobolev_norm(
-                ep_traj.ws[m] - en.pull_back(traj.ws[m], traj.phis[m], consts_c),
-                order - 1))
-            dev = ((ep_traj.phis[m] - bundle.phi_bar_inf)
-                   - (traj.phis[m] - lifted.phi_bar_c))
-            phi_sup = max(phi_sup, grid.sobolev_norm(dev, order + 1))
-    return RungResult(record=traj.record(), sup_w=w_sup, sup_phi=phi_sup,
-                      phi_bar_gap=abs(bundle.phi_bar_inf - lifted.phi_bar_c),
-                      abort_reason=traj.abort_reason,
-                      traj=traj if keep else None,
-                      lifted=lifted if keep else None)
-
-
 def run_sweep(config, keep_trajectories=True, progress=None):
     """Run the full experiment; returns a SweepResult with a fitted report.
 
     The limit run comes first.  The finite-c rungs share nothing but the
-    limit trajectory and the data, so they run in forked worker processes,
-    one per rung and at most one per CPU this process may run on (in this
-    process when that is one CPU), largest c first, as the
-    step count grows with c; each worker holds one rung's state and sends
-    back only the gaps and the telemetry.  The results are taken in ladder
-    order.  progress, if given, is called with one line of text per
-    finished run, in ladder order.  An aborted run raises SweepAborted
-    carrying the partial result: the runs up to the first aborted one.
+    limit trajectory and the data, so they run through `fields.fork_map`:
+    in forked worker processes, one per rung and at most one per CPU this
+    process may run on (in this process when that is one CPU), largest c
+    first, as the step count grows with c; each worker holds one rung's
+    state and sends back only the gaps and the telemetry.  The results are
+    taken in ladder order.  progress, if given, is called with one line of
+    text per finished run, in ladder order.  An aborted run raises
+    SweepAborted carrying the partial result: the runs up to the first
+    aborted one.
     """
-    global _SWEEP
     config.validate()
     clock = time.perf_counter()
     bundle = config.make_bundle()
@@ -250,50 +222,50 @@ def run_sweep(config, keep_trajectories=True, progress=None):
         raise SweepAborted("limit-system run aborted: " + ep_traj.abort_reason,
                            result)
 
-    def collect(rungs):
-        """Fill result from the rungs, taken in ladder order."""
-        sup_w, sup_phi, gaps = [], [], []
-        for c, rung in zip(config.c_values, rungs):
-            finished(c, "c=%g" % c, rung.record)
-            if rung.abort_reason is not None:
-                result.abort_reasons[c] = rung.abort_reason
-                raise SweepAborted("finite-c run aborted at c=%g: %s"
-                                   % (c, rung.abort_reason), result)
-            sup_w.append(rung.sup_w)
-            sup_phi.append(rung.sup_phi)
-            gaps.append(rung.phi_bar_gap)
-            if keep_trajectories:
-                result.en_trajs[c] = rung.traj
-                result.en_bundles[c] = rung.lifted
-        result.report = RateReport(c_values=list(config.c_values), sup_w=sup_w,
-                                   sup_phi=sup_phi, phi_bar_gap=gaps).fit()
+    def run_rung(c):
+        """One finite-c rung: lift the data, run, and take the sup-in-time
+        Sobolev gaps against the limit run."""
+        grid = bundle.grid
+        consts_c = config.consts(c)
+        lifted = initial_data.lift_to_relativistic(bundle, consts_c)
+        traj = en.run(en.from_bundle(lifted), config.t_final, **_run_args(config))
+        order = config.sobolev_order
+        w_sup = 0.0
+        phi_sup = 0.0
+        if traj.ok:
+            for m in range(len(traj.ts)):
+                w_sup = max(w_sup, grid.sobolev_norm(
+                    ep_traj.ws[m] - en.pull_back(traj.ws[m], traj.phis[m], consts_c),
+                    order - 1))
+                dev = ((ep_traj.phis[m] - bundle.phi_bar_inf)
+                       - (traj.phis[m] - lifted.phi_bar_c))
+                phi_sup = max(phi_sup, grid.sobolev_norm(dev, order + 1))
+        return RungResult(record=traj.record(), sup_w=w_sup, sup_phi=phi_sup,
+                          phi_bar_gap=abs(bundle.phi_bar_inf - lifted.phi_bar_c),
+                          abort_reason=traj.abort_reason,
+                          traj=traj if keep_trajectories else None,
+                          lifted=lifted if keep_trajectories else None)
 
-    workers = min(len(config.c_values), len(os.sched_getaffinity(0)))
-    _SWEEP = (config, bundle, ep_traj, keep_trajectories)
     clock = time.perf_counter()
-    try:
-        if workers == 1:
-            collect(map(_run_rung, config.c_values))
-        else:
-            # imported here: the pool's modules add about 2 MB of resident
-            # memory, which runs without parallel rungs need not carry
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            # the limit run may have started transform threads; each
-            # worker starts its own
-            fields.stop_transform_threads()
-            with ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = {c: pool.submit(_run_rung, c)
-                           for c in sorted(config.c_values, reverse=True)}
-                try:
-                    collect(futures[c].result() for c in config.c_values)
-                finally:
-                    for future in futures.values():
-                        future.cancel()
-    finally:
-        _SWEEP = None
-        phases_s["rungs"] = time.perf_counter() - clock
+    largest_first = sorted(config.c_values, reverse=True)
+    rungs = dict(zip(largest_first, fields.fork_map(run_rung, largest_first)))
+    phases_s["rungs"] = time.perf_counter() - clock
+    sup_w, sup_phi, gaps = [], [], []
+    for c in config.c_values:
+        rung = rungs[c]
+        finished(c, "c=%g" % c, rung.record)
+        if rung.abort_reason is not None:
+            result.abort_reasons[c] = rung.abort_reason
+            raise SweepAborted("finite-c run aborted at c=%g: %s"
+                               % (c, rung.abort_reason), result)
+        sup_w.append(rung.sup_w)
+        sup_phi.append(rung.sup_phi)
+        gaps.append(rung.phi_bar_gap)
+        if keep_trajectories:
+            result.en_trajs[c] = rung.traj
+            result.en_bundles[c] = rung.lifted
+    result.report = RateReport(c_values=list(config.c_values), sup_w=sup_w,
+                               sup_phi=sup_phi, phi_bar_gap=gaps).fit()
     return result
 
 
@@ -334,21 +306,32 @@ def approximate_solution_residuals(traj, phi_data, w_data_inf, consts, eos,
         return en.pull_back(traj.ws[m], traj.phis[m], consts)
 
     rho_data = eos_mod.mass_density(consts_inf, eos, w_data_inf[0], w_data_inf[1])
-    sup_e1 = 0.0
-    sup_e2 = 0.0
-    for m in range(len(traj.ts)):
+
+    def norms(m):
+        """The norms of the two residuals at output m; the first is None at
+        the end outputs, where the centered difference has no neighbour."""
         wm = script_w(m)
         e2 = (grid.laplacian(traj.phis[m] - phi_data)
               - consts.kappa**2 * (traj.phis[m] - phi_data)
               - fourpg * (eos_mod.mass_density(consts_inf, eos, wm[0], wm[1])
                           - rho_data))
-        sup_e2 = max(sup_e2, grid.sobolev_norm(e2, order - 1))
-        if 1 <= m <= len(traj.ts) - 2:
-            dt_out = traj.ts[m + 1] - traj.ts[m - 1]
-            dt_w = (script_w(m + 1) - script_w(m - 1)) / dt_out
-            e1 = newtonian_operator_residual(wm, dt_w, traj.phis[m],
-                                             consts_inf, eos, grid)
-            sup_e1 = max(sup_e1, grid.sobolev_norm(e1, order - 1))
+        e2_norm = grid.sobolev_norm(e2, order - 1)
+        if not 1 <= m <= len(traj.ts) - 2:
+            return None, e2_norm
+        dt_out = traj.ts[m + 1] - traj.ts[m - 1]
+        dt_w = (script_w(m + 1) - script_w(m - 1)) / dt_out
+        e1 = newtonian_operator_residual(wm, dt_w, traj.phis[m],
+                                         consts_inf, eos, grid)
+        return grid.sobolev_norm(e1, order - 1), e2_norm
+
+    # one output per item, in the workers of a fork map; the sups are taken
+    # here, in output order
+    sup_e1 = 0.0
+    sup_e2 = 0.0
+    for e1, e2 in fields.fork_map(norms, range(len(traj.ts))):
+        sup_e2 = max(sup_e2, e2)
+        if e1 is not None:
+            sup_e1 = max(sup_e1, e1)
     return sup_e1, sup_e2
 
 

@@ -160,6 +160,18 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: malformed config: ")
 
 
+@pytest.mark.parametrize("box, text", [
+    ("eta", "eta_min = 2.0"), ("p", "p_min = 0.7\np_max = 0.7"),
+], ids=["eta", "p"])
+def test_empty_admissible_box_is_usage_error(tmp_path, capsys, box, text):
+    # an empty box is a config error, not a fault of the initial data
+    path = write(tmp_path, SMALL + "\n[admissible]\n" + text + "\n")
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
+                     "run-ep"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: admissible %s box [" % box)
+
+
 def test_run_en_requires_finite_c(tmp_path):
     path = write(tmp_path, QUIET)  # no run.c, defaults to inf
     assert cli.main(["--config", path, "--out", str(tmp_path), "run-en"]) == 1
@@ -286,10 +298,17 @@ def test_sweep_manifest_records_runs_and_progress(tmp_path, capsys):
     assert labels == ["limit run", "c=10", "c=20", "c=40"]
 
 
-def assert_records_parallelism(manifest):
+def assert_records_parallelism(manifest, outputs=None):
     # below 64**3 the grid transforms run on the calling thread alone
     assert manifest["cpus"] == len(os.sched_getaffinity(0))
     assert manifest["transform_threads"] == 1
+    if outputs is not None:
+        # a check manifest: its per-output work forks one worker per CPU,
+        # at most one per output, and it records the wall time of its phases
+        assert manifest["fork_workers"] == min(outputs, manifest["cpus"])
+        assert set(manifest["phases_s"]) == {"bundle", "eos_rates", "en_run",
+                                             "outputs", "divergence"}
+        assert all(t >= 0 for t in manifest["phases_s"].values())
 
 
 def _reject_constant(name):
@@ -409,9 +428,28 @@ def test_check_builds_background_once_per_output_and_pass(tmp_path, monkeypatch)
     monkeypatch.setattr(ec, "background_coeffs", counted)
     out = tmp_path / "out"
     path = os.path.join(CONFIGS, "quick.ini")
+    # counted in this process: one CPU keeps the per-output work here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert cli.main(["--config", path, "--out", str(out), "check"]) == 0
     assert len(calls) == 18
-    assert_records_parallelism(json.loads((out / "manifest.json").read_text()))
+    assert_records_parallelism(json.loads((out / "manifest.json").read_text()),
+                               outputs=9)
+
+
+def test_check_on_two_cpus_matches_one(tmp_path, monkeypatch, capsys):
+    # the per-output work runs in two forked workers or in this process;
+    # the printout and the divergence CSV are the same byte for byte
+    path = os.path.join(CONFIGS, "quick.ini")
+    seen = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / str(cpus)
+        assert cli.main(["--config", path, "--out", str(out), "check"]) == 0
+        assert_records_parallelism(
+            json.loads((out / "manifest.json").read_text()), outputs=9)
+        seen.append((capsys.readouterr().out,
+                     (out / "divergence_check.csv").read_bytes()))
+    assert seen[0] == seen[1]
 
 
 def test_lost_positivity_is_exit_2(tmp_path, monkeypatch):

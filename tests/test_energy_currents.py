@@ -1,6 +1,7 @@
 """Tests for energy currents, positivity, the sound cone, and divergence."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -245,6 +246,28 @@ def test_divergence_identity_limit(grid, eosf):
     report = ec.divergence_identity_check(
         traj, b.w_inf, b.phi_inf, INF, eosf, grid)
     assert report.max_defect <= 2e-3
+
+
+@pytest.mark.parametrize("c", [20.0, math.inf], ids=["finite-c", "c=inf"])
+def test_divergence_check_on_two_cpus_matches_one(monkeypatch, eosf, c):
+    # the per-output work runs in two forked workers or in this process;
+    # the report is the same bit for bit
+    grid16 = Grid3(16, L)
+    b = mollify_bundle(perturbed_bundle(grid16, eosf, c), 0.2)
+    if math.isfinite(c):
+        st, run, w0, phi0 = en.from_bundle(b), en.run, b.w_c, b.phi_c
+    else:
+        st, run, w0, phi0 = ep.from_bundle(b, INF), ep.run, b.w_inf, b.phi_inf
+    traj = run(st, 0.02, n_outputs=4, eta_box=BOX[0], p_box=BOX[1])
+    reports = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        reports.append(ec.divergence_identity_check(
+            traj, w0, phi0, st.consts, eosf, grid16))
+    two, one = reports
+    assert len(one.rows) == 3
+    assert np.array_equal(two.rows, one.rows, equal_nan=True)
+    assert two.max_defect == one.max_defect
 
 
 def test_divergence_report_csv(grid, eosf, tmp_path):

@@ -3,6 +3,7 @@
 import concurrent.futures.thread
 import itertools
 import math
+import multiprocessing
 import os
 import struct
 import sys
@@ -378,3 +379,41 @@ def test_no_thread_pool_on_one_cpu_or_below_64_cubed(monkeypatch, fields64):
     fanned_transforms(Grid3(32, L), single[::2, ::2, ::2],
                       stacked[:2, ::2, ::2, ::2], 4, None)
     assert fields._pool is None
+
+
+def _raise_at(item):
+    raise ValueError("no data at output %d" % item)
+
+
+def test_fork_map_raises_a_worker_error_here(monkeypatch):
+    # results come back in item order from forked workers; a worker's
+    # exception reaches the caller with its type and message
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+    results = fields.fork_map(lambda i: (i, os.getpid() != parent), range(4))
+    assert results == [(0, True), (1, True), (2, True), (3, True)]
+    with pytest.raises(ValueError) as info:
+        fields.fork_map(lambda i: _raise_at(i) if i == 1 else i, range(3))
+    assert str(info.value) == "no data at output 1"
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_stops_transform_threads_before_forking(monkeypatch, fields64):
+    # at 64**3 the parent's transform threads are live when the map starts;
+    # it stops them, so no worker inherits the pool, and each worker
+    # starts its own
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    grid = Grid3(64, L)
+    before = set(threading.enumerate())
+    want = grid.gradient(fields64[0])
+    started = set(threading.enumerate()) - before
+    assert fields._pool is not None and started
+
+    def in_worker(item):
+        inherited = fields._pool is not None and fields._pool[0] != os.getpid()
+        return inherited, np.array_equal(grid.gradient(fields64[0]), want)
+
+    assert fields.fork_map(in_worker, range(2)) == [(False, True)] * 2
+    assert fields._pool is None
+    assert not any(thread.is_alive() for thread in started)
+    assert multiprocessing.active_children() == []

@@ -11,10 +11,11 @@ import pytest
 
 from nordlimit import cli
 from nordlimit import eos
+from nordlimit import euler_nordstrom as en
 from nordlimit import fields
 from nordlimit import limit_harness as lh
 from nordlimit import euler_poisson as ep
-from nordlimit.initial_data import build_newtonian_data
+from nordlimit.initial_data import build_newtonian_data, lift_to_relativistic
 
 
 def test_fit_slope_exact_power_law():
@@ -118,6 +119,25 @@ def test_limit_trajectory_residual_floor():
         traj, bundle.phi_inf, bundle.w_inf, consts_inf, eosf, grid,
         cfg.sobolev_order)
     assert sup_e2 <= 1e-9
+
+
+def test_residuals_on_two_cpus_match_one(monkeypatch):
+    # the per-output norms run in two forked workers or in this process;
+    # the sups are the same bit for bit
+    cfg = quiet_config()
+    cfg.amp_eta = cfg.amp_p = 0.05
+    bundle = cfg.make_bundle()
+    consts = cfg.consts(20.0)
+    lifted = lift_to_relativistic(bundle, consts)
+    traj = en.run(en.from_bundle(lifted), cfg.t_final, n_outputs=cfg.n_outputs)
+    sups = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        sups.append(lh.approximate_solution_residuals(
+            traj, lifted.phi_c, bundle.w_inf, consts, bundle.eos, bundle.grid,
+            cfg.sobolev_order))
+    assert sups[0] == sups[1]
+    assert all(s > 0 for s in sups[0])
 
 
 def test_newtonian_operator_residual_zero_on_rhs():
