@@ -86,18 +86,16 @@ def positivity_ratio(consts, bg, variations):
     """Min and max over the grid of j0(wdot)/|wdot|^2 for the variations.
 
     variations has shape (K, 5); each row is used as a constant variation
-    field (unit normalization enforced here).  A min ratio <= 0 means the
+    field (unit normalization enforced here), its entries entering j0 as
+    scalars against the coefficient fields.  A min ratio <= 0 means the
     current lost positivity; it is returned, for the caller to judge.
     """
     lo, hi = math.inf, -math.inf
-    shape = np.asarray(bg.v).shape[1:]
     for row in np.atleast_2d(np.asarray(variations, float)):
         norm = math.sqrt(float(np.dot(row, row)))
         if norm == 0:
             raise ValueError("zero variation supplied")
-        unit = row / norm
-        wdot = np.broadcast_to(unit[:, None, None, None], (5,) + shape)
-        ratio = j0(consts, bg, wdot)
+        ratio = j0(consts, bg, row / norm)
         lo = min(lo, float(np.min(ratio)))
         hi = max(hi, float(np.max(ratio)))
     return lo, hi

@@ -1,14 +1,20 @@
 """RK4 pseudospectral integrator for the Newtonian limit system.
 
-Variables are w = (eta, p, v1, v2, v3); the potential is fully constrained,
-solved from the screened Poisson equation
+Variables are w = (eta, p, v1, v2, v3); the potential is fully constrained
+by the screened Poisson equation
 
     (lap - kappa**2) phi = 4 pi G rho_inf(eta, p)
 
-at every RK4 stage (on the torus the uniform part is absorbed by the
-constant background potential).  The pressure-form equations are evolved;
-the mass-form (evolving R = rho_inf directly in conservation form) is kept
-only as an equivalence oracle.
+(on the torus the uniform part is absorbed by the constant background
+potential).  The force -grad phi is therefore a linear Fourier multiplier
+of the source, i k src_hat / (|k|**2 + kappa**2): a right-hand side
+(`_deriv`) transforms the source together with the fluid terms and adds
+the force to the velocity spectra, so no RK4 stage solves the constraint.
+`step` solves it once, for the new state, whose potential the outputs
+carry.  The pressure-form equations are evolved; the mass-form (evolving
+R = rho_inf directly in conservation form) is kept only as an equivalence
+oracle, and `newtonian_rhs`, which applies -grad phi of a solved potential
+in physical space, as the oracle of `_deriv`.
 """
 
 import math
@@ -45,42 +51,66 @@ def from_bundle(bundle, consts_inf):
                      eta_bar=bundle.eta_bar, p_bar=bundle.p_bar)
 
 
+def _limit_density(state):
+    """rho_inf of the state's (eta, p); a right-hand side needs it positive."""
+    r_inf = eos_mod.mass_density(state.consts, state.eos, state.w[0], state.w[1])
+    if np.any(r_inf <= 0):
+        raise ValueError("nonpositive limit density")
+    return r_inf
+
+
+def _constraint_source(consts, eos, eta_bar, p_bar, r_inf, out=None):
+    """The constraint's source 4 pi G (rho_inf - rho_bar) for the limit
+    density r_inf, written into out when given."""
+    rho_bar = float(eos_mod.mass_density(consts, eos, eta_bar, p_bar))
+    src = np.subtract(r_inf, rho_bar, out=out)
+    src *= 4.0 * math.pi * consts.grav_g
+    return src
+
+
+def _potential(consts, eos, grid, eta_bar, p_bar, r_inf):
+    """The potential solving the screened constraint for r_inf."""
+    phi_bar = eos_mod.background_potential(consts, eos, eta_bar, p_bar)
+    return phi_bar + grid.helmholtz_solve(
+        _constraint_source(consts, eos, eta_bar, p_bar, r_inf), consts.kappa)
+
+
 def solve_constraint(state):
     """Potential from the screened Poisson constraint for the current w."""
-    consts, eos = state.consts, state.eos
-    rho = eos_mod.mass_density(consts, eos, state.w[0], state.w[1])
-    rho_bar = float(eos_mod.mass_density(consts, eos, state.eta_bar, state.p_bar))
-    phi_bar = eos_mod.background_potential(consts, eos, state.eta_bar, state.p_bar)
-    return phi_bar + state.grid.helmholtz_solve(
-        4.0 * math.pi * consts.grav_g * (rho - rho_bar), consts.kappa)
+    r_inf = eos_mod.mass_density(state.consts, state.eos, state.w[0], state.w[1])
+    return _potential(state.consts, state.eos, state.grid, state.eta_bar,
+                      state.p_bar, r_inf)
 
 
 def with_constraint(state):
     return replace(state, phi=solve_constraint(state))
 
 
-def newtonian_rhs(state):
-    """d_t w of the pressure-form system; requires a cached potential."""
-    if state.phi is None:
-        raise ValueError("potential not cached; call with_constraint first")
-    grid = state.grid
+def _fluid_terms(state, r_inf, out):
+    """d_t w of the pressure-form system without gravity, written into out
+    (5, n, n, n): transport, -q div v and the pressure force -grad p / rho."""
     eta, p = state.w[0], state.w[1]
     v = state.w[2:]
-    r_inf = eos_mod.mass_density(state.consts, state.eos, eta, p)
-    if np.any(r_inf <= 0):
-        raise ValueError("nonpositive limit density")
     q_inf = eos_mod.q_coefficient(state.consts, state.eos, eta, p)
 
-    dw = grid.gradient(state.w)
+    dw = state.grid.gradient(state.w)
     deta, dp, dv = dw[0], dw[1], dw[2:]
-    dphi = grid.gradient(state.phi)
-
     adv = lambda f_grad: np.einsum("k...,k...->...", v, f_grad)
     div_v = dv[0, 0] + dv[1, 1] + dv[2, 2]
-    dt_eta = -adv(deta)
-    dt_p = -adv(dp) - q_inf * div_v
-    dt_v = -np.einsum("k...,jk...->j...", v, dv) - (dp + r_inf * dphi) / r_inf
-    return np.concatenate([dt_eta[None], dt_p[None], dt_v])
+    out[0] = -adv(deta)
+    out[1] = -adv(dp) - q_inf * div_v
+    out[2:] = -np.einsum("k...,jk...->j...", v, dv) - dp / r_inf
+    return out
+
+
+def newtonian_rhs(state):
+    """d_t w of the pressure-form system; requires a cached potential, whose
+    force -grad phi it applies in physical space."""
+    if state.phi is None:
+        raise ValueError("potential not cached; call with_constraint first")
+    out = _fluid_terms(state, _limit_density(state), np.empty_like(state.w))
+    out[2:] -= state.grid.gradient(state.phi)
+    return out
 
 
 def mass_form_rhs(state_w_r, consts, eos, grid, eta_bar, p_bar):
@@ -93,10 +123,7 @@ def mass_form_rhs(state_w_r, consts, eos, grid, eta_bar, p_bar):
     eta, r_inf = state_w_r[0], state_w_r[1]
     v = state_w_r[2:]
     p = eos.a_inf * (r_inf / eos.m0) ** eos.gamma
-    rho_bar = float(eos_mod.mass_density(consts, eos, eta_bar, p_bar))
-    phi_bar = eos_mod.background_potential(consts, eos, eta_bar, p_bar)
-    phi = phi_bar + grid.helmholtz_solve(
-        4.0 * math.pi * consts.grav_g * (r_inf - rho_bar), consts.kappa)
+    phi = _potential(consts, eos, grid, eta_bar, p_bar, r_inf)
 
     deta = grid.gradient(eta)
     dv = grid.gradient(v)
@@ -110,18 +137,40 @@ def mass_form_rhs(state_w_r, consts, eos, grid, eta_bar, p_bar):
 
 
 def _deriv(state):
-    """Dealiased d_t w; the constraint is solved only when phi is not cached."""
-    if state.phi is None:
-        state = with_constraint(state)
-    return state.grid.dealias(newtonian_rhs(state))
+    """Dealiased d_t w, with gravity taken from the source spectrum.
+
+    The fluid terms and the constraint source are transformed as one stack
+    of 6 fields; the force -grad phi, with spectrum
+    i k src_hat / (|k|**2 + kappa**2), is added to the velocity spectra in
+    place before the 2/3 mask.  No potential is solved or read, so state.phi
+    may be None.
+    """
+    grid = state.grid
+    r_inf = _limit_density(state)
+    stack = np.empty((6,) + r_inf.shape)
+    _fluid_terms(state, r_inf, stack[:5])
+    _constraint_source(state.consts, state.eos, state.eta_bar, state.p_bar,
+                       r_inf, out=stack[5])
+    spec = grid.fft(stack)
+    del stack, r_inf
+    src = spec[5]
+    src /= grid.screened_symbol(state.consts.kappa)  # -phi_hat
+    force = np.empty_like(src)
+    for j, k in enumerate((grid.kx, grid.ky, grid.kz)):
+        np.multiply(src, 1j * k, out=force)
+        spec[2 + j] += force
+    del force
+    rhs = spec[:5]
+    rhs *= grid.dealias_mask
+    return grid.ifft(rhs)
 
 
 def step(state, dt):
-    """Classical RK4 with the constraint solved at every stage.
+    """Classical RK4; the constraint is solved once, for the new state.
 
-    The stage states drop the potential (phi=None), so `_deriv` solves it
-    for their w; the first stage reuses the potential of state, which the
-    previous step (or `run`) solved for the same w.
+    `_deriv` takes gravity from the source spectrum, so the stage states
+    carry no potential (phi=None); the new state's potential is what the
+    outputs and the finiteness check see.
     """
     k1 = _deriv(state)
     k2 = _deriv(replace(state, w=state.w + 0.5 * dt * k1, t=state.t + 0.5 * dt,

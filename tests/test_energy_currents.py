@@ -136,6 +136,25 @@ def test_positivity_eigen_oracle(grid, eosf):
     assert lam_min - 1e-12 <= lo <= hi <= lam_max + 1e-12
 
 
+@pytest.mark.parametrize("c", [20.0, math.inf])
+def test_positivity_matches_quadratic_form(grid, eosf, c):
+    # the scalar variations of positivity_ratio against u^T M u per point
+    b = perturbed_bundle(grid, eosf, c)
+    if math.isfinite(c):
+        consts = b.consts
+        bg = ec.background_coeffs(consts, eosf, b.w_c, b.phi_c)
+    else:
+        consts = INF
+        bg = ec.background_coeffs(consts, eosf, b.w_inf)
+    rows = np.random.default_rng(5).standard_normal((8, 5))
+    units = rows / np.linalg.norm(rows, axis=1)[:, None]
+    m = ec.quadratic_form_matrix(consts, bg)
+    forms = np.einsum("ki,...ij,kj->k...", units, m, units)
+    lo, hi = ec.positivity_ratio(consts, bg, rows)
+    assert lo == pytest.approx(float(np.min(forms)), abs=1e-14)
+    assert hi == pytest.approx(float(np.max(forms)), abs=1e-14)
+
+
 def test_positivity_reports_lost_positivity(grid):
     # a nonpositive ratio is returned for the caller to judge, not raised
     consts, bg = rest_background(grid, math.inf)
