@@ -3,8 +3,8 @@
 Subcommands: run-en (finite-c run), run-ep (limit run), sweep (the rate
 experiment), check (invariant suite), info (snapshot inspection).  Configs
 are INI-style key = value sections; unknown keys are warnings by default
-and hard errors under --strict.  Exit codes: 0 success, 1 usage or config
-error, 2 check/threshold failure.
+and hard errors under --strict.  Exit codes: 0 success, 1 usage error (a
+bad flag or argument included) or config error, 2 check/threshold failure.
 """
 
 import argparse
@@ -405,7 +405,14 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+        if args.seed < 0:  # numpy's generators take non-negative seeds only
+            ap.error("argument --seed: expected a non-negative integer")
+    except SystemExit as exc:
+        if exc.code:  # argparse's usage errors exit 2, a failed check's code
+            return 1
+        raise
     if args.command is None:
         ap.print_usage(sys.stderr)
         return 1

@@ -15,7 +15,8 @@ inhomogeneities (f, g, h) are the fluid operator b - a^k d_k W0
 (`euler_nordstrom.fluid_residual`), and the current satisfies an exact
 divergence identity whose right-hand side involves only the background
 derivatives and (f, g, h); `divergence_identity_check` measures its
-discrete defect.  One formula serves both systems (s = 0 at c = inf).
+discrete defect on a trajectory's stored states.  One formula and one
+state type (`RelState`, pi = 0) serve both systems (s = 0 at c = inf).
 """
 
 import math
@@ -25,7 +26,6 @@ import numpy as np
 
 from . import eos as eos_mod
 from . import euler_nordstrom as en
-from . import euler_poisson as ep
 from . import fields
 
 
@@ -267,19 +267,18 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
                               eta_bar=1.0, p_bar=1.0):
     """Discrete defect of the energy-current divergence identity.
 
-    traj is a trajectory of either system; the variation is
-    wdot(t) = w(t) - smoothed_w.  At every interior output time the centered
-    difference of the energy integral is compared with the exact divergence
-    integral; the defect is normalized by max(|LHS|, initial energy).
-    phi_data is not used: l does not enter the fluid current's identity.
+    traj is a trajectory of either system, read as stored (pi = 0 at
+    c = inf); the variation is wdot(t) = w(t) - smoothed_w.  At every
+    interior output time the centered difference of the energy integral is
+    compared with the exact divergence integral; the defect is normalized
+    by max(|LHS|, initial energy).  phi_data, eta_bar and p_bar are not
+    used: l does not enter the fluid current's identity, and the stored
+    potentials need no constraint solve.
     """
     def make_state(m):
-        if consts.finite_c:
-            return en.RelState(w=traj.ws[m], phi=traj.phis[m], pi=traj.pis[m],
-                               t=traj.ts[m], consts=consts, eos=eos, grid=grid)
-        st = ep.NewtState(w=traj.ws[m], t=traj.ts[m], consts=consts, eos=eos,
-                          grid=grid, eta_bar=eta_bar, p_bar=p_bar)
-        return ep.with_constraint(st)
+        pi = traj.pis[m] if consts.finite_c else 0.0
+        return en.RelState(w=traj.ws[m], phi=traj.phis[m], pi=pi,
+                           t=traj.ts[m], consts=consts, eos=eos, grid=grid)
 
     dw0 = grid.gradient(smoothed_w)
     last = len(traj.ts) - 1

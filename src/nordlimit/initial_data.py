@@ -6,9 +6,9 @@ Gaussian bumps.  From the Newtonian fields (eta0, p0, v0) we derive
     phi0_inf = phi_bar_inf + (lap - kappa**2)**-1 [4 pi G (rho_inf(eta0,p0)
                                                   - rho_inf(eta_bar,p_bar))],
     psi0     = (lap - kappa**2)**-1 [-4 pi G d_k(rho_inf(eta0,p0) v0^k)],
-    psi_j    = d_j phi0_inf,
 
-and for finite c the potential datum is shifted by the background constants,
+phi0_inf by the limit system's own solve (`euler_poisson._potential`).  For
+finite c the potential datum is shifted by the background constants,
 phi0_c = phi0_inf - phi_bar_inf + phi_bar_c, so the deviation from the
 background is identical across the family.  The finite-c fluid state evolves
 the weighted pressure: w0_c = (eta0, exp(4 phi0_c/c**2) p0, v0).
@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eos as eos_mod
+from . import euler_poisson as ep
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class DataBundle:
     w_inf: np.ndarray
     phi_inf: np.ndarray
     psi0: np.ndarray
-    psi_j: np.ndarray
     phi_bar_inf: float
     consts: object = None
     phi_c: np.ndarray = None
@@ -104,15 +104,12 @@ def build_newtonian_data(spec, consts_inf, eos, grid, eta_bar=1.0, p_bar=1.0,
     g = consts_inf.grav_g
     phi_bar_inf = eos_mod.background_potential(consts_inf, eos, eta_bar, p_bar)
     rho = eos_mod.mass_density(consts_inf, eos, eta, p)
-    rho_bar = float(eos_mod.mass_density(consts_inf, eos, eta_bar, p_bar))
-    phi_inf = phi_bar_inf + grid.helmholtz_solve(
-        4.0 * math.pi * g * (rho - rho_bar), consts_inf.kappa)
+    phi_inf = ep._potential(consts_inf, eos, grid, eta_bar, p_bar, rho)
     flux_div = sum(grid.derivative(rho * v[k], k) for k in range(3))
     psi0 = grid.helmholtz_solve(-4.0 * math.pi * g * flux_div, consts_inf.kappa)
-    psi_j = grid.gradient(phi_inf)
     w_inf = np.concatenate([eta[None], p[None], v])
     return DataBundle(grid=grid, eos=eos, eta_bar=eta_bar, p_bar=p_bar,
-                      w_inf=w_inf, phi_inf=phi_inf, psi0=psi0, psi_j=psi_j,
+                      w_inf=w_inf, phi_inf=phi_inf, psi0=psi0,
                       phi_bar_inf=phi_bar_inf)
 
 

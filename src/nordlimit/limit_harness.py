@@ -20,8 +20,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import eos as eos_mod
 from . import euler_nordstrom as en
 from . import euler_poisson as ep
@@ -270,20 +268,13 @@ def run_sweep(config, keep_trajectories=True, progress=None):
 
 
 def newtonian_operator_residual(w, dt_w, phi, consts_inf, eos, grid):
-    """Pointwise residual of the limit system applied to (w, d_t w, phi)."""
-    eta, p = w[0], w[1]
-    v = w[2:]
-    r_inf = eos_mod.mass_density(consts_inf, eos, eta, p)
-    q_inf = eos_mod.q_coefficient(consts_inf, eos, eta, p)
-    dw = grid.gradient(w)
-    deta, dp, dv = dw[0], dw[1], dw[2:]
-    dphi = grid.gradient(phi)
-    adv = lambda grad: np.einsum("k...,k...->...", v, grad)
-    res = np.empty_like(w)
-    res[0] = dt_w[0] + adv(deta)
-    res[1] = dt_w[1] + adv(dp) + q_inf * (dv[0, 0] + dv[1, 1] + dv[2, 2])
-    res[2:] = (r_inf * (dt_w[2:] + np.einsum("k...,jk...->j...", v, dv))
-               + dp + r_inf * dphi)
+    """Pointwise residual of the limit system at (w, d_t w, phi): d_t w minus
+    the limit solver's operator `ep.newtonian_rhs` at the given potential,
+    the velocity rows multiplied by rho_inf (the momentum form)."""
+    state = ep.NewtState(w=w, t=0.0, consts=consts_inf, eos=eos, grid=grid,
+                         eta_bar=None, p_bar=None, phi=phi)
+    res = dt_w - ep.newtonian_rhs(state)
+    res[2:] *= eos_mod.mass_density(consts_inf, eos, w[0], w[1])
     return res
 
 

@@ -245,6 +245,25 @@ def test_no_threads_flag(tmp_path):
     assert "threads" not in json.loads((out / "manifest.json").read_text())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["--seed", "abc", "check"], "argument --seed: invalid int value"),
+    (["--seed", "-3", "check"], "argument --seed: expected a non-negative"),
+], ids=["bad-flag", "bad-command", "bad-seed", "negative-seed"])
+def test_argparse_errors_are_usage_errors(capsys, argv, message):
+    # exit 1, not argparse's 2, which is the code of a failed check
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
+
+
 def _assert_cli_import_leaves_out(module):
     """Importing nordlimit.cli in a fresh interpreter does not load module."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nordlimit.__file__)))

@@ -289,6 +289,29 @@ def test_divergence_check_on_two_cpus_matches_one(monkeypatch, eosf, c):
     assert two.max_defect == one.max_defect
 
 
+def test_divergence_check_reads_stored_limit_potentials(monkeypatch, eosf):
+    # a limit trajectory stores the potential each step solved for; the
+    # check takes it as stored and gives, bit for bit, the rows of the
+    # potentials re-solved from the stored fluid states
+    grid16 = Grid3(16, L)
+    b = mollify_bundle(perturbed_bundle(grid16, eosf, math.inf), 0.2)
+    st = ep.from_bundle(b, INF)
+    traj = ep.run(st, 0.02, n_outputs=4, eta_box=BOX[0], p_box=BOX[1])
+    resolved = replace(traj, phis=[ep.solve_constraint(replace(st, w=w))
+                                   for w in traj.ws])
+    oracle = ec.divergence_identity_check(
+        resolved, b.w_inf, b.phi_inf, INF, eosf, grid16)
+
+    def refuse(state):
+        raise AssertionError("solve_constraint called")
+
+    monkeypatch.setattr(ep, "solve_constraint", refuse)
+    report = ec.divergence_identity_check(
+        traj, b.w_inf, b.phi_inf, INF, eosf, grid16)
+    assert len(report.rows) == 3
+    assert np.array_equal(report.rows, oracle.rows, equal_nan=True)
+
+
 def test_divergence_report_csv(grid, eosf, tmp_path):
     b = mollify_bundle(perturbed_bundle(grid, eosf, math.inf), 0.2)
     st = ep.from_bundle(b, INF)

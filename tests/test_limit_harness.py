@@ -140,21 +140,47 @@ def test_residuals_on_two_cpus_match_one(monkeypatch):
     assert all(s > 0 for s in sups[0])
 
 
+def limit_state_n16():
+    """The limit state of the n=16 sweep data, with its potential solved."""
+    cfg = lh.SweepConfig(n=16)
+    consts_inf = cfg.consts(math.inf)
+    bundle = build_newtonian_data(cfg.make_perturbation(), consts_inf,
+                                  cfg.make_eos(), cfg.make_grid(),
+                                  admissible_box=(cfg.eta_box, cfg.p_box))
+    return ep.with_constraint(ep.from_bundle(bundle, consts_inf))
+
+
 def test_newtonian_operator_residual_zero_on_rhs():
     # feeding the system's own right-hand side as the time derivative makes
     # the operator residual vanish identically
-    cfg = lh.SweepConfig(n=16)
-    grid = cfg.make_grid()
-    eosf = cfg.make_eos()
-    consts_inf = cfg.consts(math.inf)
-    bundle = build_newtonian_data(cfg.make_perturbation(), consts_inf, eosf,
-                                  grid, admissible_box=(cfg.eta_box, cfg.p_box))
-    st = ep.with_constraint(ep.from_bundle(bundle, consts_inf))
+    st = limit_state_n16()
     dt_w = ep.newtonian_rhs(st)
-    res = lh.newtonian_operator_residual(st.w, dt_w, st.phi, consts_inf,
-                                         eosf, grid)
+    res = lh.newtonian_operator_residual(st.w, dt_w, st.phi, st.consts,
+                                         st.eos, st.grid)
     # velocity rows are scaled by the density, hence the loose absolute tol
     assert np.max(np.abs(res)) <= 1e-12
+
+
+def test_newtonian_operator_residual_is_momentum_form():
+    # on a time derivative that is not the right-hand side, the residual is
+    # the limit operator written out in momentum form, the velocity rows
+    # scaled by the density: a wrong row scale shows here, not on the RHS
+    st = limit_state_n16()
+    grid, w, phi = st.grid, st.w, st.phi
+    dt_w = np.random.default_rng(5).normal(size=w.shape)
+    v = w[2:]
+    r_inf = eos.mass_density(st.consts, st.eos, w[0], w[1])
+    q_inf = eos.q_coefficient(st.consts, st.eos, w[0], w[1])
+    dw = grid.gradient(w)
+    deta, dp, dv = dw[0], dw[1], dw[2:]
+    adv = lambda grad: np.einsum("k...,k...->...", v, grad)
+    oracle = np.empty_like(w)
+    oracle[0] = dt_w[0] + adv(deta)
+    oracle[1] = dt_w[1] + adv(dp) + q_inf * (dv[0, 0] + dv[1, 1] + dv[2, 2])
+    oracle[2:] = (r_inf * (dt_w[2:] + np.einsum("k...,jk...->j...", v, dv))
+                  + dp + r_inf * grid.gradient(phi))
+    res = lh.newtonian_operator_residual(w, dt_w, phi, st.consts, st.eos, grid)
+    assert np.max(np.abs(res - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
 class InlinePool:
