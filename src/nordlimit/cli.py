@@ -54,7 +54,8 @@ def parse_config(path, strict=False):
     in the file.  Unknown sections or keys raise under strict, warn
     otherwise.
     """
-    cp = configparser.ConfigParser()
+    # no interpolation: a '%' in a value is a literal character
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path)
     except configparser.Error as exc:
@@ -84,17 +85,6 @@ def parse_config(path, strict=False):
             raise ConfigError(msg)
         print("warning: " + msg, file=sys.stderr)
     return out
-
-
-def serialize_config(cfg):
-    """Inverse of parse_config: render a config dict back to INI text."""
-    lines = []
-    for section in sorted(cfg):
-        lines.append("[%s]" % section)
-        for key in sorted(cfg[section]):
-            lines.append("%s = %s" % (key, cfg[section][key]))
-        lines.append("")
-    return "\n".join(lines)
 
 
 def sweep_config_from(cfg):

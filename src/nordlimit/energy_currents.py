@@ -276,8 +276,7 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
     potentials need no constraint solve.
     """
     def make_state(m):
-        pi = traj.pis[m] if consts.finite_c else 0.0
-        return en.RelState(w=traj.ws[m], phi=traj.phis[m], pi=pi,
+        return en.RelState(w=traj.ws[m], phi=traj.phis[m], pi=traj.pis[m],
                            t=traj.ts[m], consts=consts, eos=eos, grid=grid)
 
     dw0 = grid.gradient(smoothed_w)
@@ -299,14 +298,14 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
     e0 = abs(energies[0])
 
     rows = []
-    max_defect = 0.0
     for m in range(1, last):
         dt_out = traj.ts[m + 1] - traj.ts[m - 1]
         lhs = (energies[m + 1] - energies[m - 1]) / dt_out
         rhs = div_rhs[m]
         defect = abs(lhs - rhs) / max(abs(lhs), e0, 1e-300)
-        max_defect = max(max_defect, defect)
         rows.append((traj.ts[m], lhs, rhs, defect) + ratios[m])
+    # np.max carries a NaN defect through, so NaN data fails the check
+    max_defect = float(np.max([row[3] for row in rows], initial=0.0))
     return DivergenceReport(rows=rows, max_defect=max_defect)
 
 

@@ -8,12 +8,16 @@ derivative takes one real transform pair along its own axis only; the other
 spectral operators use full 3D real transforms.  Nonlinear products are kept
 alias-free with the standard 2/3-rule mask.
 
-On grids of at least FAN_OUT_POINTS points, the per-component transforms of
-`gradient`, and of `fft`, `ifft` (so also `dealias`) and `sobolev_norm` on
-stacked components are split over the calling thread and a pool of threads
-(numpy's FFT releases the interpreter lock while it computes).  Each
-component runs the same transforms on the same data as on one thread, so
-every result is bit-identical to the serial one.
+Each of `fft`, `ifft` (so also `dealias`, `laplacian` and
+`helmholtz_solve`), `gradient` and `sobolev_norm` has one implementation at
+every grid size: it transforms the components (for `gradient`, the
+component-axis pairs) one at a time, each into its own slice of the output.
+The grid size picks only how many threads share that work: from
+FAN_OUT_POINTS points, a call with more than one such task splits them over
+the calling thread and a pool of threads (numpy's FFT releases the
+interpreter lock while it computes).  A task runs the same transforms on
+the same data on any thread, so every result is bit-identical whatever the
+thread count.
 
 `fork_map` maps a function over items in worker processes forked from the
 caller, one per usable CPU; the sweep's rungs and the check suite's
@@ -144,6 +148,10 @@ def _fan_out(n, width, task, items):
     """Run task(scratch, item) for every item on the calling thread and up
     to width - 1 threads of this process's pool; returns when all are done.
 
+    Every per-component transform runs through here at every grid size:
+    with width 1 all tasks run on the calling thread, on one fresh scratch,
+    and no pool is built.
+
     Tasks call numpy and private helpers only.  A worker's scratch is kept
     for its next call (reused across grids of the same n): buffers that
     worker threads allocated per call would each land in a per-thread
@@ -151,6 +159,11 @@ def _fan_out(n, width, task, items):
     takes a fresh scratch, as a serial transform allocates its spectrum.
     """
     global _pool
+    if width == 1:
+        scratch = _Scratch(n)
+        for item in items:
+            task(scratch, item)
+        return
     pid = os.getpid()
     if _pool is None or _pool[:2] != (pid, width):
         # imported here: a process that never fans out starts no thread
@@ -243,22 +256,16 @@ class Grid3:
     def fft(self, f):
         # leading axes, if any, are independent components
         f = np.asarray(f)
-        width = self._width(f)
-        if width == 1:
-            return np.fft.rfftn(f, axes=(-3, -2, -1))
         out = np.empty(f.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
-        _fan_out(self.n, width,
+        _fan_out(self.n, self._width(f),
                  lambda scratch, comp: np.fft.rfftn(f[comp], out=out[comp]),
                  np.ndindex(f.shape[:-3]))
         return out
 
     def ifft(self, fh):
         fh = np.asarray(fh)
-        width = self._width(fh)
-        if width == 1:
-            return np.fft.irfftn(fh, s=(self.n, self.n, self.n), axes=(-3, -2, -1))
         out = np.empty(fh.shape[:-1] + (self.n,))
-        _fan_out(self.n, width,
+        _fan_out(self.n, self._width(fh),
                  lambda scratch, comp: _irfftn_into(fh[comp], self.n, out[comp],
                                                     scratch.spectrum(2)),
                  np.ndindex(fh.shape[:-3]))
@@ -290,18 +297,13 @@ class Grid3:
         """
         f = np.asarray(f)
         out = np.empty(f.shape[:-3] + (3,) + f.shape[-3:])
-        width = self._width(f, 3)
-        if width == 1:
-            for comp in np.ndindex(f.shape[:-3]):
-                for a in range(3):
-                    out[comp + (a,)] = self.derivative(f[comp], a)
-        else:
-            def task(scratch, part):
-                a = part[-1]
-                self._derivative_into(f[part[:-1]], a, out[part], scratch.spectrum(a))
 
-            parts = [comp + (a,) for comp in np.ndindex(f.shape[:-3]) for a in range(3)]
-            _fan_out(self.n, width, task, parts)
+        def task(scratch, part):
+            a = part[-1]
+            self._derivative_into(f[part[:-1]], a, out[part], scratch.spectrum(a))
+
+        parts = [comp + (a,) for comp in np.ndindex(f.shape[:-3]) for a in range(3)]
+        _fan_out(self.n, self._width(f, 3), task, parts)
         return out
 
     def laplacian(self, f):
@@ -367,23 +369,17 @@ class Grid3:
         mult = np.full(self.kz.shape[-1], 2.0)
         mult[0] = 1.0
         mult[-1] = 1.0
-        width = self._width(g)
-        if width == 1:
-            sums = [np.sum((ch.real**2 + ch.imag**2) * w * mult)
-                    for ch in map(np.fft.rfftn, g)]
-        else:
-            sums = np.empty(len(g))
+        sums = np.empty(len(g))
 
-            def task(scratch, i):
-                # the serial expression, term by term into buffers
-                ch = np.fft.rfftn(g[i], out=scratch.spectrum(2))
-                terms = np.square(ch.real, out=scratch.real())
-                terms += np.square(ch.imag, out=ch.imag)
-                terms *= w
-                terms *= mult
-                sums[i] = np.sum(terms)
+        def task(scratch, i):
+            ch = np.fft.rfftn(g[i], out=scratch.spectrum(2))
+            terms = np.square(ch.real, out=scratch.real())
+            terms += np.square(ch.imag, out=ch.imag)
+            terms *= w
+            terms *= mult
+            sums[i] = np.sum(terms)
 
-            _fan_out(self.n, width, task, range(len(g)))
+        _fan_out(self.n, self._width(g), task, range(len(g)))
         total = 0.0
         for part in sums:
             total += part

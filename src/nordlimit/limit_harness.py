@@ -62,8 +62,10 @@ class SweepConfig:
             raise ValueError("c_values must be ascending with >= 3 entries")
         if not all(math.isfinite(c) and c > 0 for c in cs):
             raise ValueError("c_values must be finite and positive")
-        if not (self.t_final > 0):
-            raise ValueError("t_final must be positive")
+        if not (0 < self.t_final < math.inf):
+            raise ValueError("t_final must be positive and finite")
+        if not (0 <= self.mollify_eps < math.inf):
+            raise ValueError("mollify_eps must be finite and >= 0")
         if self.n_outputs < 1:
             raise ValueError("n_outputs must be >= 1")
         if self.sobolev_order < 4:

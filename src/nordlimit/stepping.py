@@ -25,8 +25,8 @@ def fluid_signal_speed(state):
 class Trajectory:
     """Output-time snapshots of a run, step telemetry and abort bookkeeping.
 
-    pis holds the potential's time derivative, an evolved field only at
-    finite c; it stays empty for the limit run.
+    pis holds the potential's time derivative: an evolved field at finite
+    c, and the limit state's constant 0.0 at c = inf.
     """
 
     dt: float
@@ -58,8 +58,7 @@ class Trajectory:
         self.ts.append(state.t)
         self.ws.append(state.w)
         self.phis.append(state.phi)
-        if state.consts.finite_c:
-            self.pis.append(state.pi)
+        self.pis.append(state.pi)
 
     def record(self):
         """Telemetry of the run, as written to the manifests."""
@@ -70,9 +69,7 @@ class Trajectory:
 def non_finite_field(state):
     """Name of the first field of state holding a NaN or an infinity, or None."""
     named = [("eta", state.w[0]), ("P", state.w[1]), ("v", state.w[2:]),
-             ("phi", state.phi)]
-    if state.consts.finite_c:
-        named.append(("pi", state.pi))
+             ("phi", state.phi), ("pi", state.pi)]
     for name, f in named:
         if not np.all(np.isfinite(f)):
             return name

@@ -13,6 +13,7 @@ import pytest
 import nordlimit
 from nordlimit import cli
 from nordlimit import fields
+from nordlimit import limit_harness as lh
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
 
@@ -73,9 +74,9 @@ def test_parse_config_round_trip(tmp_path):
     cfg = cli.parse_config(path)
     assert cfg["grid"]["n"] == 16
     assert cfg["run"]["t_final"] == 0.02
-    rendered = cli.serialize_config(cfg)
-    path2 = write(tmp_path, rendered, "round.ini")
-    assert cli.parse_config(path2) == cfg
+    # reference.ini holds the library defaults, as its header says
+    reference = cli.parse_config(os.path.join(CONFIGS, "reference.ini"), strict=True)
+    assert cli.sweep_config_from(reference) == lh.SweepConfig()
 
 
 def test_unknown_key_warns_then_errors(tmp_path, capsys):
@@ -136,10 +137,11 @@ def test_run_en_small(tmp_path):
 
 @pytest.mark.parametrize("command", ["run-en", "run-ep", "sweep"])
 @pytest.mark.parametrize("line, bad", [("n_outputs = 2", "n_outputs = 0"),
-                                       ("t_final = 0.02", "t_final = -0.05")],
-                         ids=["n_outputs=0", "t_final=-0.05"])
+                                       ("t_final = 0.02", "t_final = -0.05"),
+                                       ("t_final = 0.02", "t_final = inf")],
+                         ids=["n_outputs=0", "t_final=-0.05", "t_final=inf"])
 def test_malformed_run_values_fail_cleanly(tmp_path, capsys, command, line, bad):
-    # no division by zero in the run loop, no backward integration
+    # no division by zero in the run loop, no backward or endless integration
     path = write(tmp_path, SMALL.replace(line, bad))
     assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
                      command]) == 1
@@ -148,16 +150,18 @@ def test_malformed_run_values_fail_cleanly(tmp_path, capsys, command, line, bad)
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("text", [
-    SMALL + "\n[grid]\nn = 8\n",
-    SMALL.replace("n = 16", "n = 16\nn = 8"),
-    "n = 16\n" + SMALL,
-], ids=["duplicate-section", "duplicate-option", "no-section-header"])
-def test_malformed_config_is_usage_error(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, message", [
+    (SMALL + "\n[grid]\nn = 8\n", "malformed config: "),
+    (SMALL.replace("n = 16", "n = 16\nn = 8"), "malformed config: "),
+    ("n = 16\n" + SMALL, "malformed config: "),
+    # no interpolation: '%' is a literal character, and the value fails its type
+    (SMALL.replace("n = 16", "n = 16%"), "bad value for grid.n: "),
+], ids=["duplicate-section", "duplicate-option", "no-section-header", "percent"])
+def test_malformed_config_is_usage_error(tmp_path, capsys, text, message):
     path = write(tmp_path, text)
     assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
                      "run-ep"]) == 1
-    assert capsys.readouterr().err.startswith("error: malformed config: ")
+    assert capsys.readouterr().err.startswith("error: " + message)
 
 
 @pytest.mark.parametrize("box, text", [
@@ -469,6 +473,16 @@ def test_check_on_two_cpus_matches_one(tmp_path, monkeypatch, capsys):
         seen.append((capsys.readouterr().out,
                      (out / "divergence_check.csv").read_bytes()))
     assert seen[0] == seen[1]
+
+
+def test_check_rejects_nan_mollify_eps(tmp_path, capsys):
+    # NaN data would make every divergence row NaN; it is a config error
+    path = write(tmp_path, SMALL + "mollify_eps = nan\n")
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
+                     "check"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mollify_eps must be")
+    assert "Traceback" not in err
 
 
 def test_lost_positivity_is_exit_2(tmp_path, monkeypatch):

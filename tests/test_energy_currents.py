@@ -289,6 +289,20 @@ def test_divergence_check_on_two_cpus_matches_one(monkeypatch, eosf, c):
     assert two.max_defect == one.max_defect
 
 
+def test_divergence_check_fails_on_nan_data(eosf):
+    # a NaN defect is carried into the max, so NaN data cannot pass
+    grid16 = Grid3(16, L)
+    b = mollify_bundle(perturbed_bundle(grid16, eosf, math.inf), 0.2)
+    traj = ep.run(ep.from_bundle(b, INF), 0.02, n_outputs=4,
+                  eta_box=BOX[0], p_box=BOX[1])
+    smoothed = b.w_inf.copy()
+    smoothed[0, 3, 4, 5] = math.nan
+    report = ec.divergence_identity_check(
+        traj, smoothed, b.phi_inf, INF, eosf, grid16)
+    assert len(report.rows) == 3
+    assert not report.max_defect <= 1e-3
+
+
 def test_divergence_check_reads_stored_limit_potentials(monkeypatch, eosf):
     # a limit trajectory stores the potential each step solved for; the
     # check takes it as stored and gives, bit for bit, the rows of the

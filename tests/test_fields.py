@@ -271,9 +271,10 @@ def test_derivative_of_nyquist_mode_is_zero(grid):
 
 
 def serial_transforms(grid, single, stacked, order, background):
-    """The one-thread results of every fanned-out method, written out with
-    numpy: (gradient of single, gradient of stacked, dealias of stacked,
-    fft of stacked, ifft of that, sobolev_norm of stacked)."""
+    """The results of every per-component method, written out with numpy:
+    (gradient of single, gradient of stacked, dealias of stacked, fft of
+    single, ifft of that, fft of stacked, ifft of that, sobolev_norm of
+    stacked)."""
     n, axes = grid.n, (-3, -2, -1)
     ik = 1j * 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.h)
     ik[-1] = 0.0  # the odd-derivative Nyquist mode
@@ -287,6 +288,7 @@ def serial_transforms(grid, single, stacked, order, background):
                 out[comp + (a,)] = np.fft.irfft(fh, n, axis=a)
         return out
 
+    spec1 = np.fft.rfftn(single)
     spec = np.fft.rfftn(stacked, axes=axes)
     dealiased = np.fft.irfftn(spec * grid.dealias_mask, s=(n, n, n), axes=axes)
     weight = sum(grid.kx ** (2 * a) * grid.ky ** (2 * b) * grid.kz ** (2 * c)
@@ -299,14 +301,15 @@ def serial_transforms(grid, single, stacked, order, background):
         ch = np.fft.rfftn(comp - bg)
         total += np.sum((ch.real**2 + ch.imag**2) * weight * mult)
     norm = float(np.sqrt(total * grid.length**3 / n**6))
-    return (gradient(single), gradient(stacked), dealiased, spec,
-            np.fft.irfftn(spec, s=(n, n, n), axes=axes), norm)
+    return (gradient(single), gradient(stacked), dealiased,
+            spec1, np.fft.irfftn(spec1, s=(n, n, n), axes=axes),
+            spec, np.fft.irfftn(spec, s=(n, n, n), axes=axes), norm)
 
 
 def fanned_transforms(grid, single, stacked, order, background):
-    spec = grid.fft(stacked)
+    spec1, spec = grid.fft(single), grid.fft(stacked)
     return (grid.gradient(single), grid.gradient(stacked), grid.dealias(stacked),
-            spec, grid.ifft(spec),
+            spec1, grid.ifft(spec1), spec, grid.ifft(spec),
             grid.sobolev_norm(stacked, order, background=background))
 
 
@@ -321,15 +324,20 @@ def assert_bit_identical(got, want):
         assert np.array_equal(a, b)
 
 
-def test_fanned_out_transforms_are_bit_identical(monkeypatch, fields64):
-    # at 64**3 on two CPUs every method fans out; each result must equal
-    # the one-thread computation bit for bit
+@pytest.mark.parametrize("n, threads", [(64, 2), (32, 1)],
+                         ids=["64-two-threads", "32-one-thread"])
+def test_fanned_out_transforms_are_bit_identical(monkeypatch, fields64, n, threads):
+    # on two CPUs every method fans out at 64**3 and runs on the calling
+    # thread alone at 32**3; each result must equal numpy's bit for bit
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert fields.transform_threads(64) == 2
-    grid = Grid3(64, L)
+    assert fields.transform_threads(n) == threads
+    step = 64 // n
+    single = fields64[0][::step, ::step, ::step]
+    stacked = fields64[1][:, ::step, ::step, ::step]
+    grid = Grid3(n, L)
     background = [0.1, -0.2, 0.3, 0.0, 1.5]
-    want = serial_transforms(grid, *fields64, 4, background)
-    assert_bit_identical(fanned_transforms(grid, *fields64, 4, background), want)
+    want = serial_transforms(grid, single, stacked, 4, background)
+    assert_bit_identical(fanned_transforms(grid, single, stacked, 4, background), want)
 
 
 def test_fan_out_under_thread_contention(monkeypatch, fields64):

