@@ -308,6 +308,13 @@ def cmd_check(args, cfg, sc, out, manifest):
                   eta_box=sc.eta_box, p_box=sc.p_box)
     results["en_run"] = traj.ok
     lap("en_run")
+    if not traj.ok:
+        # an aborted run's states may lie outside the invariants' domain
+        manifest.data["abort_reason"] = traj.abort_reason
+        print("run aborted: " + traj.abort_reason, file=sys.stderr)
+        results.update(positivity=False, kg_inequality=False,
+                       divergence_identity=False)
+        return _report_checks(results, manifest)
 
     # positivity and the scalar-field energy inequality along the
     # trajectory, from one build of the background coefficients per output
@@ -352,7 +359,11 @@ def cmd_check(args, cfg, sc, out, manifest):
     rep.write_csv(os.path.join(out, "divergence_check.csv"))
     manifest.add_output(os.path.join(out, "divergence_check.csv"))
     lap("divergence")
+    return _report_checks(results, manifest)
 
+
+def _report_checks(results, manifest):
+    """Print and record each check; the exit code is 2 if one failed."""
     for name, flag in sorted(results.items()):
         manifest.set_check(name, flag)
         print("%-24s %s" % (name, "PASS" if flag else "FAIL"))

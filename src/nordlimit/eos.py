@@ -9,9 +9,9 @@ with A_c(eta) = A_inf(eta) * (1 + a1 / c**2), and in the c -> infinity limit
 
     rho_inf(eta, p) = m0 * (p / A_inf(eta))**(1/gamma).
 
-All quantities below (sound speed, the pressure-equation coefficient q, the
-coefficient fields of a state) are closed-form consequences of these two
-formulas.
+Everything below is built on `closure`, which writes rho_c, the sound speed
+and the pressure-equation coefficient once.  A_c does not depend on eta
+here; the one-field forms keep the argument for signature stability.
 Finite-c quantities converge to their limits at rate c**-2; `rate_check`
 measures that rate empirically over a sampling box.
 """
@@ -79,56 +79,45 @@ class PolytropicEos:
         return self.a_inf * (1.0 + self.a1 * consts.inv_c_sq)
 
 
-def mass_density(consts, eos, eta, p):
-    """Proper energy density rho_c(eta, p); rho_inf when c is infinite.
-
-    eta enters only through the (currently eta-independent) entropy
-    coefficient; the argument is kept for signature stability across the
-    family.  p must be positive.
-    """
-    a = eos.entropy_coeff(consts)
-    base = eos.m0 * (np.asarray(p) / a) ** (1.0 / eos.gamma)
-    if consts.finite_c:
-        return base + np.asarray(p) * consts.inv_c_sq / (eos.gamma - 1.0)
-    return base
-
-
-def drho_dp(consts, eos, eta, p):
-    """Partial derivative of rho_c with respect to p, i.e. 1/sound_speed_sq."""
-    a = eos.entropy_coeff(consts)
+def closure(consts, eos, p, weight=1.0):
+    """(rho_c, s_c**2, q_c) at pressure p > 0 with s_c**2 = (d rho_c/d p)**-1,
+    q_c = s_c**2 weight (rho_c + p/c**2) = gamma weight p and weight =
+    exp(4 phi/c**2) (1 in the limit).  Raises ValueError if causality
+    (s_c < c) fails anywhere, which only invalid parameters can cause."""
     p = np.asarray(p)
-    base = eos.m0 * (p / a) ** (1.0 / eos.gamma) / (eos.gamma * p)
+    rho = eos.m0 * (p / eos.entropy_coeff(consts)) ** (1.0 / eos.gamma)
+    inv_ssq, enthalpy = rho / (eos.gamma * p), rho
     if consts.finite_c:
-        return base + consts.inv_c_sq / (eos.gamma - 1.0)
-    return base
+        icc = consts.inv_c_sq
+        rho = rho + p * icc / (eos.gamma - 1.0)
+        inv_ssq = inv_ssq + icc / (eos.gamma - 1.0)
+        enthalpy = rho + p * icc
+    ssq = 1.0 / inv_ssq
+    if np.any(ssq >= consts.c**2):
+        raise ValueError("sound speed reached the light speed: non-causal state")
+    return rho, ssq, ssq * weight * enthalpy
+
+
+def potential_weight(consts, phi):
+    """exp(4 phi/c**2); 1 in the limit, where phi is not needed."""
+    if consts.finite_c and phi is None:
+        raise ValueError("finite-c closure needs the potential")
+    return np.exp(4.0 * phi * consts.inv_c_sq) if consts.finite_c else 1.0
+
+
+def mass_density(consts, eos, eta, p):
+    """Proper energy density rho_c(eta, p) (`closure`)."""
+    return closure(consts, eos, p)[0]
 
 
 def sound_speed_sq(consts, eos, eta, p):
-    """Squared sound speed s_c**2 = (d rho_c / d p)**-1.
-
-    Raises ValueError if causality (s_c < c) fails anywhere, which for this
-    family can only happen through invalid parameters.
-    """
-    ss = 1.0 / drho_dp(consts, eos, eta, p)
-    if consts.finite_c and np.any(ss >= consts.c**2):
-        raise ValueError("sound speed reached the light speed: non-causal state")
-    return ss
+    """Squared sound speed s_c**2 = (d rho_c / d p)**-1 (`closure`)."""
+    return closure(consts, eos, p)[1]
 
 
 def q_coefficient(consts, eos, eta, p, phi=None):
-    """Coefficient q_c of the velocity divergence in the pressure equation.
-
-    q_c = s_c**2 * exp(4 phi / c**2) * (rho_c + p/c**2); for the polytropic
-    family this collapses to gamma * exp(4 phi/c**2) * p exactly.  In the
-    limit q_inf = s_inf**2 * rho_inf = gamma * p.
-    """
-    ss = sound_speed_sq(consts, eos, eta, p)
-    rho = mass_density(consts, eos, eta, p)
-    if consts.finite_c:
-        if phi is None:
-            raise ValueError("finite-c q needs the potential")
-        return ss * np.exp(4.0 * phi * consts.inv_c_sq) * (rho + np.asarray(p) * consts.inv_c_sq)
-    return ss * rho
+    """Pressure-equation coefficient q_c (`closure`); phi needed at finite c."""
+    return closure(consts, eos, p, potential_weight(consts, phi))[2]
 
 
 def lorentz_factor_sq(consts, v):
@@ -175,22 +164,14 @@ class Coefficients:
 def coefficients(consts, eos, w, phi=None):
     """`Coefficients` of w = (eta, P, v) and phi at finite c, or of
     w = (eta, p, v) at c = inf, where phi is not needed."""
-    icc = consts.inv_c_sq
-    eta, big_p, v = w[0], w[1], w[2:]
+    big_p, v = w[1], w[2:]
     gam2 = lorentz_factor_sq(consts, v)
-    if consts.finite_c:
-        if phi is None:
-            raise ValueError("finite-c coefficients need the potential")
-        p = pull_back_pressure(consts, phi, big_p)
-        weight = np.exp(4.0 * phi * icc)
-    else:
-        p, weight = big_p, 1.0
-    rho = mass_density(consts, eos, eta, p)
+    weight = potential_weight(consts, phi)
+    p = pull_back_pressure(consts, phi, big_p) if consts.finite_c else big_p
+    rho, ssq, q = closure(consts, eos, p, weight)
     r = weight * rho
-    ssq = sound_speed_sq(consts, eos, eta, p)
-    q = ssq * weight * (rho + p * icc)
     return Coefficients(p=p, big_p=big_p, r=r, q=q, ssq=ssq, gam2=gam2,
-                        alpha=gam2 * (r + icc * big_p), v=v)
+                        alpha=gam2 * (r + consts.inv_c_sq * big_p), v=v)
 
 
 def background_potential(consts, eos, eta_bar, p_bar, tol=1e-14, max_iter=200):
@@ -271,17 +252,14 @@ def rate_check(eos, eta_box, p_box, c_values, n_samples=200, seed=0):
     sit near -2.
     """
     rng = np.random.default_rng(seed)
-    eta = rng.uniform(eta_box[0], eta_box[1], n_samples)
+    rng.uniform(eta_box[0], eta_box[1], n_samples)  # eta: unused by the closure
     p = rng.uniform(p_box[0], p_box[1], n_samples)
     phi = rng.uniform(-1.0, 0.0, n_samples)
-    inf = PhysicalConstants(c=math.inf)
-    rho_inf = mass_density(inf, eos, eta, p)
-    ss_inf = sound_speed_sq(inf, eos, eta, p)
-    q_inf = q_coefficient(inf, eos, eta, p)
+    limit = closure(PhysicalConstants(c=math.inf), eos, p)
     gaps = {"rho": [], "sound_sq": [], "q": []}
     for c in c_values:
         k = PhysicalConstants(c=c)
-        gaps["rho"].append(np.max(np.abs(mass_density(k, eos, eta, p) - rho_inf)))
-        gaps["sound_sq"].append(np.max(np.abs(sound_speed_sq(k, eos, eta, p) - ss_inf)))
-        gaps["q"].append(np.max(np.abs(q_coefficient(k, eos, eta, p, phi) - q_inf)))
+        finite = closure(k, eos, p, potential_weight(k, phi))
+        for vals, f_c, f_inf in zip(gaps.values(), finite, limit):
+            vals.append(np.max(np.abs(f_c - f_inf)))
     return {name: fit_slope(c_values, vals)[0] for name, vals in gaps.items()}

@@ -17,6 +17,7 @@ oracle, and `newtonian_rhs`, which applies -grad phi of a solved potential
 in physical space, as the oracle of `_deriv`.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -52,17 +53,23 @@ def from_bundle(bundle, consts_inf):
 
 
 def _limit_density(state):
-    """rho_inf of the state's (eta, p); a right-hand side needs it positive."""
-    r_inf = eos_mod.mass_density(state.consts, state.eos, state.w[0], state.w[1])
+    """(rho_inf, q_inf) of the state from one closure; rho_inf must be > 0."""
+    r_inf, _, q_inf = eos_mod.closure(state.consts, state.eos, state.w[1])
     if np.any(r_inf <= 0):
         raise ValueError("nonpositive limit density")
-    return r_inf
+    return r_inf, q_inf
+
+
+@functools.lru_cache(maxsize=None)
+def _background_density(consts, eos, eta_bar, p_bar):
+    """rho_inf of the background: a constant of the run, evaluated once."""
+    return float(eos_mod.mass_density(consts, eos, eta_bar, p_bar))
 
 
 def _constraint_source(consts, eos, eta_bar, p_bar, r_inf, out=None):
     """The constraint's source 4 pi G (rho_inf - rho_bar) for the limit
     density r_inf, written into out when given."""
-    rho_bar = float(eos_mod.mass_density(consts, eos, eta_bar, p_bar))
+    rho_bar = _background_density(consts, eos, eta_bar, p_bar)
     src = np.subtract(r_inf, rho_bar, out=out)
     src *= 4.0 * math.pi * consts.grav_g
     return src
@@ -86,13 +93,10 @@ def with_constraint(state):
     return replace(state, phi=solve_constraint(state))
 
 
-def _fluid_terms(state, r_inf, out):
+def _fluid_terms(state, r_inf, q_inf, out):
     """d_t w of the pressure-form system without gravity, written into out
-    (5, n, n, n): transport, -q div v and the pressure force -grad p / rho."""
-    eta, p = state.w[0], state.w[1]
+    (5, n, n, n): transport, -q_inf div v and the force -grad p / r_inf."""
     v = state.w[2:]
-    q_inf = eos_mod.q_coefficient(state.consts, state.eos, eta, p)
-
     dw = state.grid.gradient(state.w)
     deta, dp, dv = dw[0], dw[1], dw[2:]
     adv = lambda f_grad: np.einsum("k...,k...->...", v, f_grad)
@@ -108,7 +112,7 @@ def newtonian_rhs(state):
     force -grad phi it applies in physical space."""
     if state.phi is None:
         raise ValueError("potential not cached; call with_constraint first")
-    out = _fluid_terms(state, _limit_density(state), np.empty_like(state.w))
+    out = _fluid_terms(state, *_limit_density(state), np.empty_like(state.w))
     out[2:] -= state.grid.gradient(state.phi)
     return out
 
@@ -146,13 +150,13 @@ def _deriv(state):
     may be None.
     """
     grid = state.grid
-    r_inf = _limit_density(state)
+    r_inf, q_inf = _limit_density(state)
     stack = np.empty((6,) + r_inf.shape)
-    _fluid_terms(state, r_inf, stack[:5])
+    _fluid_terms(state, r_inf, q_inf, stack[:5])
     _constraint_source(state.consts, state.eos, state.eta_bar, state.p_bar,
                        r_inf, out=stack[5])
     spec = grid.fft(stack)
-    del stack, r_inf
+    del stack, r_inf, q_inf
     src = spec[5]
     src /= grid.screened_symbol(state.consts.kappa)  # -phi_hat
     force = np.empty_like(src)

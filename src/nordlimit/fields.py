@@ -216,8 +216,8 @@ class Grid3:
     def __init__(self, n, length):
         if n < 16 or (n & (n - 1)):
             raise ValueError("grid size must be a power of two >= 16")
-        if not (length > 0):
-            raise ValueError("grid length must be positive")
+        if not (0 < length < math.inf):
+            raise ValueError("grid length must be positive and finite")
         self.n = int(n)
         self.length = float(length)
         self.h = self.length / self.n

@@ -57,15 +57,18 @@ class SweepConfig:
     p_box: tuple = (0.5, 1.5)
 
     def validate(self):
+        for name, value in vars(self).items():
+            if not all(map(math.isfinite, value if isinstance(value, tuple)
+                           else (value,))):
+                raise ValueError("%s must be finite, got %r" % (name, value))
         cs = list(self.c_values)
-        if len(cs) < 3 or any(b <= a for a, b in zip(cs, cs[1:])):
-            raise ValueError("c_values must be ascending with >= 3 entries")
-        if not all(math.isfinite(c) and c > 0 for c in cs):
-            raise ValueError("c_values must be finite and positive")
-        if not (0 < self.t_final < math.inf):
-            raise ValueError("t_final must be positive and finite")
-        if not (0 <= self.mollify_eps < math.inf):
-            raise ValueError("mollify_eps must be finite and >= 0")
+        if len(cs) < 3 or cs[0] <= 0 or any(b <= a for a, b in zip(cs, cs[1:])):
+            raise ValueError("c_values must be positive and ascending with >= 3 "
+                             "entries")
+        if not self.t_final > 0:
+            raise ValueError("t_final must be positive")
+        if not self.mollify_eps >= 0:
+            raise ValueError("mollify_eps must be >= 0")
         if self.n_outputs < 1:
             raise ValueError("n_outputs must be >= 1")
         if self.sobolev_order < 4:

@@ -113,24 +113,27 @@ def drive(state, start, dt_max, dt_reason, speed, t_final, n_outputs,
     hit exactly; this keeps output times matched across runs of either
     system and any c.  When one output interval is shorter than dt_max, the
     interval sets dt and the recorded reason is "output interval".  The run
-    aborts (partial trajectory returned) when the initial state or an output
-    is not admissible, when the fluid signal speed at an output exceeds
-    110% of speed, on a ValueError raised inside a step, or when a step
-    leaves a NaN or an infinity in any field.
+    aborts (partial trajectory returned) when the initial state (then dt is
+    dt_max) or an output is not admissible, when speed is not finite or
+    grows past 110% at an output, on a ValueError raised inside a step, or
+    when a step leaves a NaN or an infinity in any field.
     """
     clock = time.perf_counter()
-    seg = t_final / n_outputs
-    ratio = seg / dt_max
-    per_seg = max(1, math.ceil(ratio - 1e-12))
-    if ratio < 1.0 - 1e-12:
-        dt_reason = "output interval"
-    traj = Trajectory(dt=seg / per_seg, dt_reason=dt_reason)
+    traj = Trajectory(dt=dt_max, dt_reason=dt_reason)
     traj.add(state)
     try:
         reason = check_admissibility(state, eta_box, p_box)
+        if reason is None and not math.isfinite(speed):
+            reason = "non-finite fluid signal speed"
         if reason is not None:
             traj.abort_reason = "initial state: " + reason
             return traj
+        seg = t_final / n_outputs
+        ratio = seg / dt_max
+        per_seg = max(1, math.ceil(ratio - 1e-12))
+        if ratio < 1.0 - 1e-12:
+            traj.dt_reason = "output interval"
+        traj.dt = seg / per_seg
         step = start(state, traj.dt)
         for m in range(n_outputs):
             for _ in range(per_seg):

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -174,6 +175,66 @@ def test_empty_admissible_box_is_usage_error(tmp_path, capsys, box, text):
                      "run-ep"]) == 1
     assert capsys.readouterr().err.startswith(
         "error: admissible %s box [" % box)
+
+
+def reference_at_16(tmp_path, key, value):
+    """configs/reference.ini at n = 16 with the line of key set to value."""
+    with open(os.path.join(CONFIGS, "reference.ini")) as fh:
+        text = fh.read().replace("n = 32", "n = 16")
+    text, count = re.subn(r"^%s = .*$" % key, "%s = %s" % (key, value), text,
+                          flags=re.M)
+    assert count == 1
+    return write(tmp_path, text)
+
+
+@pytest.mark.parametrize("key, value, name, command", [
+    ("length", "inf", "length", "run-ep"),
+    ("length", "inf", "length", "run-en"),
+    ("center_x", "inf", "center", "run-ep"),
+    ("center_x", "inf", "center", "run-en"),
+    ("amp_eta", "nan", "amp_eta", "run-ep"),
+    ("eta", "nan", "eta_bar", "run-ep"),
+    ("grav_g", "inf", "grav_g", "run-ep"),
+    ("m0", "inf", "m0", "run-ep"),
+    ("a1", "nan", "a1", "run-en"),
+])
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys, key, value,
+                                                name, command):
+    # an infinity or a NaN is refused by name before it reaches the physics
+    path = reference_at_16(tmp_path, key, value)
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
+                     command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s must be finite, got " % name)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run-ep", "run-en", "sweep", "check"])
+def test_overflowing_signal_speed_is_exit_2(tmp_path, capsys, command):
+    # |v| = 1e300 makes the signal speed inf and dt_max 0: an abort of the
+    # initial state, not a ZeroDivisionError
+    path = reference_at_16(tmp_path, "amp_vx", "1e300")
+    with np.errstate(over="ignore"):
+        assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
+                         command]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_check_of_superluminal_run_is_exit_2(tmp_path, capsys):
+    # amp_vx = 25 at c = 20 aborts the run at its initial state; the
+    # invariants of a run that did not complete FAIL without evaluation
+    with open(os.path.join(CONFIGS, "quick.ini")) as fh:
+        path = write(tmp_path, fh.read().replace("amp_vx = 0.02", "amp_vx = 25"))
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "check"]) == 2
+    err = capsys.readouterr().err
+    assert "run aborted: initial state: velocity reached c/2" in err
+    assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["abort_reason"] == "initial state: velocity reached c/2"
+    assert manifest["checks"] == {"eos_rates": True, "en_run": False, "positivity": False,
+                      "kg_inequality": False, "divergence_identity": False}
+    assert not (out / "divergence_check.csv").exists()
 
 
 def test_run_en_requires_finite_c(tmp_path):

@@ -101,9 +101,26 @@ def test_coefficients_match_the_one_field_forms():
         rho = eos.mass_density(k, e, eta, co.p)
         assert np.array_equal(co.r, np.exp(4.0 * phi * icc) * rho)
         assert np.array_equal(co.alpha, co.gam2 * (co.r + icc * big_p))
+        # the closure is the one-field forms, bit for bit (default weight
+        # 1 in the limit)
+        weight = (np.exp(4.0 * phi * icc),) if k.finite_c else ()
+        one_field = (rho, eos.sound_speed_sq(k, e, eta, co.p),
+                     eos.q_coefficient(k, e, eta, co.p, phi))
+        for got, expect in zip(eos.closure(k, e, co.p, *weight), one_field):
+            assert np.array_equal(got, expect)
     assert np.array_equal(co.alpha, co.r)  # at c = inf
     with pytest.raises(ValueError, match="potential"):
         eos.coefficients(eos.PhysicalConstants(c=10.0), e, w)
+
+
+def test_closure_raises_on_causality_for_every_field():
+    # gamma = 3 at large p: s_c**2 tends to (gamma - 1) c**2 > c**2
+    e = eos.PolytropicEos(gamma=3.0)
+    k = eos.PhysicalConstants(c=1.0)
+    for fn in (eos.mass_density, eos.sound_speed_sq, eos.q_coefficient):
+        with pytest.raises(ValueError, match="non-causal"):
+            fn(k, e, 1.0, 1e6, *((0.0,) if fn is eos.q_coefficient else ()))
+    assert eos.mass_density(INF, e, 1.0, 1e6) > 0
 
 
 def test_background_potential_limit_closed_form():

@@ -324,6 +324,21 @@ def test_shared_coefficients_match_one_argument_forms(grid, eosf):
         assert np.array_equal(a, b)
 
 
+def test_etd_rhs_evaluates_the_closure_once(grid, eosf, monkeypatch):
+    st = perturbed_state(grid, eosf, 20.0)
+    kg = en.KleinGordonEtd(grid, st.consts, 0.01)
+    real = eos.closure
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eos, "closure", counted)
+    kg.rhs(st)
+    assert len(calls) == 1
+
+
 def test_pull_back_matches_script_w_and_is_identity_at_inf(grid, eosf):
     st = perturbed_state(grid, eosf, 20.0)
     assert np.array_equal(en.pull_back(st.w, st.phi, st.consts), st.script_w())

@@ -173,6 +173,23 @@ def test_deriv_solves_no_constraint(grid, eosf, monkeypatch):
     assert np.all(np.isfinite(ep._deriv(st)))
 
 
+def test_deriv_evaluates_the_closure_once(grid, eosf, monkeypatch):
+    # rho_inf and q_inf of the state come from one closure evaluation; the
+    # background density, a constant of the run, is evaluated on first use
+    st = perturbed_state(grid, eosf)
+    ep._deriv(st)
+    real = eos.closure
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eos, "closure", counted)
+    ep._deriv(st)
+    assert len(calls) == 1
+
+
 def test_step_solves_constraint_once(grid, eosf, monkeypatch):
     # the stages take gravity from the source spectrum: one solve per step,
     # for the new state

@@ -42,6 +42,8 @@ def test_grid_validation():
         Grid3(8, L)
     with pytest.raises(ValueError):
         Grid3(32, -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Grid3(16, math.inf)
 
 
 def test_derivative_of_constant_is_zero(grid):

@@ -89,6 +89,24 @@ def test_run_aborts_on_inadmissible_initial_state(grid, eosf, system):
                                  "of the configured box")
 
 
+# per system: why a start state with |v| = 1e300 is not admissible
+OVERFLOW = {"en": "velocity reached c/2", "ep": "non-finite fluid signal speed"}
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_run_aborts_on_overflowing_signal_speed(grid, eosf, system):
+    # |v|**2 overflows, so the signal speed is inf and dt_max is 0: the
+    # initial check comes before the dt arithmetic divides by it
+    module, start = SYSTEMS[system][:2]
+    state = start(grid, eosf)
+    w = state.w.copy()
+    w[2] = 1e300
+    with np.errstate(over="ignore"):
+        traj = module.run(replace(state, w=w), 0.05, n_outputs=2)
+    assert not traj.ok and traj.steps == 0 and traj.dt == 0.0
+    assert traj.abort_reason == "initial state: " + OVERFLOW[system]
+
+
 def ready(system, grid, eosf):
     """Start state of a system with its potential in place."""
     state = SYSTEMS[system][1](grid, eosf)
