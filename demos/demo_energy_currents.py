@@ -10,28 +10,21 @@ Run from the repository root:
     python3 demos/demo_energy_currents.py
 """
 
-import math
-
 import numpy as np
 
 from nordlimit import energy_currents as ec
-from nordlimit import eos
 from nordlimit import euler_nordstrom as en
-from nordlimit.fields import Grid3
-from nordlimit.initial_data import (PerturbationSpec, build_newtonian_data,
-                                    lift_to_relativistic, mollify_bundle)
+from nordlimit import limit_harness as lh
+from nordlimit.initial_data import lift_to_relativistic, mollify_bundle
 
 c = 20.0
-grid = Grid3(16, 2 * math.pi)
-eosf = eos.PolytropicEos()
-consts_inf = eos.PhysicalConstants(grav_g=0.05, kappa=1.0, c=math.inf)
-consts = eos.PhysicalConstants(grav_g=0.05, kappa=1.0, c=c)
-box = ((0.5, 1.5), (0.5, 1.5))
+sc = lh.SweepConfig(n=16, amp_eta=0.03, amp_p=0.03, amp_v=(0.03, 0.0, 0.0))
+consts = sc.consts(c)
+box = (sc.eta_box, sc.p_box)
 
-spec = PerturbationSpec(amp_eta=0.03, amp_p=0.03, amp_v=(0.03, 0.0, 0.0),
-                        center=(math.pi,) * 3, width=math.pi / 4)
-bundle = build_newtonian_data(spec, consts_inf, eosf, grid, admissible_box=box)
-lifted = mollify_bundle(lift_to_relativistic(bundle, consts), 0.2)
+bundle = sc.make_bundle()
+grid, eosf = bundle.grid, bundle.eos
+lifted = mollify_bundle(lift_to_relativistic(bundle, consts), sc.mollify_eps)
 
 print("running the finite-c system at c = %g ..." % c)
 traj = en.run(en.from_bundle(lifted), 0.1, n_outputs=16,

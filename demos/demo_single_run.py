@@ -13,23 +13,17 @@ import math
 
 import numpy as np
 
-from nordlimit import eos
 from nordlimit import euler_nordstrom as en
 from nordlimit import euler_poisson as ep
-from nordlimit.fields import Grid3
-from nordlimit.initial_data import (PerturbationSpec, build_newtonian_data,
-                                    lift_to_relativistic)
+from nordlimit import limit_harness as lh
+from nordlimit.initial_data import lift_to_relativistic
 
 c = 20.0
-grid = Grid3(16, 2 * math.pi)
-eosf = eos.PolytropicEos()
-consts_inf = eos.PhysicalConstants(grav_g=0.05, kappa=1.0, c=math.inf)
-consts = eos.PhysicalConstants(grav_g=0.05, kappa=1.0, c=c)
-box = ((0.5, 1.5), (0.5, 1.5))
+sc = lh.SweepConfig(n=16)
+consts_inf, consts = sc.consts(math.inf), sc.consts(c)
+box = (sc.eta_box, sc.p_box)
 
-spec = PerturbationSpec(amp_eta=0.05, amp_p=0.05, amp_v=(0.05, 0.0, 0.0),
-                        center=(math.pi,) * 3, width=math.pi / 4)
-bundle = build_newtonian_data(spec, consts_inf, eosf, grid, admissible_box=box)
+bundle = sc.make_bundle()
 lifted = lift_to_relativistic(bundle, consts)
 
 t_final, n_outputs = 0.1, 10

@@ -26,20 +26,32 @@ from . import euler_poisson as ep
 from . import fields
 from . import initial_data
 from . import limit_harness as lh
+from . import stepping
 
+# Every config key, once: section -> key -> (type, SweepConfig field), or
+# (type, field, index) for a tuple entry; run.c, read by run-en only, has none
 CONFIG_SCHEMA = {
-    "grid": {"n": int, "length": float},
-    "constants": {"grav_g": float, "kappa": float},
-    "eos": {"m0": float, "gamma": float, "a_inf": float, "a1": float},
-    "background": {"eta": float, "p": float},
-    "admissible": {"eta_min": float, "eta_max": float,
-                   "p_min": float, "p_max": float},
-    "perturbation": {"amp_eta": float, "amp_p": float, "amp_vx": float,
-                     "amp_vy": float, "amp_vz": float, "center_x": float,
-                     "center_y": float, "center_z": float, "width": float},
-    "run": {"t_final": float, "cfl": float, "n_outputs": int,
-            "sobolev_order": int, "mollify_eps": float, "c": str},
-    "sweep": {"c_values": str},
+    "grid": {"n": (int, "n"), "length": (float, "length")},
+    "constants": {"grav_g": (float, "grav_g"), "kappa": (float, "kappa")},
+    "eos": {"m0": (float, "m0"), "gamma": (float, "gamma"),
+            "a_inf": (float, "a_inf"), "a1": (float, "a1")},
+    "background": {"eta": (float, "eta_bar"), "p": (float, "p_bar")},
+    "admissible": {"eta_min": (float, "eta_box", 0),
+                   "eta_max": (float, "eta_box", 1),
+                   "p_min": (float, "p_box", 0), "p_max": (float, "p_box", 1)},
+    "perturbation": {"amp_eta": (float, "amp_eta"), "amp_p": (float, "amp_p"),
+                     "amp_vx": (float, "amp_v", 0),
+                     "amp_vy": (float, "amp_v", 1),
+                     "amp_vz": (float, "amp_v", 2),
+                     "center_x": (float, "center", 0),
+                     "center_y": (float, "center", 1),
+                     "center_z": (float, "center", 2),
+                     "width": (float, "width")},
+    "run": {"t_final": (float, "t_final"), "cfl": (float, "cfl"),
+            "n_outputs": (int, "n_outputs"),
+            "sobolev_order": (int, "sobolev_order"),
+            "mollify_eps": (float, "mollify_eps"), "c": (str, None)},
+    "sweep": {"c_values": (str, "c_values")},
 }
 
 
@@ -71,12 +83,11 @@ def parse_config(path, strict=False):
             continue
         out[section] = {}
         for key, raw in cp.items(section):
-            typ = schema.get(key)
-            if typ is None:
+            if key not in schema:
                 unknown.append("%s.%s" % (section, key))
                 continue
             try:
-                out[section][key] = typ(raw)
+                out[section][key] = schema[key][0](raw)
             except ValueError as exc:
                 raise ConfigError("bad value for %s.%s: %s" % (section, key, exc))
     if unknown:
@@ -90,41 +101,20 @@ def parse_config(path, strict=False):
 def sweep_config_from(cfg):
     """Build a SweepConfig from a parsed config dict (defaults fill gaps)."""
     sc = lh.SweepConfig()
-    get = lambda sec, key, dflt: cfg.get(sec, {}).get(key, dflt)
-    sc.n = get("grid", "n", sc.n)
-    sc.length = get("grid", "length", sc.length)
-    sc.grav_g = get("constants", "grav_g", sc.grav_g)
-    sc.kappa = get("constants", "kappa", sc.kappa)
-    sc.m0 = get("eos", "m0", sc.m0)
-    sc.gamma = get("eos", "gamma", sc.gamma)
-    sc.a_inf = get("eos", "a_inf", sc.a_inf)
-    sc.a1 = get("eos", "a1", sc.a1)
-    sc.eta_bar = get("background", "eta", sc.eta_bar)
-    sc.p_bar = get("background", "p", sc.p_bar)
-    sc.eta_box = (get("admissible", "eta_min", sc.eta_box[0]),
-                  get("admissible", "eta_max", sc.eta_box[1]))
-    sc.p_box = (get("admissible", "p_min", sc.p_box[0]),
-                get("admissible", "p_max", sc.p_box[1]))
-    pert = cfg.get("perturbation", {})
-    sc.amp_eta = pert.get("amp_eta", sc.amp_eta)
-    sc.amp_p = pert.get("amp_p", sc.amp_p)
-    sc.amp_v = (pert.get("amp_vx", sc.amp_v[0]),
-                pert.get("amp_vy", sc.amp_v[1]),
-                pert.get("amp_vz", sc.amp_v[2]))
-    sc.center = (pert.get("center_x", sc.center[0]),
-                 pert.get("center_y", sc.center[1]),
-                 pert.get("center_z", sc.center[2]))
-    sc.width = pert.get("width", sc.width)
-    sc.t_final = get("run", "t_final", sc.t_final)
-    sc.cfl = get("run", "cfl", sc.cfl)
-    sc.n_outputs = get("run", "n_outputs", sc.n_outputs)
-    sc.sobolev_order = get("run", "sobolev_order", sc.sobolev_order)
-    sc.mollify_eps = get("run", "mollify_eps", sc.mollify_eps)
-    if "sweep" in cfg and "c_values" in cfg["sweep"]:
-        try:
-            sc.c_values = tuple(float(x) for x in cfg["sweep"]["c_values"].split(","))
-        except ValueError as exc:
-            raise ConfigError("bad sweep.c_values: %s" % exc)
+    for section, keys in CONFIG_SCHEMA.items():
+        for key, (_, name, *index) in keys.items():
+            value = cfg.get(section, {}).get(key)
+            if name is None or value is None:
+                continue
+            if name == "c_values":
+                try:
+                    value = tuple(float(x) for x in value.split(","))
+                except ValueError as exc:
+                    raise ConfigError("bad sweep.c_values: %s" % exc)
+            if index:  # one entry of a tuple field
+                value = tuple(value if i == index[0] else entry
+                              for i, entry in enumerate(getattr(sc, name)))
+            setattr(sc, name, value)
     # kappa > 0 is a structural requirement of the screened operators
     if sc.kappa <= 0:
         raise ConfigError("constants.kappa must be > 0: the screened "
@@ -134,11 +124,9 @@ def sweep_config_from(cfg):
 
 
 def _run_c_value(cfg):
-    raw = cfg.get("run", {}).get("c", "inf").strip().lower()
-    if raw in ("inf", "infinity"):
-        return math.inf
+    # float() reads "inf" and "infinity" in any case, around any spaces
     try:
-        val = float(raw)
+        val = float(cfg.get("run", {}).get("c", "inf"))
     except ValueError:
         raise ConfigError("run.c must be a positive number or 'inf'")
     if val <= 0:
@@ -190,18 +178,24 @@ def _out_dir(args):
     return out
 
 
-def _write_diagnostics(path, traj, grid, order, kg=None):
-    with open(path, "w") as fh:
+def _write_diagnostics(path, traj, grid, order, lifted=None):
+    """One row per output; kgE, the field energy of a finite-c run from its
+    lifted data, is 0 without them.  An aborted run's overflowing state is
+    recorded as inf."""
+    with open(path, "w") as fh, np.errstate(over="ignore"):
         fh.write("t,dt,minEta,minP,maxV,hNw,kgE\n")
         for m, t in enumerate(traj.ts):
             w = traj.ws[m]
-            vmax = float(np.max(np.sqrt(np.sum(w[2:] ** 2, axis=0))))
             hn = grid.sobolev_norm(w, order,
                                    background=[float(np.mean(f)) for f in w])
-            kge = kg[m] if kg is not None else 0.0
+            kge = 0.0
+            if lifted is not None:
+                st = en.RelState(w=w, phi=traj.phis[m], pi=traj.pis[m], t=t,
+                                 consts=lifted.consts, eos=lifted.eos, grid=grid)
+                kge = ec.kg_energy(st, lifted.phi_c, order)
             fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
                      % (t, traj.dt, float(np.min(w[0])), float(np.min(w[1])),
-                        vmax, hn, kge))
+                        stepping.max_speed(w), hn, kge))
 
 
 def cmd_run(args, cfg, sc, out, manifest):
@@ -221,19 +215,13 @@ def cmd_run(args, cfg, sc, out, manifest):
                   eta_box=sc.eta_box, p_box=sc.p_box)
     # c as text at c = inf, as in the sweep's records: JSON has no infinity
     manifest.data["run"] = dict(traj.record(), c=c if finite else "inf")
-    kg = None
-    comps = [traj.ws[-1], traj.phis[-1][None]]
-    if finite:
-        kg = []
-        for m in range(len(traj.ts)):
-            st = en.RelState(w=traj.ws[m], phi=traj.phis[m], pi=traj.pis[m],
-                             t=traj.ts[m], consts=lifted.consts, eos=bundle.eos,
-                             grid=grid)
-            kg.append(ec.kg_energy(st, lifted.phi_c, sc.sobolev_order))
-        comps.append(traj.pis[-1][None])
     name = args.command.replace("-", "_")
     diag = os.path.join(out, name + "_diagnostics.csv")
-    _write_diagnostics(diag, traj, grid, sc.sobolev_order, kg=kg)
+    _write_diagnostics(diag, traj, grid, sc.sobolev_order,
+                       lifted=lifted if finite else None)
+    comps = [traj.ws[-1], traj.phis[-1][None]]
+    if finite:
+        comps.append(traj.pis[-1][None])
     snap = os.path.join(out, name + "_final.nrdf")
     fields.write_snapshot(snap, grid, traj.ts[-1], np.concatenate(comps))
     manifest.add_output(diag)

@@ -126,18 +126,16 @@ def sound_cone_membership(consts, eos, eta, p, v, xi):
     return float(xi @ h @ xi) < 0.0
 
 
-def assemble_eov_inhomogeneity(state, smoothed_w, phi_data, bg=None):
+def assemble_eov_inhomogeneity(state, smoothed_w, phi_data):
     """Inhomogeneities (f, g, h1, h2, h3, l) of the trajectory variation.
 
     state is a RelState (finite c) or a NewtState with cached potential
     (c = inf); smoothed_w is the mollified initial fluid state in the same
     variables as state.w; phi_data is the (unsmoothed) initial potential
-    datum, entering only the scalar-field inhomogeneity l (finite c).  bg,
-    if given, is background_coeffs of state, built once by the caller.
+    datum, entering only the scalar-field inhomogeneity l (finite c).
     """
     consts, grid = state.consts, state.grid
-    if bg is None:
-        bg = background_coeffs(consts, state.eos, state.w, state.phi)
+    bg = background_coeffs(consts, state.eos, state.w, state.phi)
     f, g, h = en.fluid_residual(consts, bg, state.pi, grid.gradient(smoothed_w),
                                 grid.gradient(state.phi))
     if consts.finite_c:

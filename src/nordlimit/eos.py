@@ -21,6 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BACKGROUND_TOL = 1e-14  # |F| at which `background_potential` stops
+BACKGROUND_MAX_ITER = 200  # its safeguarded Newton steps at most
+RATE_SAMPLES = 200  # (eta, p, phi) samples of `rate_check`
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -174,7 +178,7 @@ def coefficients(consts, eos, w, phi=None):
                         alpha=gam2 * (r + consts.inv_c_sq * big_p), v=v)
 
 
-def background_potential(consts, eos, eta_bar, p_bar, tol=1e-14, max_iter=200):
+def background_potential(consts, eos, eta_bar, p_bar):
     """Spatially constant background potential phi_bar.
 
     In the limit the background constraint is linear:
@@ -187,7 +191,7 @@ def background_potential(consts, eos, eta_bar, p_bar, tol=1e-14, max_iter=200):
                  + 4 pi G exp(4 phi/c**2) (rho_c(eta_bar,p_bar) - 3 p_bar/c**2)
 
     which is bracketed in [-8 pi G rho_c / kappa**2, 0] and polished by a
-    bisection-safeguarded Newton iteration to |F| <= tol.
+    bisection-safeguarded Newton iteration to |F| <= BACKGROUND_TOL.
     """
     g, kap = consts.grav_g, consts.kappa
     rho = float(mass_density(consts, eos, eta_bar, p_bar))
@@ -213,11 +217,11 @@ def background_potential(consts, eos, eta_bar, p_bar, tol=1e-14, max_iter=200):
         raise ValueError("background potential bracket failed")
     phi = -4.0 * math.pi * g * src / kap**2  # Newtonian guess
     best_phi, best_f = phi, math.inf
-    for _ in range(max_iter):
+    for _ in range(BACKGROUND_MAX_ITER):
         f, df = f_and_df(phi)
         if abs(f) < best_f:
             best_phi, best_f = phi, abs(f)
-        if abs(f) <= tol:
+        if abs(f) <= BACKGROUND_TOL:
             return phi
         if f > 0:
             hi = phi
@@ -241,7 +245,7 @@ def fit_slope(cs, vals):
     return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
 
 
-def rate_check(eos, eta_box, p_box, c_values, n_samples=200, seed=0):
+def rate_check(eos, eta_box, p_box, c_values, seed=0):
     """Empirical c**-2 convergence rates of the family toward its limit.
 
     Samples (eta, p) uniformly from the closed boxes plus a potential sample
@@ -252,9 +256,9 @@ def rate_check(eos, eta_box, p_box, c_values, n_samples=200, seed=0):
     sit near -2.
     """
     rng = np.random.default_rng(seed)
-    rng.uniform(eta_box[0], eta_box[1], n_samples)  # eta: unused by the closure
-    p = rng.uniform(p_box[0], p_box[1], n_samples)
-    phi = rng.uniform(-1.0, 0.0, n_samples)
+    rng.uniform(*eta_box, RATE_SAMPLES)  # eta: unused by the closure
+    p = rng.uniform(*p_box, RATE_SAMPLES)
+    phi = rng.uniform(-1.0, 0.0, RATE_SAMPLES)
     limit = closure(PhysicalConstants(c=math.inf), eos, p)
     gaps = {"rho": [], "sound_sq": [], "q": []}
     for c in c_values:

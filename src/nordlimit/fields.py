@@ -178,10 +178,12 @@ def _fan_out(n, width, task, items):
     # next() on one list iterator is atomic under the interpreter lock, so
     # every item is taken by exactly one thread
     queue = iter(items)
+    handling = np.geterr()  # the workers' floating-point error handling
 
     def drain(scratch):
-        for item in queue:
-            task(scratch, item)
+        with np.errstate(**handling):
+            for item in queue:
+                task(scratch, item)
 
     futures = [executor.submit(drain, scratch) for scratch in scratches]
     try:

@@ -69,6 +69,9 @@ class SweepConfig:
             raise ValueError("t_final must be positive")
         if not self.mollify_eps >= 0:
             raise ValueError("mollify_eps must be >= 0")
+        # a wider Gaussian damps every nonzero mode below exp(-2 pi**2)
+        if self.mollify_eps > self.length > 0:  # length <= 0: the grid's error
+            raise ValueError("mollify_eps must be <= length (%g)" % self.length)
         if self.n_outputs < 1:
             raise ValueError("n_outputs must be >= 1")
         if self.sobolev_order < 4:

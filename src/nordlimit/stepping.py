@@ -14,11 +14,17 @@ import numpy as np
 from . import eos as eos_mod
 
 
+def max_speed(w):
+    """max |v| of the fluid fields w; an overflowing |v| reads inf, which
+    every caller checks or records."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.sqrt(np.sum(w[2:] ** 2, axis=0))))
+
+
 def fluid_signal_speed(state):
     """CFL speed of the fluid: max |v| + max sound speed."""
-    v = state.w[2:]
     ssq = eos_mod.sound_speed_sq(state.consts, state.eos, state.w[0], state.pressure())
-    return float(np.max(np.sqrt(np.sum(v * v, axis=0)))) + float(np.max(np.sqrt(ssq)))
+    return max_speed(state.w) + float(np.max(np.sqrt(ssq)))
 
 
 @dataclass
@@ -82,17 +88,14 @@ def check_admissibility(state, eta_box=None, p_box=None):
     Checks finiteness, positivity, at finite c the |v| < c/2 working regime,
     and (when boxes are configured) a 1% margin inside the admissible boxes.
     """
-    finite_c = state.consts.finite_c
     bad = non_finite_field(state)
     if bad is not None:
         return "non-finite %s" % bad
     p = state.pressure()
     if np.any(state.w[0] <= 0) or np.any(p <= 0):
         return "lost positivity of eta or p"
-    if finite_c:
-        vmax = float(np.max(np.sqrt(np.sum(state.w[2:] ** 2, axis=0))))
-        if vmax >= 0.5 * state.consts.c:
-            return "velocity reached c/2"
+    if state.consts.finite_c and max_speed(state.w) >= 0.5 * state.consts.c:
+        return "velocity reached c/2"
     for f, box in ((state.w[0], eta_box), (p, p_box)):
         if box is not None:
             margin = 0.01 * (box[1] - box[0])

@@ -70,14 +70,85 @@ def write(tmp_path, text, name="cfg.ini"):
     return str(path)
 
 
+# every key of the schema, each with a value no other key has: the
+# defaults repeat (center_x/y/z are all pi, amp_vy = amp_vz, eta_box = p_box)
+EVERY_KEY = """
+[grid]
+n = 64
+length = 7.5
+
+[constants]
+grav_g = 0.07
+kappa = 1.1
+
+[eos]
+m0 = 1.3
+gamma = 1.4
+a_inf = 1.6
+a1 = 0.8
+
+[background]
+eta = 1.05
+p = 0.95
+
+[admissible]
+eta_min = 0.41
+eta_max = 1.61
+p_min = 0.42
+p_max = 1.62
+
+[perturbation]
+amp_eta = 0.011
+amp_p = 0.012
+amp_vx = 0.013
+amp_vy = 0.014
+amp_vz = 0.015
+center_x = 2.1
+center_y = 2.2
+center_z = 2.3
+width = 0.9
+
+[run]
+t_final = 0.3
+cfl = 0.45
+n_outputs = 7
+sobolev_order = 5
+mollify_eps = 0.15
+c = 33
+
+[sweep]
+c_values = 11,22,44
+"""
+
+
+def keys_of(cfg):
+    return {(section, key) for section, keys in cfg.items() for key in keys}
+
+
 def test_parse_config_round_trip(tmp_path):
     path = write(tmp_path, SMALL)
     cfg = cli.parse_config(path)
     assert cfg["grid"]["n"] == 16
     assert cfg["run"]["t_final"] == 0.02
-    # reference.ini holds the library defaults, as its header says
+    # reference.ini sets every key to the library default, as its header says
     reference = cli.parse_config(os.path.join(CONFIGS, "reference.ini"), strict=True)
+    assert keys_of(reference) == keys_of(cli.CONFIG_SCHEMA)
     assert cli.sweep_config_from(reference) == lh.SweepConfig()
+
+
+def test_every_config_key_sets_its_own_field(tmp_path):
+    cfg = cli.parse_config(write(tmp_path, EVERY_KEY), strict=True)
+    assert keys_of(cfg) == keys_of(cli.CONFIG_SCHEMA)
+    values = [value for keys in cfg.values() for value in keys.values()]
+    assert len(set(values)) == len(values)
+    assert cli.sweep_config_from(cfg) == lh.SweepConfig(
+        n=64, length=7.5, grav_g=0.07, kappa=1.1, m0=1.3, gamma=1.4,
+        a_inf=1.6, a1=0.8, eta_bar=1.05, p_bar=0.95, amp_eta=0.011,
+        amp_p=0.012, amp_v=(0.013, 0.014, 0.015), center=(2.1, 2.2, 2.3),
+        width=0.9, c_values=(11.0, 22.0, 44.0), t_final=0.3, cfl=0.45,
+        sobolev_order=5, n_outputs=7, mollify_eps=0.15,
+        eta_box=(0.41, 1.61), p_box=(0.42, 1.62))
+    assert cli._run_c_value(cfg) == 33.0
 
 
 def test_unknown_key_warns_then_errors(tmp_path, capsys):
@@ -214,10 +285,11 @@ def test_overflowing_signal_speed_is_exit_2(tmp_path, capsys, command):
     # |v| = 1e300 makes the signal speed inf and dt_max 0: an abort of the
     # initial state, not a ZeroDivisionError
     path = reference_at_16(tmp_path, "amp_vx", "1e300")
-    with np.errstate(over="ignore"):
-        assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
-                         command]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
+                     command]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "Warning" not in err
 
 
 def test_check_of_superluminal_run_is_exit_2(tmp_path, capsys):
@@ -283,6 +355,7 @@ def test_run_c_value_parsing():
     assert cli._run_c_value({"run": {"c": "inf"}}) == math.inf
     assert cli._run_c_value({}) == math.inf
     assert cli._run_c_value({"run": {"c": "25"}}) == 25.0
+    assert cli._run_c_value({"run": {"c": " Infinity "}}) == math.inf
     with pytest.raises(cli.ConfigError):
         cli._run_c_value({"run": {"c": "-3"}})
     with pytest.raises(cli.ConfigError):
@@ -544,6 +617,18 @@ def test_check_rejects_nan_mollify_eps(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: mollify_eps must be")
     assert "Traceback" not in err
+
+
+def test_check_rejects_huge_mollify_eps(tmp_path, capsys):
+    # a Gaussian wider than the box overflowed eps**2 in Grid3.mollify; the
+    # box length itself is allowed
+    path = write(tmp_path, SMALL + "mollify_eps = 1e200\n")
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
+                     "check"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mollify_eps must be")
+    assert "Traceback" not in err
+    lh.SweepConfig(mollify_eps=2.0 * math.pi).validate()
 
 
 def test_lost_positivity_is_exit_2(tmp_path, monkeypatch):

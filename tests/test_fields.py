@@ -8,6 +8,7 @@ import os
 import struct
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,22 @@ def test_fan_out_under_thread_contention(monkeypatch, fields64):
                 fanned_transforms(grid, *fields64, 4, background), want)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_fan_out_workers_take_the_callers_error_handling(monkeypatch):
+    # the pool threads start with numpy's default error handling; an
+    # overflow the caller ignores must not warn in them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    huge = np.full((8, 64, 64, 64), 1e300)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(over="ignore"):
+                assert Grid3(64, L).sobolev_norm(huge, 4) == math.inf
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                Grid3(64, L).sobolev_norm(huge, 4)
+    finally:
+        fields.stop_transform_threads()
 
 
 def test_stop_transform_threads_ends_the_pool_threads(monkeypatch, fields64):

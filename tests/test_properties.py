@@ -108,7 +108,7 @@ def config_values(typ, key):
 
 CONFIGS = st.fixed_dictionaries({}, optional={
     section: st.fixed_dictionaries({}, optional={
-        key: config_values(typ, key) for key, typ in keys.items()})
+        key: config_values(typ, key) for key, (typ, *_) in keys.items()})
     for section, keys in cli.CONFIG_SCHEMA.items()})
 
 
