@@ -7,7 +7,7 @@ Modules:
     initial_data     perturbed quiet-fluid data shared by both systems
     euler_nordstrom  finite-c fluid + scalar-field integrator
     euler_poisson    limit-system integrator with elliptic constraint
-    energy_currents  variation energy currents, positivity, sound cone
+    energy_currents  variation energy currents, positivity, divergence identity
     limit_harness    the c-sweep convergence-rate experiment
     cli              command-line interface
 """

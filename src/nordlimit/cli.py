@@ -181,8 +181,8 @@ def _out_dir(args):
 def _write_diagnostics(path, traj, grid, order, lifted=None):
     """One row per output; kgE, the field energy of a finite-c run from its
     lifted data, is 0 without them.  An aborted run's overflowing state is
-    recorded as inf."""
-    with open(path, "w") as fh, np.errstate(over="ignore"):
+    recorded as inf or nan."""
+    with open(path, "w") as fh, np.errstate(over="ignore", invalid="ignore"):
         fh.write("t,dt,minEta,minP,maxV,hNw,kgE\n")
         for m, t in enumerate(traj.ts):
             w = traj.ws[m]

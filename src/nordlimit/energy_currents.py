@@ -1,4 +1,4 @@
-"""Energy currents for variations, positivity checks, and the sound cone.
+"""Energy currents for variations, positivity checks, and the divergence identity.
 
 A variation wdot = (eta_dot, P_dot, v_dot) rides on a background solution
 ("BGS") whose fields supply the coefficients.  The time component of the
@@ -55,12 +55,6 @@ def j0(consts, bg, wdot):
     return out
 
 
-def j_spatial(consts, bg, wdot, axis):
-    """Spatial component of the energy current along the given axis:
-    v^axis j0 + 2 v_dot^axis P_dot."""
-    return bg.v[axis] * j0(consts, bg, wdot) + 2.0 * wdot[2 + axis] * wdot[1]
-
-
 def quadratic_form_matrix(consts, bg):
     """Per-point symmetric 5x5 matrix M with j0 = wdot^T M wdot.
 
@@ -99,31 +93,6 @@ def positivity_ratio(consts, bg, variations):
         lo = min(lo, float(np.min(ratio)))
         hi = max(hi, float(np.max(ratio)))
     return lo, hi
-
-
-def acoustical_metric_inv(consts, eos, eta, p, v):
-    """Reciprocal acoustical metric components at a single point, as 4x4."""
-    v = np.asarray(v, float)
-    ssq = float(eos_mod.sound_speed_sq(consts, eos, eta, p))
-    gam2 = float(eos_mod.lorentz_factor_sq(consts, v[:, None]).ravel()[0])
-    icc = consts.inv_c_sq
-    drag = gam2 * (1.0 / ssq - icc)
-    h = np.zeros((4, 4))
-    h[0, 0] = -icc - drag
-    for j in range(3):
-        h[0, j + 1] = h[j + 1, 0] = -drag * v[j]
-        for k in range(3):
-            h[j + 1, k + 1] = (1.0 if j == k else 0.0) - drag * v[j] * v[k]
-    return h
-
-
-def sound_cone_membership(consts, eos, eta, p, v, xi):
-    """True iff the covector xi lies in the positive interior sound cone."""
-    xi = np.asarray(xi, float)
-    if xi[0] <= 0:
-        return False
-    h = acoustical_metric_inv(consts, eos, eta, p, v)
-    return float(xi @ h @ xi) < 0.0
 
 
 def assemble_eov_inhomogeneity(state, smoothed_w, phi_data):
@@ -177,7 +146,7 @@ def _en_time_derivs(state, bg, grads):
     dt_p = (eos_mod.pull_back_pressure(consts, state.phi, dw[1])
             - 4.0 * icc * dt_phi * bg.p)
     dt_rho = dt_p / bg.ssq              # entropy coefficient is constant
-    dt_r = 4.0 * icc * dt_phi * r + np.exp(4.0 * state.phi * icc) * dt_rho
+    dt_r = 4.0 * icc * dt_phi * r + eos_mod.potential_weight(consts, state.phi) * dt_rho
     dt_alpha = (dt_gam2 * (r + icc * bg.big_p)
                 + gam2 * (dt_r + icc * dw[1]))
     return dt_v, dt_inv_q, dt_alpha

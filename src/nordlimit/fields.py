@@ -32,6 +32,7 @@ import itertools
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -218,8 +219,9 @@ class Grid3:
     def __init__(self, n, length):
         if n < 16 or (n & (n - 1)):
             raise ValueError("grid size must be a power of two >= 16")
-        if not (0 < length < math.inf):
-            raise ValueError("grid length must be positive and finite")
+        # sobolev_norm scales by length**3, which must be a finite float
+        if not (0 < length < sys.float_info.max ** (1 / 3)):
+            raise ValueError("grid length must be positive with a finite cube")
         self.n = int(n)
         self.length = float(length)
         self.h = self.length / self.n

@@ -105,8 +105,10 @@ def build_newtonian_data(spec, consts_inf, eos, grid, eta_bar=1.0, p_bar=1.0,
     phi_bar_inf = eos_mod.background_potential(consts_inf, eos, eta_bar, p_bar)
     rho = eos_mod.mass_density(consts_inf, eos, eta, p)
     phi_inf = ep._potential(consts_inf, eos, grid, eta_bar, p_bar, rho)
-    flux_div = sum(grid.derivative(rho * v[k], k) for k in range(3))
-    psi0 = grid.helmholtz_solve(-4.0 * math.pi * g * flux_div, consts_inf.kappa)
+    # rho v near the float maximum overflows; the initial-state check aborts
+    with np.errstate(over="ignore", invalid="ignore"):
+        flux_div = sum(grid.derivative(rho * v[k], k) for k in range(3))
+        psi0 = grid.helmholtz_solve(-4.0 * math.pi * g * flux_div, consts_inf.kappa)
     w_inf = np.concatenate([eta[None], p[None], v])
     return DataBundle(grid=grid, eos=eos, eta_bar=eta_bar, p_bar=p_bar,
                       w_inf=w_inf, phi_inf=phi_inf, psi0=psi0,
@@ -125,7 +127,7 @@ def lift_to_relativistic(bundle, consts):
         consts, bundle.eos, bundle.eta_bar, bundle.p_bar)
     phi_c = bundle.phi_inf - bundle.phi_bar_inf + phi_bar_c
     eta, p = bundle.w_inf[0], bundle.w_inf[1]
-    big_p = np.exp(4.0 * phi_c * consts.inv_c_sq) * p
+    big_p = eos_mod.potential_weight(consts, phi_c) * p
     w_c = np.concatenate([eta[None], big_p[None], bundle.w_inf[2:]])
     return replace(bundle, consts=consts, phi_c=phi_c, w_c=w_c,
                    phi_bar_c=phi_bar_c)

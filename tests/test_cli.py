@@ -228,7 +228,10 @@ def test_malformed_run_values_fail_cleanly(tmp_path, capsys, command, line, bad)
     ("n = 16\n" + SMALL, "malformed config: "),
     # no interpolation: '%' is a literal character, and the value fails its type
     (SMALL.replace("n = 16", "n = 16%"), "bad value for grid.n: "),
-], ids=["duplicate-section", "duplicate-option", "no-section-header", "percent"])
+    # a finite length whose cube, the volume of the box, overflows
+    (SMALL.replace("n = 16", "n = 16\nlength = 1e200"), "grid length must be "),
+], ids=["duplicate-section", "duplicate-option", "no-section-header", "percent",
+        "huge-length"])
 def test_malformed_config_is_usage_error(tmp_path, capsys, text, message):
     path = write(tmp_path, text)
     assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
@@ -280,11 +283,15 @@ def test_non_finite_config_value_is_usage_error(tmp_path, capsys, key, value,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["run-ep", "run-en", "sweep", "check"])
-def test_overflowing_signal_speed_is_exit_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, amp_vx", [
+    pytest.param(command, amp_vx, id=command + suffix)
+    for amp_vx, suffix in (("1e300", ""), ("1.7e308", "-1.7e308"))
+    for command in ("run-ep", "run-en", "sweep", "check")])
+def test_overflowing_signal_speed_is_exit_2(tmp_path, capsys, command, amp_vx):
     # |v| = 1e300 makes the signal speed inf and dt_max 0: an abort of the
-    # initial state, not a ZeroDivisionError
-    path = reference_at_16(tmp_path, "amp_vx", "1e300")
+    # initial state, not a ZeroDivisionError; near the float maximum the
+    # data's transforms overflow too
+    path = reference_at_16(tmp_path, "amp_vx", amp_vx)
     assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
                      command]) == 2
     err = capsys.readouterr().err

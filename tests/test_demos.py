@@ -19,6 +19,8 @@ def test_demo_exits_0(path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, path], env=env, cwd=ROOT,
+    # the suite's warnings-as-errors setting, in the demo's own interpreter
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", path],
+                          env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,4 @@
-"""Tests for energy currents, positivity, the sound cone, and divergence."""
+"""Tests for energy currents, positivity, and divergence."""
 
 import math
 import os
@@ -89,31 +89,24 @@ def test_j0_quadratic_homogeneity(grid, eosf):
     wdot = rng.standard_normal(b.w_c.shape)
     assert np.allclose(ec.j0(consts, bg, 3.0 * wdot),
                        9.0 * ec.j0(consts, bg, wdot))
-    for axis in range(3):
-        assert np.allclose(ec.j_spatial(consts, bg, 3.0 * wdot, axis),
-                           9.0 * ec.j_spatial(consts, bg, wdot, axis))
 
 
 def test_current_limit_rate(grid, eosf):
-    # on lifted backgrounds with a fixed variation both current components
-    # approach their c = inf values at second order
+    # on lifted backgrounds with a fixed variation j0 approaches its c = inf
+    # value at second order
     b_inf = perturbed_bundle(grid, eosf, math.inf)
     bg_inf = ec.background_coeffs(INF, eosf, b_inf.w_inf)
     rng = np.random.default_rng(11)
     wdot = rng.standard_normal(b_inf.w_inf.shape)
     j0_inf = ec.j0(INF, bg_inf, wdot)
-    j1_inf = ec.j_spatial(INF, bg_inf, wdot, 0)
     cs = np.array([10.0, 20.0, 40.0, 80.0])
-    gaps0, gaps1 = [], []
+    gaps = []
     for c in cs:
         b = perturbed_bundle(grid, eosf, c)
         bg = ec.background_coeffs(b.consts, eosf, b.w_c, b.phi_c)
-        gaps0.append(np.max(np.abs(ec.j0(b.consts, bg, wdot) - j0_inf)))
-        gaps1.append(np.max(np.abs(
-            ec.j_spatial(b.consts, bg, wdot, 0) - j1_inf)))
-    for gaps in (gaps0, gaps1):
-        slope = np.polyfit(np.log(cs), np.log(gaps), 1)[0]
-        assert slope <= -1.9
+        gaps.append(np.max(np.abs(ec.j0(b.consts, bg, wdot) - j0_inf)))
+    slope = np.polyfit(np.log(cs), np.log(gaps), 1)[0]
+    assert slope <= -1.9
 
 
 def test_positivity_rest_examples(grid):
@@ -168,30 +161,6 @@ def test_positivity_rejects_zero_variation(grid):
     consts, bg = rest_background(grid, math.inf)
     with pytest.raises(ValueError, match="zero variation"):
         ec.positivity_ratio(consts, bg, np.zeros((1, 5)))
-
-
-def test_sound_cone_membership_examples(eosf):
-    consts = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=10.0)
-    v = (0.0, 0.0, 0.0)
-    assert ec.sound_cone_membership(consts, eosf, 1.0, 1.0, v, (1, 0, 0, 0))
-    assert not ec.sound_cone_membership(consts, eosf, 1.0, 1.0, v, (0, 1, 0, 0))
-    assert not ec.sound_cone_membership(consts, eosf, 1.0, 1.0, v, (-1, 0, 0, 0))
-
-
-def test_sound_cone_boundary_slope(eosf):
-    # bisect the cone boundary along xi = (1, s, 0, 0); at rest it sits at
-    # s = 1/sound_speed
-    consts = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=10.0)
-    v = (0.0, 0.0, 0.0)
-    inside, outside = 0.0, 10.0
-    for _ in range(60):
-        mid = 0.5 * (inside + outside)
-        if ec.sound_cone_membership(consts, eosf, 1.0, 1.0, v, (1, mid, 0, 0)):
-            inside = mid
-        else:
-            outside = mid
-    ssq = float(eos.sound_speed_sq(consts, eosf, 1.0, 1.0))
-    assert inside == pytest.approx(1.0 / math.sqrt(ssq), abs=1e-6)
 
 
 def test_inhomogeneity_vanishes_on_background(grid, eosf):
