@@ -36,7 +36,8 @@ assert limit.ok and finite.ok
 
 print("limit system: %d RK4 steps of %g (%s), %d RHS evaluations"
       % (limit.steps, limit.dt, limit.dt_reason, limit.rhs_evals))
-print("finite-c system: %d ETDRK4 steps of %g (%s), %d RHS evaluations;"
+print("finite-c system: %d exponential-integrator steps of %g (%s), "
+      "%d RHS evaluations;"
       % (finite.steps, finite.dt, finite.dt_reason, finite.rhs_evals))
 print("  the wave operator is integrated exactly, so dt is not held to h / c")
 print()

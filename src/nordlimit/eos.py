@@ -10,7 +10,8 @@ with A_c(eta) = A_inf(eta) * (1 + a1 / c**2), and in the c -> infinity limit
     rho_inf(eta, p) = m0 * (p / A_inf(eta))**(1/gamma).
 
 Everything below is built on `closure`, which writes rho_c, the sound speed
-and the pressure-equation coefficient once.  A_c does not depend on eta
+and the pressure-equation coefficient once; `mass_density` at c = inf needs
+only the rest density, which `closure` shares.  A_c does not depend on eta
 here; the one-field forms keep the argument for signature stability.
 Finite-c quantities converge to their limits at rate c**-2; `rate_check`
 measures that rate empirically over a sampling box.
@@ -83,13 +84,19 @@ class PolytropicEos:
         return self.a_inf * (1.0 + self.a1 * consts.inv_c_sq)
 
 
+def _rest_density(consts, eos, p):
+    """m0 (p / A_c)**(1/gamma): rho_c without its p/c**2 term, rho_inf in
+    the limit."""
+    return eos.m0 * (p / eos.entropy_coeff(consts)) ** (1.0 / eos.gamma)
+
+
 def closure(consts, eos, p, weight=1.0):
     """(rho_c, s_c**2, q_c) at pressure p > 0 with s_c**2 = (d rho_c/d p)**-1,
     q_c = s_c**2 weight (rho_c + p/c**2) = gamma weight p and weight =
     exp(4 phi/c**2) (1 in the limit).  Raises ValueError if causality
     (s_c < c) fails anywhere, which only invalid parameters can cause."""
     p = np.asarray(p)
-    rho = eos.m0 * (p / eos.entropy_coeff(consts)) ** (1.0 / eos.gamma)
+    rho = _rest_density(consts, eos, p)
     inv_ssq, enthalpy = rho / (eos.gamma * p), rho
     if consts.finite_c:
         icc = consts.inv_c_sq
@@ -110,7 +117,10 @@ def potential_weight(consts, phi):
 
 
 def mass_density(consts, eos, eta, p):
-    """Proper energy density rho_c(eta, p) (`closure`)."""
+    """Proper energy density rho_c(eta, p) (`closure`).  In the limit it is
+    the rest density alone, which no causality bound constrains."""
+    if not consts.finite_c:
+        return _rest_density(consts, eos, np.asarray(p))
     return closure(consts, eos, p)[0]
 
 

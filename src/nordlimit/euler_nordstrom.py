@@ -13,16 +13,23 @@ the damped wave equation
 Spatial derivatives are spectral and every right-hand side is passed
 through the 2/3-rule mask.
 
-`run` steps with the Cox-Matthews ETDRK4 scheme (`etd_step`).  Inside the
-mask the potential is carried as z+- = pi_hat +- i omega phi_hat with
+`run` steps with an exponential integrator (`etd_step`).  Inside the mask
+the potential is carried as z+- = pi_hat +- i omega phi_hat with
 omega = c sqrt(|k|**2 + kappa**2), so that dz+-/dt = +-i omega z+- + N_hat:
 the Klein-Gordon part is integrated exactly mode by mode and only the
 source N = -4 pi G c**2 (R - 3 P / c**2) and the fluid block (linear part
 zero, hence classical RK4 weights) are treated by the Runge-Kutta stages.
-Modes outside the mask stay frozen, as under a masked right-hand side.
-The wave stability limit dt < h / c is gone; dt is the fluid CFL step or
-1 / (c kappa), whichever is smaller.  `step` is the classical RK4 scheme on
-the first-order system in (phi, pi) and is kept as the oracle.
+The potential update is that of Cox-Matthews ETDRK4.  A stage does not
+feed the fluid the Cox-Matthews stage value, which carries the
+quasi-static part of the step start: it splits z into the screened solve
++-i N / omega of the stage's own source and a remainder y, which is carried
+from the step start (the uniformly accurate Klein-Gordon integrators of
+Bao, Cai & Zhao, SIAM J. Numer. Anal. 52, 2014; Hochbruck & Ostermann,
+Acta Numerica 19, 2010).  Modes outside the mask stay frozen, as under a
+masked right-hand side.  dt is the fluid CFL step, or the output interval,
+and is bounded by c only through an accuracy limit on the phase of the
+slowest Klein-Gordon mode (`MAX_KG_PHASE`).  `step` is the classical RK4
+scheme on the first-order system in (phi, pi) and is kept as the oracle.
 
 A note on the coefficient matrices: a0 is assembled directly from the
 evolution equations.  Its velocity rows couple to the pressure column with
@@ -274,17 +281,20 @@ def etd_coefficients(lam_dt, dt):
 
 
 class KleinGordonEtd:
-    """ETDRK4 tables of the potential's linear part for one grid, c and dt.
+    """ETDRK4 tables of the potential's linear part for one grid, c and dt,
+    and the remainder that `etd_step` carries from step to step.
 
     Only modes inside the 2/3 mask are evolved, as the pair
     z = (pi_hat + i omega phi_hat, pi_hat - i omega phi_hat) of shape (2, M).
     Each table (e = exp(i omega dt), e2 = exp(i omega dt / 2), q, f1, f2,
     f3) has the same shape: row 0 for z+, row 1 its complex conjugate for
     z-.  The tables are built on the distinct |k|**2 values and gathered.
+    remainder is y = z - `quasi_static` of the last step start, None before
+    the first step.
     """
 
     def __init__(self, grid, consts, dt):
-        self.grid, self.dt = grid, dt
+        self.grid, self.consts, self.dt = grid, consts, dt
         self.mask = grid.dealias_mask
         ksq, where = np.unique(grid.k_sq[self.mask], return_inverse=True)
         omega = consts.c * np.sqrt(ksq + consts.kappa**2)
@@ -294,6 +304,7 @@ class KleinGordonEtd:
         self.e, self.e2, self.q, self.f1, self.f2, self.f3 = (
             np.stack([t[where], t[where].conj()]) for t in tables)
         self.source_scale = -4.0 * math.pi * consts.grav_g * consts.c**2
+        self.remainder = None
 
     def split(self, spec):
         """z of the masked modes of the spectra spec = (phi_hat, pi_hat)."""
@@ -308,21 +319,38 @@ class KleinGordonEtd:
                                       0.5 * (z[0] + z[1])])
         return out
 
+    def quasi_static(self, n_hat):
+        """z = +-i N/omega, the fixed point of dz/dt = +-i omega z + N: the
+        screened solve of the masked source N, with pi = 0."""
+        z_plus = 1j * n_hat / self.omega
+        return np.stack([z_plus, -z_plus])
+
+    def source(self, co):
+        """Masked transform of the potential's source N, from the
+        coefficient fields co of a state."""
+        src = self.grid.fft(_potential_source(self.consts, co))
+        return self.source_scale * src[self.mask]
+
     def rhs(self, state):
         """(dealiased d_t W, masked transform of the potential's source N)."""
         co = state.coefficients()
-        dw = self.grid.dealias(fluid_rhs(state, co))
-        src = self.grid.fft(_potential_source(state.consts, co))
-        return dw, self.source_scale * src[self.mask]
+        return self.grid.dealias(fluid_rhs(state, co)), self.source(co)
 
 
 def etd_step(state, spec, kg):
-    """One ETDRK4 step of size kg.dt; returns the new (state, spec).
+    """One step of size kg.dt; returns the new (state, spec).
 
     spec = (phi_hat, pi_hat) holds the real-transform spectra of state.phi
     and state.pi; it is carried between steps so that the modes outside the
-    mask stay bit for bit frozen.  The fluid block is updated exactly as in
-    `step`.
+    mask stay bit for bit frozen.  The fluid block takes the RK4 weights,
+    as in `step`, and z the Cox-Matthews final update.  The Cox-Matthews
+    stage values za, zb and zc only predict the potential of a stage: the
+    stage's own source N_s is transformed from the coefficients of its
+    fluid state and that predictor, and the stage potential is
+    z = `quasi_static`(N_s) + y(tau).  The remainder y of the step start is
+    extrapolated linearly from that of the previous step (kg.remainder) and
+    held on the first step.  The final update weights the source of the new
+    fluid state, not that of stage 4, with f3.
     """
     dt, grid = kg.dt, state.grid
 
@@ -331,25 +359,40 @@ def etd_step(state, spec, kg):
         phi, pi = grid.ifft(new_spec)
         return replace(state, w=w, phi=phi, pi=pi, t=t), new_spec
 
+    def source(w, z_pred):
+        """N of the fluid w under the potential of the predictor z_pred."""
+        phi = grid.ifft(kg.merge(z_pred, spec)[0])
+        return kg.source(eos_mod.coefficients(state.consts, state.eos, w, phi))
+
     z = kg.split(spec)
     k1, n1 = kg.rhs(state)
+    y = z - kg.quasi_static(n1)
+    slope = 0.0 if kg.remainder is None else (y - kg.remainder) / dt
+    kg.remainder = y
+
+    def stage(w, z_pred, tau):
+        z_s = kg.quasi_static(source(w, z_pred)) + (y + tau * slope)
+        return kg.rhs(at(w, z_s, state.t + tau)[0])
+
     za = kg.e2 * z + kg.q * n1
-    k2, n2 = kg.rhs(at(state.w + 0.5 * dt * k1, za, state.t + 0.5 * dt)[0])
+    k2, n2 = stage(state.w + 0.5 * dt * k1, za, 0.5 * dt)
     zb = kg.e2 * z + kg.q * n2
-    k3, n3 = kg.rhs(at(state.w + 0.5 * dt * k2, zb, state.t + 0.5 * dt)[0])
+    k3, n3 = stage(state.w + 0.5 * dt * k2, zb, 0.5 * dt)
     zc = kg.e2 * za + kg.q * (2.0 * n3 - n1)
-    k4, n4 = kg.rhs(at(state.w + dt * k3, zc, state.t + dt)[0])
-    z_new = kg.e * z + kg.f1 * n1 + kg.f2 * (n2 + n3) + kg.f3 * n4
+    k4, n4 = stage(state.w + dt * k3, zc, dt)
     w_new = state.w + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+    z_new = kg.e * z + kg.f1 * n1 + kg.f2 * (n2 + n3)
+    # the Cox-Matthews update predicts the potential of the new source
+    z_new += kg.f3 * source(w_new, z_new + kg.f3 * n4)
     return at(w_new, z_new, state.t + dt)
 
 
 class EtdStepper:
-    """The stepper `run` hands to `stepping.drive`: ETDRK4 steps of size dt.
+    """The stepper `run` hands to `stepping.drive`: `etd_step`s of size dt.
 
     Builds the Klein-Gordon tables once and carries the spectra
     (phi_hat, pi_hat) from step to step, so that the modes outside the mask
-    stay bit for bit frozen.
+    stay bit for bit frozen; the tables carry the remainder.
     """
 
     def __init__(self, state, dt):
@@ -361,13 +404,23 @@ class EtdStepper:
         return state
 
 
-def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
-    """Integrate to t_final with ETDRK4, storing snapshots at n_outputs equal
-    intervals (`stepping.drive` does the output, abort and telemetry rules).
+# the largest phase omega_min dt through which one step turns the slowest
+# Klein-Gordon mode.  Measured on the reference data to t = 0.05: halving dt
+# moves the c = 160 fluid by 5% of its gap at a phase of 2 and by 10% at 4
+MAX_KG_PHASE = 2.5
 
-    dt = cfl * min(h / s_fluid, 1 / (c kappa)) from the initial state: the
-    fluid CFL step, and omega_min dt <= cfl for the slowest Klein-Gordon
-    mode.  The CFL margin watches the fluid signal speed s_fluid.
+
+def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
+    """Integrate to t_final with `etd_step`, storing snapshots at n_outputs
+    equal intervals (`stepping.drive` does the output, abort and telemetry
+    rules).
+
+    dt = min(cfl h / s_fluid, MAX_KG_PHASE / (c kappa)) from the initial
+    state, or the output interval when that is shorter.  The first is the
+    fluid CFL step; the second, an accuracy bound, binds only for output
+    intervals longer than MAX_KG_PHASE / (c kappa), so that up to there the
+    step count does not grow with c.  The CFL margin watches the fluid
+    signal speed s_fluid.
     """
     if not (0 < cfl <= 1):
         raise ValueError("cfl must lie in (0, 1]")
@@ -375,9 +428,9 @@ def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
     if not consts.finite_c:
         raise ValueError("the finite-c run needs a finite c")
     speed0 = stepping.fluid_signal_speed(state)
-    fluid_dt = state.grid.h / speed0
-    kg_dt = 1.0 / (consts.c * consts.kappa)
+    fluid_dt = cfl * state.grid.h / speed0
+    phase_dt = MAX_KG_PHASE / (consts.c * consts.kappa)
     return stepping.drive(
-        state, EtdStepper, cfl * min(fluid_dt, kg_dt),
-        "fluid CFL" if fluid_dt < kg_dt else "Klein-Gordon 1/(c kappa)",
+        state, EtdStepper, min(fluid_dt, phase_dt),
+        "fluid CFL" if fluid_dt <= phase_dt else "Klein-Gordon phase",
         speed0, t_final, n_outputs, eta_box, p_box)

@@ -107,12 +107,16 @@ def _fluid_terms(state, r_inf, q_inf, out):
     return out
 
 
-def newtonian_rhs(state):
+def newtonian_rhs(state, density=None):
     """d_t w of the pressure-form system; requires a cached potential, whose
-    force -grad phi it applies in physical space."""
+    force -grad phi it applies in physical space.  density, if given, is
+    the state's (rho_inf, q_inf) (`_limit_density`), for a caller that
+    needs rho_inf as well."""
     if state.phi is None:
         raise ValueError("potential not cached; call with_constraint first")
-    out = _fluid_terms(state, *_limit_density(state), np.empty_like(state.w))
+    if density is None:
+        density = _limit_density(state)
+    out = _fluid_terms(state, *density, np.empty_like(state.w))
     out[2:] -= state.grid.gradient(state.phi)
     return out
 

@@ -20,8 +20,9 @@ the same data on any thread, so every result is bit-identical whatever the
 thread count.
 
 `fork_map` maps a function over items in worker processes forked from the
-caller, one per usable CPU; the sweep's rungs and the check suite's
-per-output work run through it.
+caller, one per usable CPU, while the caller may run other work; the
+sweep's rungs (next to its limit run) and the check suite's per-output work
+run through it.
 
 Snapshots use a small binary format: header {magic "NRDF", version u32,
 n u32, L f64, t f64, ncomp u32}, followed by ncomp * n**3 little-endian
@@ -84,21 +85,27 @@ def _fork_call(item):
     return _fork_fn(item)
 
 
-def fork_map(fn, items):
+def fork_map(fn, items, meanwhile=None):
     """[fn(item) for item in items], computed in forked worker processes.
 
     fn may be any callable, a closure over large arrays included: the
     workers are forked from this process and inherit it, so only each item
     and its result are pickled.  Items are handed out in order, each to the
-    next free worker.  With fork_workers(len(items)) == 1 it runs here, with
-    no pool.  A worker's exception is raised here with its type and message.
-    This process's transform threads are stopped before the pool forks, and
-    each worker starts its own.
+    next free worker.  meanwhile, if given, is called here with no argument
+    once the workers are forked, while they run.  With
+    fork_workers(len(items)) == 1 it all runs here, with no pool: meanwhile
+    first, then the items.  A worker's exception, or one of meanwhile, is
+    raised here with its type and message; the items not yet started are
+    cancelled, and the running ones are waited for.  This process's
+    transform threads are stopped before the pool forks, and each worker
+    starts its own.
     """
     global _fork_fn
     items = list(items)
     workers = fork_workers(len(items))
     if workers <= 1:
+        if meanwhile is not None:
+            meanwhile()
         return [fn(item) for item in items]
     # imported here: the pool's modules add about 2 MB of resident memory,
     # which a process that never forks need not carry
@@ -111,9 +118,11 @@ def fork_map(fn, items):
                 workers, mp_context=multiprocessing.get_context("fork")) as pool:
             futures = [pool.submit(_fork_call, item) for item in items]
             try:
+                if meanwhile is not None:
+                    meanwhile()
                 return [future.result() for future in futures]
             finally:
-                # after a worker's exception, start no other item
+                # after an exception, start no other item
                 for future in futures:
                     future.cancel()
     finally:

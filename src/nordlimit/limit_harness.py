@@ -16,9 +16,12 @@ is not a claim about continuum H^(N+1) control.
 """
 
 import math
+import mmap
 import os
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import eos as eos_mod
 from . import euler_nordstrom as en
@@ -145,13 +148,14 @@ class SweepResult:
 
     runs maps each light speed (math.inf for the limit run) to its dt,
     dt_reason, steps, rhs_evals and wall_s; phases_s maps each phase run so
-    far (bundle, limit_run, rungs) to its wall time.
+    far (bundle, then runs: the limit run and the rungs, which overlap) to
+    its wall time.
     """
 
     config: SweepConfig
     report: RateReport
     bundle: object
-    ep_traj: object
+    ep_traj: object = None
     en_trajs: dict = field(default_factory=dict)
     en_bundles: dict = field(default_factory=dict)
     abort_reasons: dict = field(default_factory=dict)
@@ -184,6 +188,38 @@ class RungResult:
     lifted: object = None
 
 
+class LimitOutputs:
+    """The limit run's output fields, for rungs that may run in forked
+    workers: w and phi of every output, and a flag that they were written,
+    in one anonymous shared mapping made before the fork, and a
+    fork-context Event, done, set when the limit run ends."""
+
+    def __init__(self, outputs, n):
+        # imported here, as in fork_map: a process that runs no sweep need
+        # not carry it
+        import multiprocessing
+        w_size, phi_size = outputs * 5 * n**3, outputs * n**3
+        buffer = mmap.mmap(-1, 8 * (1 + w_size + phi_size))
+        self._ok = np.frombuffer(buffer, count=1)
+        self.ws = np.frombuffer(buffer, count=w_size, offset=8).reshape(
+            (outputs, 5, n, n, n))
+        self.phis = np.frombuffer(buffer, offset=8 * (1 + w_size)).reshape(
+            (outputs, n, n, n))
+        self.done = multiprocessing.get_context("fork").Event()
+
+    def publish(self, traj):
+        """Copy the outputs of a completed run in; traj keeps views of them."""
+        for m, (w, phi) in enumerate(zip(traj.ws, traj.phis)):
+            self.ws[m], self.phis[m] = w, phi
+        traj.ws, traj.phis = list(self.ws), list(self.phis)
+        self._ok[0] = 1.0
+
+    def wait(self):
+        """Wait for the limit run to end; whether its outputs were written."""
+        self.done.wait()
+        return bool(self._ok[0])
+
+
 def _run_args(config):
     """Keyword arguments of `ep.run` and `en.run` for every run of the sweep."""
     return dict(cfl=config.cfl, n_outputs=config.n_outputs,
@@ -193,28 +229,26 @@ def _run_args(config):
 def run_sweep(config, keep_trajectories=True, progress=None):
     """Run the full experiment; returns a SweepResult with a fitted report.
 
-    The limit run comes first.  The finite-c rungs share nothing but the
-    limit trajectory and the data, so they run through `fields.fork_map`:
-    in forked worker processes, one per rung and at most one per CPU this
-    process may run on (in this process when that is one CPU), largest c
-    first, as the step count grows with c; each worker holds one rung's
-    state and sends back only the gaps and the telemetry.  The results are
-    taken in ladder order.  progress, if given, is called with one line of
-    text per finished run, in ladder order.  An aborted run raises
-    SweepAborted carrying the partial result: the runs up to the first
-    aborted one.
+    The finite-c rungs share nothing but the limit run's outputs and the
+    data, so they run through `fields.fork_map`: in forked worker processes,
+    one per rung and at most one per CPU this process may run on, while the
+    limit run runs in this process (in this process, after the limit run,
+    when that is one CPU).  Each worker holds one rung's state, waits for
+    the limit outputs (`LimitOutputs`) only before its gap norms, and sends
+    back only the gaps and the telemetry.  The results are taken in ladder
+    order.  progress, if given, is called with one line of text per
+    finished run, in ladder order.  An aborted run raises SweepAborted
+    carrying the partial result: the runs up to the first aborted one.
     """
     config.validate()
     clock = time.perf_counter()
     bundle = config.make_bundle()
+    grid = bundle.grid
     phases_s = {"bundle": time.perf_counter() - clock}
     report_line = progress or (lambda line: None)
-    clock = time.perf_counter()
-    ep_traj = ep.run(ep.from_bundle(bundle, config.consts(math.inf)),
-                     config.t_final, **_run_args(config))
-    phases_s["limit_run"] = time.perf_counter() - clock
     result = SweepResult(config=config, report=None, bundle=bundle,
-                         ep_traj=ep_traj, phases_s=phases_s)
+                         phases_s=phases_s)
+    limit = LimitOutputs(config.n_outputs + 1, grid.n)
 
     def finished(c, label, record):
         result.runs[c] = record
@@ -222,28 +256,34 @@ def run_sweep(config, keep_trajectories=True, progress=None):
                     % (label, record["steps"], record["dt"], record["dt_reason"],
                        record["rhs_evals"], record["wall_s"]))
 
-    finished(math.inf, "limit run", ep_traj.record())
-    if not ep_traj.ok:
-        result.abort_reasons[math.inf] = ep_traj.abort_reason
-        raise SweepAborted("limit-system run aborted: " + ep_traj.abort_reason,
-                           result)
+    def limit_run():
+        try:
+            result.ep_traj = ep.run(ep.from_bundle(bundle, config.consts(math.inf)),
+                                    config.t_final, **_run_args(config))
+            finished(math.inf, "limit run", result.ep_traj.record())
+            if not result.ep_traj.ok:
+                result.abort_reasons[math.inf] = result.ep_traj.abort_reason
+                raise SweepAborted("limit-system run aborted: "
+                                   + result.ep_traj.abort_reason, result)
+            limit.publish(result.ep_traj)
+        finally:
+            limit.done.set()
 
     def run_rung(c):
         """One finite-c rung: lift the data, run, and take the sup-in-time
         Sobolev gaps against the limit run."""
-        grid = bundle.grid
         consts_c = config.consts(c)
         lifted = initial_data.lift_to_relativistic(bundle, consts_c)
         traj = en.run(en.from_bundle(lifted), config.t_final, **_run_args(config))
         order = config.sobolev_order
         w_sup = 0.0
         phi_sup = 0.0
-        if traj.ok:
+        if traj.ok and limit.wait():
             for m in range(len(traj.ts)):
                 w_sup = max(w_sup, grid.sobolev_norm(
-                    ep_traj.ws[m] - en.pull_back(traj.ws[m], traj.phis[m], consts_c),
+                    limit.ws[m] - en.pull_back(traj.ws[m], traj.phis[m], consts_c),
                     order - 1))
-                dev = ((ep_traj.phis[m] - bundle.phi_bar_inf)
+                dev = ((limit.phis[m] - bundle.phi_bar_inf)
                        - (traj.phis[m] - lifted.phi_bar_c))
                 phi_sup = max(phi_sup, grid.sobolev_norm(dev, order + 1))
         return RungResult(record=traj.record(), sup_w=w_sup, sup_phi=phi_sup,
@@ -253,12 +293,12 @@ def run_sweep(config, keep_trajectories=True, progress=None):
                           lifted=lifted if keep_trajectories else None)
 
     clock = time.perf_counter()
-    largest_first = sorted(config.c_values, reverse=True)
-    rungs = dict(zip(largest_first, fields.fork_map(run_rung, largest_first)))
-    phases_s["rungs"] = time.perf_counter() - clock
+    try:
+        rungs = fields.fork_map(run_rung, config.c_values, meanwhile=limit_run)
+    finally:
+        phases_s["runs"] = time.perf_counter() - clock
     sup_w, sup_phi, gaps = [], [], []
-    for c in config.c_values:
-        rung = rungs[c]
+    for c, rung in zip(config.c_values, rungs):
         finished(c, "c=%g" % c, rung.record)
         if rung.abort_reason is not None:
             result.abort_reasons[c] = rung.abort_reason
@@ -275,14 +315,18 @@ def run_sweep(config, keep_trajectories=True, progress=None):
     return result
 
 
-def newtonian_operator_residual(w, dt_w, phi, consts_inf, eos, grid):
+def newtonian_operator_residual(w, dt_w, phi, consts_inf, eos, grid,
+                                density=None):
     """Pointwise residual of the limit system at (w, d_t w, phi): d_t w minus
     the limit solver's operator `ep.newtonian_rhs` at the given potential,
-    the velocity rows multiplied by rho_inf (the momentum form)."""
+    the velocity rows multiplied by rho_inf (the momentum form).  density,
+    if given, is the (rho_inf, q_inf) of w (`eos.closure` at c = inf)."""
     state = ep.NewtState(w=w, t=0.0, consts=consts_inf, eos=eos, grid=grid,
                          eta_bar=None, p_bar=None, phi=phi)
-    res = dt_w - ep.newtonian_rhs(state)
-    res[2:] *= eos_mod.mass_density(consts_inf, eos, w[0], w[1])
+    if density is None:
+        density = ep._limit_density(state)
+    res = dt_w - ep.newtonian_rhs(state, density)
+    res[2:] *= density[0]
     return res
 
 
@@ -310,17 +354,17 @@ def approximate_solution_residuals(traj, phi_data, w_data_inf, consts, eos,
         """The norms of the two residuals at output m; the first is None at
         the end outputs, where the centered difference has no neighbour."""
         wm = script_w(m)
+        rho, _, q = eos_mod.closure(consts_inf, eos, wm[1])
         e2 = (grid.laplacian(traj.phis[m] - phi_data)
               - consts.kappa**2 * (traj.phis[m] - phi_data)
-              - fourpg * (eos_mod.mass_density(consts_inf, eos, wm[0], wm[1])
-                          - rho_data))
+              - fourpg * (rho - rho_data))
         e2_norm = grid.sobolev_norm(e2, order - 1)
         if not 1 <= m <= len(traj.ts) - 2:
             return None, e2_norm
         dt_out = traj.ts[m + 1] - traj.ts[m - 1]
         dt_w = (script_w(m + 1) - script_w(m - 1)) / dt_out
         e1 = newtonian_operator_residual(wm, dt_w, traj.phis[m],
-                                         consts_inf, eos, grid)
+                                         consts_inf, eos, grid, (rho, q))
         return grid.sobolev_norm(e1, order - 1), e2_norm
 
     # one output per item, in the workers of a fork map; the sups are taken

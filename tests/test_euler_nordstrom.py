@@ -347,7 +347,7 @@ def test_pull_back_matches_script_w_and_is_identity_at_inf(grid, eosf):
 
 
 def etd_final(st, t_final, steps):
-    """ETDRK4 from st to t_final in `steps` equal steps."""
+    """`en.etd_step`s from st to t_final in `steps` equal steps."""
     kg = en.KleinGordonEtd(st.grid, st.consts, t_final / steps)
     spec = st.grid.fft(np.stack([st.phi, st.pi]))
     for _ in range(steps):
@@ -439,7 +439,7 @@ def test_etd_time_floor_below_c160_gap(grid, eosf):
     lift = lift_to_relativistic(b, eos.PhysicalConstants(grav_g=G, c=c))
     st = en.from_bundle(lift)
     traj = en.run(st, t_final, n_outputs=1)
-    assert traj.ok and traj.dt_reason == "Klein-Gordon 1/(c kappa)"
+    assert traj.ok and traj.dt_reason == "Klein-Gordon phase"
 
     def gaps(w, phi):
         pulled = en.pull_back(w, phi, st.consts)
@@ -460,14 +460,24 @@ def test_etd_time_floor_below_c160_gap(grid, eosf):
 
 
 def test_run_dt_rule_and_telemetry(grid, eosf):
-    # at c = 40 the slowest Klein-Gordon mode sets dt = cfl / (c kappa); at
-    # c = 5 the fluid CFL step h / s_fluid is the smaller one
+    # at c = 40 both bounds (fluid CFL h / s_fluid and the Klein-Gordon
+    # phase 2.5 / (c kappa)) exceed the output interval, which sets dt; at
+    # c = 5 the fluid CFL step is the smaller one
     st = perturbed_state(grid, eosf, 40.0)
     traj = en.run(st, 0.05, n_outputs=2)
-    assert traj.dt_reason == "Klein-Gordon 1/(c kappa)"
-    assert traj.steps == 4 and traj.rhs_evals == 16
-    assert traj.dt == pytest.approx(0.0125, rel=1e-14)
+    assert traj.dt_reason == "output interval"
+    assert traj.steps == 2 and traj.rhs_evals == 8
+    assert traj.dt == pytest.approx(0.025, rel=1e-14)
     slow = perturbed_state(grid, eosf, 5.0)
     traj = en.run(slow, 0.2, n_outputs=1)
     assert traj.ok and traj.dt_reason == "fluid CFL"
     assert traj.dt <= 0.5 * grid.h / stepping.fluid_signal_speed(slow)
+
+
+def test_run_step_count_does_not_grow_with_c(grid, eosf):
+    # at the reference output interval of 0.01, below MAX_KG_PHASE / (c kappa)
+    # up to c = 250, every c takes one step per output
+    for c in (10.0, 40.0, 160.0):
+        traj = en.run(perturbed_state(grid, eosf, c), 0.05, n_outputs=5)
+        assert traj.ok and traj.dt_reason == "output interval"
+        assert traj.steps == 5 and traj.rhs_evals == 20

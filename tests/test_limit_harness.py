@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -183,9 +184,46 @@ def test_newtonian_operator_residual_is_momentum_form():
     assert np.max(np.abs(res - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
+def test_quick_sweep_gaps_match_rk4_oracle(monkeypatch):
+    # every per-c gap of configs/quick.ini within 1% of the same sweep with
+    # classical RK4 (`en.step`) at the wave CFL step h / (2 c)
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.ini")
+    config = cli.sweep_config_from(cli.parse_config(path))
+    report = lh.run_sweep(config, keep_trajectories=False).report
+
+    def rk4_stepper(state, dt):
+        sub = math.ceil(dt / (0.5 * state.grid.h / state.consts.c) - 1e-12)
+
+        def advance(st):
+            for _ in range(sub):
+                st = en.step(st, dt / sub)
+            return st
+        return advance
+
+    monkeypatch.setattr(en, "EtdStepper", rk4_stepper)
+    oracle = lh.run_sweep(config, keep_trajectories=False).report
+    for key in ("sup_w", "sup_phi", "phi_bar_gap"):
+        got, want = np.array(getattr(report, key)), np.array(getattr(oracle, key))
+        assert np.max(np.abs(got - want) / want) <= 1e-2
+
+
+class InlineFuture:
+    """A job of InlinePool, run when its result is taken."""
+
+    def __init__(self, fn, item):
+        self.fn, self.item = fn, item
+
+    def result(self):
+        return self.fn(self.item)
+
+    def cancel(self):
+        return False
+
+
 class InlinePool:
-    """Stand-in for ProcessPoolExecutor that runs each job at submit, in
-    this process, and records its worker count and submission order."""
+    """Stand-in for ProcessPoolExecutor that runs each job in this process
+    when its result is taken (a rung waits for the limit run, which runs
+    after the submits), and records its worker count and submission order."""
 
     made = []
 
@@ -202,15 +240,13 @@ class InlinePool:
 
     def submit(self, fn, c):
         self.submitted.append(c)
-        future = concurrent.futures.Future()
-        future.set_result(fn(c))
-        return future
+        return InlineFuture(fn, c)
 
 
 @pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2), (1, 1)])
 def test_rung_workers_capped_by_rungs_and_cpus(monkeypatch, cpus, workers):
-    # the pool gets min(rungs, usable CPUs) workers and the largest c
-    # first; checked with an inline pool, so no process is started
+    # the pool gets min(rungs, usable CPUs) workers and the rungs in ladder
+    # order; checked with an inline pool, so no process is started
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     InlinePool.made = []
@@ -221,7 +257,7 @@ def test_rung_workers_capped_by_rungs_and_cpus(monkeypatch, cpus, workers):
     else:
         [pool] = InlinePool.made
         assert pool.max_workers == workers
-        assert pool.submitted == [40.0, 20.0, 10.0]
+        assert pool.submitted == [10.0, 20.0, 40.0]
     assert list(result.runs) == [math.inf, 10.0, 20.0, 40.0]
     assert result.report.c_values == [10.0, 20.0, 40.0]
     assert result.en_trajs == {} and result.en_bundles == {}
@@ -279,12 +315,67 @@ def test_run_ep_on_two_cpus_matches_one_cpu(tmp_path, monkeypatch):
 
 
 def test_forked_sweep_after_thread_pool_matches_one_cpu(tmp_path, monkeypatch):
-    # three CPUs: the limit run fans out over three threads in this
-    # process, which stops them before it forks three rung workers; each
-    # worker builds its own three-thread pool
+    # three CPUs: the sweep forks three rung workers, each of which builds
+    # its own three-thread pool, and then the limit run fans out over three
+    # threads in this process
     three = run_cli(tmp_path, "three", "sweep", 3, monkeypatch, code=2)
-    assert fields._pool is None
+    assert fields._pool[:2] == (os.getpid(), 3)
+    fields.stop_transform_threads()
     one = run_cli(tmp_path, "one", "sweep", 1, monkeypatch, code=2)
     assert multiprocessing.active_children() == []
     for name in ("rates.csv", "summary.txt"):
         assert (three / name).read_bytes() == (one / name).read_bytes()
+
+
+class Timeout(Exception):
+    pass
+
+
+def _sweep_within(seconds, config):
+    """run_sweep(config), failed with Timeout after seconds: a worker left
+    waiting would hang the sweep.  The workers are killed on a timeout."""
+    def expire(signum, frame):
+        raise Timeout("sweep still running after %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return lh.run_sweep(config, keep_trajectories=False)
+    except Timeout:
+        for child in multiprocessing.active_children():
+            child.kill()
+        raise
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_aborted_limit_run_ends_forked_sweep(monkeypatch):
+    # the rung workers run while the limit run aborts in this process: the
+    # sweep raises SweepAborted, and no worker is left waiting for it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def failing(state, dt):
+        raise ValueError("nonpositive limit density")
+
+    monkeypatch.setattr(ep, "step", failing)
+    with pytest.raises(lh.SweepAborted) as info:
+        _sweep_within(60, quiet_config())
+    assert str(info.value) == ("limit-system run aborted: step 1 from t=0 "
+                               "failed: nonpositive limit density")
+    assert list(info.value.result.runs) == [math.inf]
+    assert multiprocessing.active_children() == []
+
+
+def test_raising_limit_run_ends_forked_sweep(monkeypatch):
+    # an exception that escapes the limit run is raised by the sweep, and
+    # no worker is left waiting for the limit outputs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def raising(*args, **kwargs):
+        raise RuntimeError("limit run failed")
+
+    monkeypatch.setattr(ep, "run", raising)
+    with pytest.raises(RuntimeError, match="limit run failed"):
+        _sweep_within(60, quiet_config())
+    assert multiprocessing.active_children() == []
