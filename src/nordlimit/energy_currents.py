@@ -15,8 +15,10 @@ inhomogeneities (f, g, h) are the fluid operator b - a^k d_k W0
 (`euler_nordstrom.fluid_residual`), and the current satisfies an exact
 divergence identity whose right-hand side involves only the background
 derivatives and (f, g, h); `divergence_identity_check` measures its
-discrete defect on a trajectory's stored states.  One formula and one
-state type (`RelState`, pi = 0) serve both systems (s = 0 at c = inf).
+discrete defect on a trajectory's stored states.  `check_invariants`, the
+suite of `nordlimit check`, adds positivity and the field-energy
+inequality to the same pass and owns the three verdicts.  One formula and
+one state type (`RelState`, pi = 0) serve both systems (s = 0 at c = inf).
 """
 
 import math
@@ -218,16 +220,44 @@ class DivergenceReport:
                 fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row)
 
 
-def _energy_and_ratios(consts, bg, wdot, grid):
-    """The energy integral of j0(wdot) and the (min, max) of j0 / |wdot|**2
-    over the points where wdot is not zero (nan, nan where it is nowhere)."""
-    dens = j0(consts, bg, wdot)
-    mag = np.einsum("m...,m...->...", wdot, wdot)
-    mask = mag > 1e-30
-    if not np.any(mask):
-        return grid.integral(dens), (math.nan, math.nan)
-    ratio = dens[mask] / mag[mask]
-    return grid.integral(dens), (float(np.min(ratio)), float(np.max(ratio)))
+def _walk_outputs(traj, smoothed_w, consts, eos, grid, more=None):
+    """The DivergenceReport of wdot = w - smoothed_w on a trajectory's
+    stored outputs, one output per item in the workers of a fork map, with
+    one build of the background coefficients per output; more(state, bg),
+    if given, adds its floats per output, returned in output order next to
+    the report (the coefficient fields are not kept)."""
+    dw0 = grid.gradient(smoothed_w)
+    last = len(traj.ts) - 1
+
+    def at_output(m):
+        st = en.RelState(w=traj.ws[m], phi=traj.phis[m], pi=traj.pis[m],
+                         t=traj.ts[m], consts=consts, eos=eos, grid=grid)
+        bg = background_coeffs(consts, eos, st.w, st.phi)
+        wdot = st.w - smoothed_w
+        dens = j0(consts, bg, wdot)
+        # min/max of j0 / |wdot|**2 where wdot is not zero (nan where it is
+        # nowhere) and, at interior outputs, the divergence integral
+        mag = np.einsum("m...,m...->...", wdot, wdot)
+        mask = mag > 1e-30
+        ratio = dens[mask] / mag[mask]
+        ratios = ((float(np.min(ratio)), float(np.max(ratio))) if ratio.size
+                  else (math.nan, math.nan))
+        div = _divergence_rhs(st, smoothed_w, bg, dw0) if 1 <= m < last else None
+        return (grid.integral(dens), ratios, div), more and more(st, bg)
+
+    terms, extras = zip(*fields.fork_map(at_output, range(last + 1)))
+    energies, ratios, div_rhs = zip(*terms)
+    e0 = abs(energies[0])
+    rows = []
+    for m in range(1, last):
+        dt_out = traj.ts[m + 1] - traj.ts[m - 1]
+        lhs = (energies[m + 1] - energies[m - 1]) / dt_out
+        rhs = div_rhs[m]
+        defect = abs(lhs - rhs) / max(abs(lhs), e0, 1e-300)
+        rows.append((traj.ts[m], lhs, rhs, defect) + ratios[m])
+    # np.max carries a NaN defect through, so NaN data fails the check
+    max_defect = float(np.max([row[3] for row in rows], initial=0.0))
+    return DivergenceReport(rows=rows, max_defect=max_defect), extras
 
 
 def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
@@ -242,38 +272,42 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
     used: l does not enter the fluid current's identity, and the stored
     potentials need no constraint solve.
     """
-    def make_state(m):
-        return en.RelState(w=traj.ws[m], phi=traj.phis[m], pi=traj.pis[m],
-                           t=traj.ts[m], consts=consts, eos=eos, grid=grid)
+    return _walk_outputs(traj, smoothed_w, consts, eos, grid)[0]
 
-    dw0 = grid.gradient(smoothed_w)
-    last = len(traj.ts) - 1
 
-    def at_output(m):
-        """From one build of the background coefficients of output m: the
-        energy, the min/max of j0 / |wdot|**2 and, at interior outputs, the
-        divergence integral (floats only: the coefficient fields are not
-        kept)."""
-        st = make_state(m)
-        bg = background_coeffs(consts, eos, st.w, st.phi)
-        energy, ratio = _energy_and_ratios(consts, bg, st.w - smoothed_w, grid)
-        div = _divergence_rhs(st, smoothed_w, bg, dw0) if 1 <= m < last else None
-        return energy, ratio, div
+def check_invariants(traj, smoothed_w, phi_data, consts, eos, grid,
+                     variations, order):
+    """The invariant suite of a stored finite-c trajectory, in one pass:
+    (its DivergenceReport, {check: verdict}, {check: the number behind it}).
 
-    # one output per item, in the workers of a fork map
-    energies, ratios, div_rhs = zip(*fields.fork_map(at_output, range(last + 1)))
-    e0 = abs(energies[0])
+    positivity: the min ratio of `positivity_ratio` for the variations is
+    > 0 at every output (value: its min).  kg_inequality: E = `kg_energy`
+    stays below e0 + c t sup_{s<=t} |l(s)|_{H^order}, with a 1e-3 slack
+    (value: the largest E/bound after t = 0, where E is its own bound; a
+    zero bound gives inf or nan).
+    divergence_identity: the max defect of `divergence_identity_check`, with
+    its rows, is at most 1e-3.  A NaN fails its verdict.
+    """
+    l_data = kg_data(consts, grid, phi_data)
 
-    rows = []
-    for m in range(1, last):
-        dt_out = traj.ts[m + 1] - traj.ts[m - 1]
-        lhs = (energies[m + 1] - energies[m - 1]) / dt_out
-        rhs = div_rhs[m]
-        defect = abs(lhs - rhs) / max(abs(lhs), e0, 1e-300)
-        rows.append((traj.ts[m], lhs, rhs, defect) + ratios[m])
-    # np.max carries a NaN defect through, so NaN data fails the check
-    max_defect = float(np.max([row[3] for row in rows], initial=0.0))
-    return DivergenceReport(rows=rows, max_defect=max_defect)
+    def more(st, bg):
+        lo, _ = positivity_ratio(consts, bg, variations)
+        l = kg_inhomogeneity(consts, bg, l_data)
+        return lo, grid.sobolev_norm(l, order), kg_energy(st, phi_data, order)
+
+    rep, per_output = _walk_outputs(traj, smoothed_w, consts, eos, grid, more)
+    los, l_norms, energies = np.array(per_output).T
+    # the bound e0 + c t sup_{s<=t} |l(s)| at each output: a NaN fails it
+    bounds = (energies[0] + consts.c * np.array(traj.ts)
+              * np.maximum.accumulate(l_norms) * (1.0 + 1e-3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kg_ratio = float(np.max(energies[1:] / bounds[1:], initial=0.0))
+    verdicts = {"positivity": bool(np.all(los > 0)),
+                "kg_inequality": bool(np.all(energies <= bounds)),
+                "divergence_identity": rep.max_defect <= 1e-3}
+    values = {"positivity": float(np.min(los)), "kg_inequality": kg_ratio,
+              "divergence_identity": rep.max_defect}
+    return rep, verdicts, values
 
 
 def kg_energy(state, phi_data, order):

@@ -471,7 +471,7 @@ def assert_records_parallelism(manifest, outputs=None):
         # at most one per output, and it records the wall time of its phases
         assert manifest["fork_workers"] == min(outputs, manifest["cpus"])
         assert set(manifest["phases_s"]) == {"bundle", "eos_rates", "en_run",
-                                             "outputs", "divergence"}
+                                             "outputs"}
         assert all(t >= 0 for t in manifest["phases_s"].values())
 
 
@@ -578,9 +578,9 @@ def test_sweep_on_one_cpu_runs_in_process(tmp_path, monkeypatch):
     assert np.max(np.abs(rows - QUICK_RATES_ETD) / np.abs(QUICK_RATES_ETD)) <= 1e-9
 
 
-def test_check_builds_background_once_per_output_and_pass(tmp_path, monkeypatch):
-    # 9 outputs: one build each for the positivity/field-energy loop and
-    # one each for the divergence identity (48 when every helper rebuilt it)
+def test_check_builds_background_once_per_output(tmp_path, monkeypatch):
+    # 9 outputs, one build each: positivity, the field energy and the
+    # divergence identity share it (18 with a pass for each)
     from nordlimit import energy_currents as ec
     real = ec.background_coeffs
     calls = []
@@ -595,7 +595,7 @@ def test_check_builds_background_once_per_output_and_pass(tmp_path, monkeypatch)
     # counted in this process: one CPU keeps the per-output work here
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert cli.main(["--config", path, "--out", str(out), "check"]) == 0
-    assert len(calls) == 18
+    assert len(calls) == 9
     assert_records_parallelism(json.loads((out / "manifest.json").read_text()),
                                outputs=9)
 
@@ -609,11 +609,21 @@ def test_check_on_two_cpus_matches_one(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         out = tmp_path / str(cpus)
         assert cli.main(["--config", path, "--out", str(out), "check"]) == 0
-        assert_records_parallelism(
-            json.loads((out / "manifest.json").read_text()), outputs=9)
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=_reject_constant)
+        assert_records_parallelism(manifest, outputs=9)
         seen.append((capsys.readouterr().out,
-                     (out / "divergence_check.csv").read_bytes()))
+                     (out / "divergence_check.csv").read_bytes(),
+                     manifest["check_values"]))
     assert seen[0] == seen[1]
+    # the number behind each verdict
+    values = seen[0][2]
+    assert set(values) == {"eos_rates", "positivity", "kg_inequality",
+                           "divergence_identity"}
+    assert all(s <= -1.9 for s in values["eos_rates"].values())
+    assert values["positivity"] > 0
+    assert 0 < values["kg_inequality"] <= 1.0
+    assert 0 <= values["divergence_identity"] <= 1e-3
 
 
 def test_check_rejects_nan_mollify_eps(tmp_path, capsys):
@@ -649,3 +659,51 @@ def test_lost_positivity_is_exit_2(tmp_path, monkeypatch):
     assert cli.main(["--config", path, "--out", str(out), "check"]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["checks"]["positivity"] is False
+
+
+def check_lines(out):
+    """{check name: PASS or FAIL} from check's printout."""
+    return dict(line.split() for line in out.splitlines())
+
+
+def test_growing_field_energy_fails_kg_inequality(tmp_path, monkeypatch, capsys):
+    # a field energy growing faster than e0 + c t sup|l| fails only the
+    # field-energy inequality
+    from nordlimit import energy_currents as ec
+    monkeypatch.setattr(ec, "kg_energy", lambda state, phi_data, order:
+                        1.0 + 1e9 * state.t)
+    out = tmp_path / "out"
+    path = os.path.join(CONFIGS, "quick.ini")
+    assert cli.main(["--config", path, "--out", str(out), "check"]) == 2
+    assert check_lines(capsys.readouterr().out) == {
+        "divergence_identity": "PASS", "en_run": "PASS", "eos_rates": "PASS",
+        "kg_inequality": "FAIL", "positivity": "PASS"}
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=_reject_constant)
+    assert manifest["check_values"]["kg_inequality"] > 1.0
+
+
+def test_nan_positivity_ratio_fails_positivity(tmp_path, monkeypatch, capsys):
+    # a NaN min ratio at one output after the first fails positivity, as
+    # a NaN is not > 0 (min() over the outputs would skip it); its number
+    # is null in the strict-JSON manifest
+    from nordlimit import energy_currents as ec
+    real = ec.positivity_ratio
+    calls = []
+
+    def nan_at_third(*args):
+        calls.append(1)
+        return (math.nan, math.nan) if len(calls) == 3 else real(*args)
+
+    monkeypatch.setattr(ec, "positivity_ratio", nan_at_third)
+    # one CPU: the outputs are taken in order, in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    out = tmp_path / "out"
+    path = os.path.join(CONFIGS, "quick.ini")
+    assert cli.main(["--config", path, "--out", str(out), "check"]) == 2
+    assert check_lines(capsys.readouterr().out) == {
+        "divergence_identity": "PASS", "en_run": "PASS", "eos_rates": "PASS",
+        "kg_inequality": "PASS", "positivity": "FAIL"}
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=_reject_constant)
+    assert manifest["check_values"]["positivity"] is None

@@ -306,3 +306,44 @@ def test_divergence_report_csv(grid, eosf, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,LHS,RHS,defect,minRatio,maxRatio"
     assert len(lines) == len(report.rows) + 1
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1-cpu", "2-cpus"])
+def test_check_invariants_matches_separate_checks(monkeypatch, eosf, cpus):
+    # one pass over the stored run gives the divergence report of
+    # divergence_identity_check and the verdicts of a fold over the
+    # per-output positivity, inhomogeneity and field-energy calls, bit for bit
+    grid16 = Grid3(16, L)
+    b = perturbed_bundle(grid16, eosf, 20.0)
+    consts, smoothed = b.consts, mollify_bundle(b, 0.2).w_c
+    traj = en.run(en.from_bundle(b), 0.02, n_outputs=4,
+                  eta_box=BOX[0], p_box=BOX[1])
+    variations = np.random.default_rng(0).normal(size=(16, 5))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    report, verdicts, values = ec.check_invariants(
+        traj, smoothed, b.phi_c, consts, eosf, grid16, variations, 2)
+    oracle = ec.divergence_identity_check(traj, smoothed, b.phi_c, consts,
+                                          eosf, grid16)
+    assert len(report.rows) == 3
+    assert np.array_equal(report.rows, oracle.rows)
+    assert report.max_defect == oracle.max_defect
+    assert verdicts["divergence_identity"] == (oracle.max_defect <= 1e-3)
+    assert values["divergence_identity"] == oracle.max_defect
+
+    data = ec.kg_data(consts, grid16, b.phi_c)
+    lows, energies, bounds, sup_l = [], [], [], 0.0
+    for m, t in enumerate(traj.ts):
+        st = en.RelState(w=traj.ws[m], phi=traj.phis[m], pi=traj.pis[m], t=t,
+                         consts=consts, eos=eosf, grid=grid16)
+        bg = ec.background_coeffs(consts, eosf, st.w, st.phi)
+        lows.append(ec.positivity_ratio(consts, bg, variations)[0])
+        l = ec.kg_inhomogeneity(consts, bg, data)
+        sup_l = max(sup_l, grid16.sobolev_norm(l, 2))
+        energies.append(ec.kg_energy(st, b.phi_c, 2))
+        bounds.append(energies[0] + consts.c * t * sup_l * (1.0 + 1e-3))
+    assert verdicts["positivity"] == all(lo > 0 for lo in lows)
+    assert values["positivity"] == min(lows)
+    assert verdicts["kg_inequality"] == all(e <= bd for e, bd in zip(energies, bounds))
+    assert values["kg_inequality"] == max(e / bd for e, bd in
+                                      zip(energies[1:], bounds[1:]))
+    assert verdicts["positivity"] and verdicts["kg_inequality"]

@@ -74,12 +74,14 @@ def test_emit_report_format(tmp_path):
                            sup_phi=[4e-4, 1e-4, 2.5e-5],
                            phi_bar_gap=[4e-2, 1e-2, 2.5e-3]).fit()
     csv_path, summary_path = lh.emit_report(report, tmp_path)
-    lines = open(csv_path).read().splitlines()
+    with open(csv_path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "c,supWdiff,supPhidiff,phiBarGap"
     assert len(lines) == 4
     first = lines[1].split(",")
     assert float(first[0]) == 10.0 and float(first[1]) == 4e-3
-    summary = open(summary_path).read()
+    with open(summary_path) as fh:
+        summary = fh.read()
     assert "PASS" in summary
 
 
@@ -91,7 +93,8 @@ def test_emit_report_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     p1, _ = lh.emit_report(report, d1)
     p2, _ = lh.emit_report(report, d2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    with open(p1, "rb") as f1, open(p2, "rb") as f2:
+        assert f1.read() == f2.read()
 
 
 def test_emit_report_threshold_fail(tmp_path):
@@ -100,7 +103,8 @@ def test_emit_report_threshold_fail(tmp_path):
                            sup_phi=[1e-4, 1e-4, 1e-4],
                            phi_bar_gap=[4e-2, 1e-2, 2.5e-3]).fit()
     _, summary_path = lh.emit_report(report, tmp_path)
-    assert "FAIL" in open(summary_path).read()
+    with open(summary_path) as fh:
+        assert "FAIL" in fh.read()
 
 
 def test_limit_trajectory_residual_floor():
