@@ -285,7 +285,8 @@ def cmd_check(args, cfg, sc, out, manifest):
     lap("bundle")
     slopes = eos_mod.rate_check(eos, sc.eta_box, sc.p_box,
                                 sc.c_values, seed=args.seed)
-    results["eos_rates"] = all(s <= -1.9 for s in slopes.values())
+    results["eos_rates"] = all(s <= eos_mod.RATE_SLOPE_MAX
+                              for s in slopes.values())
     # the number behind each verdict
     values = manifest.data["check_values"] = {
         "eos_rates": {name: _json_number(s) for name, s in slopes.items()}}
@@ -401,6 +402,9 @@ def main(argv=None):
             manifest.write()
     except (ConfigError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("error: not enough memory: %s" % exc, file=sys.stderr)
         return 1
 
 

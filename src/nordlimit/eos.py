@@ -25,6 +25,7 @@ import numpy as np
 BACKGROUND_TOL = 1e-14  # |F| at which `background_potential` stops
 BACKGROUND_MAX_ITER = 200  # its safeguarded Newton steps at most
 RATE_SAMPLES = 200  # (eta, p, phi) samples of `rate_check`
+RATE_SLOPE_MAX = -1.9  # a `rate_check` slope passes at or below this
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,14 @@ quasi-static part of the step start: it splits z into the screened solve
 from the step start (the uniformly accurate Klein-Gordon integrators of
 Bao, Cai & Zhao, SIAM J. Numer. Anal. 52, 2014; Hochbruck & Ostermann,
 Acta Numerica 19, 2010).  Modes outside the mask stay frozen, as under a
-masked right-hand side.  dt is the fluid CFL step, or the output interval,
-and is bounded by c only through an accuracy limit on the phase of the
-slowest Klein-Gordon mode (`MAX_KG_PHASE`).  `step` is the classical RK4
-scheme on the first-order system in (phi, pi) and is kept as the oracle.
+masked right-hand side.  All that the run carries from step to step (the
+Klein-Gordon tables, the spectra of the last state and the remainder y)
+lives in one `EtdStepper`, the stepper `stepping.drive` receives; no
+integrator state lives outside it.  dt is the fluid CFL step, or the
+output interval, and is bounded by c only through an accuracy limit on the
+phase of the slowest Klein-Gordon mode (`MAX_KG_PHASE`).  `step` is the
+classical RK4 scheme on the first-order system in (phi, pi) and is kept as
+the oracle.
 
 A note on the coefficient matrices: a0 is assembled directly from the
 evolution equations.  Its velocity rows couple to the pressure column with
@@ -280,11 +284,14 @@ def etd_coefficients(lam_dt, dt):
     return q, f1, f2, f3
 
 
-class KleinGordonEtd:
-    """ETDRK4 tables of the potential's linear part for one grid, c and dt,
-    and the remainder that `etd_step` carries from step to step.
+class EtdStepper:
+    """The stepper `run` hands to `stepping.drive`: `etd_step`s of size dt.
 
-    Only modes inside the 2/3 mask are evolved, as the pair
+    It holds all that the run carries from step to step: the ETDRK4 tables
+    of the potential's linear part for one grid, c and dt; the spectra
+    spec = (phi_hat, pi_hat) of the last state, carried so that the modes
+    outside the mask stay bit for bit frozen; and the remainder.  Only
+    modes inside the 2/3 mask are evolved, as the pair
     z = (pi_hat + i omega phi_hat, pi_hat - i omega phi_hat) of shape (2, M).
     Each table (e = exp(i omega dt), e2 = exp(i omega dt / 2), q, f1, f2,
     f3) has the same shape: row 0 for z+, row 1 its complex conjugate for
@@ -293,7 +300,8 @@ class KleinGordonEtd:
     the first step.
     """
 
-    def __init__(self, grid, consts, dt):
+    def __init__(self, state, dt):
+        grid, consts = state.grid, state.consts
         self.grid, self.consts, self.dt = grid, consts, dt
         self.mask = grid.dealias_mask
         ksq, where = np.unique(grid.k_sq[self.mask], return_inverse=True)
@@ -304,17 +312,21 @@ class KleinGordonEtd:
         self.e, self.e2, self.q, self.f1, self.f2, self.f3 = (
             np.stack([t[where], t[where].conj()]) for t in tables)
         self.source_scale = -4.0 * math.pi * consts.grav_g * consts.c**2
+        self.spec = grid.fft(np.stack([state.phi, state.pi]))
         self.remainder = None
 
-    def split(self, spec):
-        """z of the masked modes of the spectra spec = (phi_hat, pi_hat)."""
-        phi_h, pi_h = spec[:, self.mask]
+    def __call__(self, state):
+        return etd_step(state, self)
+
+    def split(self):
+        """z of the masked modes of spec."""
+        phi_h, pi_h = self.spec[:, self.mask]
         iw_phi = 1j * self.omega * phi_h
         return np.stack([pi_h + iw_phi, pi_h - iw_phi])
 
-    def merge(self, z, spec):
+    def merge(self, z):
         """Copy of spec with the masked modes taken from z."""
-        out = spec.copy()
+        out = self.spec.copy()
         out[:, self.mask] = np.stack([(z[0] - z[1]) / (2j * self.omega),
                                       0.5 * (z[0] + z[1])])
         return out
@@ -337,71 +349,57 @@ class KleinGordonEtd:
         return self.grid.dealias(fluid_rhs(state, co)), self.source(co)
 
 
-def etd_step(state, spec, kg):
-    """One step of size kg.dt; returns the new (state, spec).
+def etd_step(state, stepper):
+    """One step of size stepper.dt from state, whose spectra stepper.spec
+    holds; returns the new state and leaves its spectra in stepper.spec.
 
-    spec = (phi_hat, pi_hat) holds the real-transform spectra of state.phi
-    and state.pi; it is carried between steps so that the modes outside the
-    mask stay bit for bit frozen.  The fluid block takes the RK4 weights,
-    as in `step`, and z the Cox-Matthews final update.  The Cox-Matthews
-    stage values za, zb and zc only predict the potential of a stage: the
-    stage's own source N_s is transformed from the coefficients of its
-    fluid state and that predictor, and the stage potential is
-    z = `quasi_static`(N_s) + y(tau).  The remainder y of the step start is
-    extrapolated linearly from that of the previous step (kg.remainder) and
-    held on the first step.  The final update weights the source of the new
-    fluid state, not that of stage 4, with f3.
+    A module function, not a method: `EtdStepper.__call__` looks it up at
+    every step, so that a test can replace it to inject a failure and
+    perfbench's tracer, which wraps public module functions, sees it.  The
+    fluid block takes the RK4 weights, as in `step`, and z the
+    Cox-Matthews final update.  The Cox-Matthews stage values za, zb and zc
+    only predict the potential of a stage: the stage's own source N_s is
+    transformed from the coefficients of its fluid state and that
+    predictor, and the stage potential is z = `quasi_static`(N_s) + y(tau).
+    The remainder y of the step start is extrapolated linearly from that of
+    the previous step (stepper.remainder) and held on the first step.  The
+    final update weights the source of the new fluid state, not that of
+    stage 4, with f3.
     """
-    dt, grid = kg.dt, state.grid
+    dt, grid = stepper.dt, state.grid
 
     def at(w, z, t):
-        new_spec = kg.merge(z, spec)
-        phi, pi = grid.ifft(new_spec)
-        return replace(state, w=w, phi=phi, pi=pi, t=t), new_spec
+        spec = stepper.merge(z)
+        phi, pi = grid.ifft(spec)
+        return replace(state, w=w, phi=phi, pi=pi, t=t), spec
 
     def source(w, z_pred):
         """N of the fluid w under the potential of the predictor z_pred."""
-        phi = grid.ifft(kg.merge(z_pred, spec)[0])
-        return kg.source(eos_mod.coefficients(state.consts, state.eos, w, phi))
+        phi = grid.ifft(stepper.merge(z_pred)[0])
+        return stepper.source(eos_mod.coefficients(state.consts, state.eos, w, phi))
 
-    z = kg.split(spec)
-    k1, n1 = kg.rhs(state)
-    y = z - kg.quasi_static(n1)
-    slope = 0.0 if kg.remainder is None else (y - kg.remainder) / dt
-    kg.remainder = y
+    z = stepper.split()
+    k1, n1 = stepper.rhs(state)
+    y = z - stepper.quasi_static(n1)
+    slope = 0.0 if stepper.remainder is None else (y - stepper.remainder) / dt
+    stepper.remainder = y
 
     def stage(w, z_pred, tau):
-        z_s = kg.quasi_static(source(w, z_pred)) + (y + tau * slope)
-        return kg.rhs(at(w, z_s, state.t + tau)[0])
+        z_s = stepper.quasi_static(source(w, z_pred)) + (y + tau * slope)
+        return stepper.rhs(at(w, z_s, state.t + tau)[0])
 
-    za = kg.e2 * z + kg.q * n1
+    za = stepper.e2 * z + stepper.q * n1
     k2, n2 = stage(state.w + 0.5 * dt * k1, za, 0.5 * dt)
-    zb = kg.e2 * z + kg.q * n2
+    zb = stepper.e2 * z + stepper.q * n2
     k3, n3 = stage(state.w + 0.5 * dt * k2, zb, 0.5 * dt)
-    zc = kg.e2 * za + kg.q * (2.0 * n3 - n1)
+    zc = stepper.e2 * za + stepper.q * (2.0 * n3 - n1)
     k4, n4 = stage(state.w + dt * k3, zc, dt)
     w_new = state.w + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-    z_new = kg.e * z + kg.f1 * n1 + kg.f2 * (n2 + n3)
+    z_new = stepper.e * z + stepper.f1 * n1 + stepper.f2 * (n2 + n3)
     # the Cox-Matthews update predicts the potential of the new source
-    z_new += kg.f3 * source(w_new, z_new + kg.f3 * n4)
-    return at(w_new, z_new, state.t + dt)
-
-
-class EtdStepper:
-    """The stepper `run` hands to `stepping.drive`: `etd_step`s of size dt.
-
-    Builds the Klein-Gordon tables once and carries the spectra
-    (phi_hat, pi_hat) from step to step, so that the modes outside the mask
-    stay bit for bit frozen; the tables carry the remainder.
-    """
-
-    def __init__(self, state, dt):
-        self.kg = KleinGordonEtd(state.grid, state.consts, dt)
-        self.spec = state.grid.fft(np.stack([state.phi, state.pi]))
-
-    def __call__(self, state):
-        state, self.spec = etd_step(state, self.spec, self.kg)
-        return state
+    z_new += stepper.f3 * source(w_new, z_new + stepper.f3 * n4)
+    new, stepper.spec = at(w_new, z_new, state.t + dt)
+    return new
 
 
 # the largest phase omega_min dt through which one step turns the slowest

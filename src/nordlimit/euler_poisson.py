@@ -17,7 +17,6 @@ oracle, and `newtonian_rhs`, which applies -grad phi of a solved potential
 in physical space, as the oracle of `_deriv`.
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -60,16 +59,11 @@ def _limit_density(state):
     return r_inf, q_inf
 
 
-@functools.lru_cache(maxsize=None)
-def _background_density(consts, eos, eta_bar, p_bar):
-    """rho_inf of the background: a constant of the run, evaluated once."""
-    return float(eos_mod.mass_density(consts, eos, eta_bar, p_bar))
-
-
 def _constraint_source(consts, eos, eta_bar, p_bar, r_inf, out=None):
     """The constraint's source 4 pi G (rho_inf - rho_bar) for the limit
-    density r_inf, written into out when given."""
-    rho_bar = _background_density(consts, eos, eta_bar, p_bar)
+    density r_inf, written into out when given; rho_bar is the background's
+    rho_inf."""
+    rho_bar = float(eos_mod.mass_density(consts, eos, eta_bar, p_bar))
     src = np.subtract(r_inf, rho_bar, out=out)
     src *= 4.0 * math.pi * consts.grav_g
     return src

@@ -239,6 +239,19 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, text, message):
     assert capsys.readouterr().err.startswith("error: " + message)
 
 
+@pytest.mark.parametrize("command", ["run-en", "run-ep", "sweep", "check"])
+def test_grid_too_large_to_allocate_is_usage_error(tmp_path, capsys, command):
+    # the n**3 arrays of the grid exceed any address space: a clear message,
+    # not numpy's traceback, and the manifest is still written
+    path = write(tmp_path, SMALL.replace("n = 16", "n = 8388608"))
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: ")
+    assert "Traceback" not in err
+    assert (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("box, text", [
     ("eta", "eta_min = 2.0"), ("p", "p_min = 0.7\np_max = 0.7"),
 ], ids=["eta", "p"])
@@ -544,10 +557,10 @@ def test_sweep_middle_rung_abort_is_exit_2(tmp_path, monkeypatch, capsys):
     from nordlimit import euler_nordstrom as en
     real = en.etd_step
 
-    def failing_at_20(state, spec, kg):
+    def failing_at_20(state, stepper):
         if state.consts.c == 20.0:
             _raise_in_step()
-        return real(state, spec, kg)
+        return real(state, stepper)
 
     monkeypatch.setattr(en, "etd_step", failing_at_20)
     out = tmp_path / "out"

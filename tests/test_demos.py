@@ -19,8 +19,10 @@ def test_demo_exits_0(path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    # the suite's warnings-as-errors setting, in the demo's own interpreter
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", path],
+    # the suite's warnings-as-errors settings, in the demo's own interpreter
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-W", "error::DeprecationWarning",
+                           "-W", "error::PendingDeprecationWarning", path],
                           env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

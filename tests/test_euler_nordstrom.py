@@ -326,7 +326,7 @@ def test_shared_coefficients_match_one_argument_forms(grid, eosf):
 
 def test_etd_rhs_evaluates_the_closure_once(grid, eosf, monkeypatch):
     st = perturbed_state(grid, eosf, 20.0)
-    kg = en.KleinGordonEtd(grid, st.consts, 0.01)
+    stepper = en.EtdStepper(st, 0.01)
     real = eos.closure
     calls = []
 
@@ -335,7 +335,7 @@ def test_etd_rhs_evaluates_the_closure_once(grid, eosf, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(eos, "closure", counted)
-    kg.rhs(st)
+    stepper.rhs(st)
     assert len(calls) == 1
 
 
@@ -348,10 +348,9 @@ def test_pull_back_matches_script_w_and_is_identity_at_inf(grid, eosf):
 
 def etd_final(st, t_final, steps):
     """`en.etd_step`s from st to t_final in `steps` equal steps."""
-    kg = en.KleinGordonEtd(st.grid, st.consts, t_final / steps)
-    spec = st.grid.fft(np.stack([st.phi, st.pi]))
+    stepper = en.EtdStepper(st, t_final / steps)
     for _ in range(steps):
-        st, spec = en.etd_step(st, spec, kg)
+        st = en.etd_step(st, stepper)
     return st
 
 
@@ -378,29 +377,49 @@ def test_etd_run_matches_rk4_oracle(grid, eosf):
 def test_etd_step_freezes_modes_outside_mask(grid, eosf):
     # RK4's masked right-hand side never moves the potential's modes outside
     # the 2/3 mask; rotating them with exp(i omega dt) moved the H^5
-    # potential gap of the sweep by 4% to 600%
+    # potential gap of the sweep by 4% to 600%.  The stepper carries the
+    # spectra, so they stay bit for bit over a run of steps
     st = perturbed_state(grid, eosf, 40.0)
     rng = np.random.default_rng(7)
     st = replace(st, phi=st.phi + 1e-3 * rng.standard_normal(st.phi.shape),
                  pi=st.pi + 1e-3 * rng.standard_normal(st.pi.shape))
-    kg = en.KleinGordonEtd(grid, st.consts, 0.0125)
-    spec = grid.fft(np.stack([st.phi, st.pi]))
-    _, new = en.etd_step(st, spec, kg)
-    outside = ~grid.dealias_mask
-    assert np.max(np.abs(spec[:, outside])) > 1e-3
-    assert np.array_equal(new[:, outside], spec[:, outside])
-    assert not np.array_equal(new[:, grid.dealias_mask], spec[:, grid.dealias_mask])
+    stepper = en.EtdStepper(st, 0.0125)
+    spec0 = stepper.spec.copy()
+    outside, inside = ~grid.dealias_mask, grid.dealias_mask
+    assert np.max(np.abs(spec0[:, outside])) > 1e-3
+    for _ in range(5):
+        before = stepper.spec[:, inside]
+        st = en.etd_step(st, stepper)
+        assert np.array_equal(stepper.spec[:, outside], spec0[:, outside])
+        assert not np.array_equal(stepper.spec[:, inside], before)
 
 
-def test_etd_minus_coefficients_are_conjugates(grid):
-    consts = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=80.0)
+def test_etd_steps_by_hand_reproduce_run(grid, eosf):
+    # stepping an EtdStepper with etd_step outside `stepping.drive` gives
+    # the run's outputs bit for bit, at two steps per output
+    st = perturbed_state(grid, eosf, 160.0)
+    n_out = 2
+    traj = en.run(st, 0.04, n_outputs=n_out)
+    assert traj.ok and traj.steps == 4
+    assert traj.dt_reason == "Klein-Gordon phase"
+    stepper = en.EtdStepper(st, traj.dt)
+    for m in range(1, n_out + 1):
+        for _ in range(traj.steps // n_out):
+            st = en.etd_step(st, stepper)
+        assert np.array_equal(st.w, traj.ws[m])
+        assert np.array_equal(st.phi, traj.phis[m])
+        assert np.array_equal(st.pi, traj.pis[m])
+
+
+def test_etd_minus_coefficients_are_conjugates(grid, eosf):
     dt = 0.00625
-    kg = en.KleinGordonEtd(grid, consts, dt)
-    minus = en.etd_coefficients(-1j * kg.omega * dt, dt)
-    for row, direct in zip((kg.q, kg.f1, kg.f2, kg.f3), minus):
+    stepper = en.EtdStepper(perturbed_state(grid, eosf, 80.0), dt)
+    minus = en.etd_coefficients(-1j * stepper.omega * dt, dt)
+    for row, direct in zip((stepper.q, stepper.f1, stepper.f2, stepper.f3),
+                           minus):
         assert np.array_equal(row[1], row[0].conj())
         assert np.max(np.abs(row[1] - direct)) <= 1e-12 * dt
-    assert np.array_equal(kg.e[1], np.exp(-1j * kg.omega * dt))
+    assert np.array_equal(stepper.e[1], np.exp(-1j * stepper.omega * dt))
 
 
 def test_etd_contour_matches_closed_forms():
