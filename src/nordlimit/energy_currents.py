@@ -255,8 +255,9 @@ def _walk_outputs(traj, smoothed_w, consts, eos, grid, more=None):
         rhs = div_rhs[m]
         defect = abs(lhs - rhs) / max(abs(lhs), e0, 1e-300)
         rows.append((traj.ts[m], lhs, rhs, defect) + ratios[m])
-    # np.max carries a NaN defect through, so NaN data fails the check
-    max_defect = float(np.max([row[3] for row in rows], initial=0.0))
+    # np.max carries a NaN defect through, so NaN data fails the check, as
+    # does a run with no interior output, where nothing was checked
+    max_defect = float(np.max([row[3] for row in rows])) if rows else math.nan
     return DivergenceReport(rows=rows, max_defect=max_defect), extras
 
 
@@ -268,9 +269,10 @@ def divergence_identity_check(traj, smoothed_w, phi_data, consts, eos, grid,
     c = inf); the variation is wdot(t) = w(t) - smoothed_w.  At every
     interior output time the centered difference of the energy integral is
     compared with the exact divergence integral; the defect is normalized
-    by max(|LHS|, initial energy).  phi_data, eta_bar and p_bar are not
-    used: l does not enter the fluid current's identity, and the stored
-    potentials need no constraint solve.
+    by max(|LHS|, initial energy).  With fewer than 3 outputs there is no
+    interior output, and the max defect is NaN.  phi_data, eta_bar and p_bar
+    are not used: l does not enter the fluid current's identity, and the
+    stored potentials need no constraint solve.
     """
     return _walk_outputs(traj, smoothed_w, consts, eos, grid)[0]
 

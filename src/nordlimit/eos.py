@@ -3,16 +3,16 @@
 The fluid is closed by a one-parameter family of barotropic-in-p equations of
 state.  For a finite light speed c the proper energy density is
 
-    rho_c(eta, p) = m0 * (p / A_c(eta))**(1/gamma) + p / ((gamma - 1) c**2),
+    rho_c(p) = m0 * (p / A_c)**(1/gamma) + p / ((gamma - 1) c**2),
 
-with A_c(eta) = A_inf(eta) * (1 + a1 / c**2), and in the c -> infinity limit
+with A_c = A_inf * (1 + a1 / c**2), and in the c -> infinity limit
 
-    rho_inf(eta, p) = m0 * (p / A_inf(eta))**(1/gamma).
+    rho_inf(p) = m0 * (p / A_inf)**(1/gamma).
 
+A_c does not depend on eta, so rho_c, s_c**2 and q_c depend on p alone.
 Everything below is built on `closure`, which writes rho_c, the sound speed
 and the pressure-equation coefficient once; `mass_density` at c = inf needs
-only the rest density, which `closure` shares.  A_c does not depend on eta
-here; the one-field forms keep the argument for signature stability.
+only the rest density, which `closure` shares.
 Finite-c quantities converge to their limits at rate c**-2; `rate_check`
 measures that rate empirically over a sampling box.
 """
@@ -117,22 +117,12 @@ def potential_weight(consts, phi):
     return np.exp(4.0 * phi * consts.inv_c_sq) if consts.finite_c else 1.0
 
 
-def mass_density(consts, eos, eta, p):
-    """Proper energy density rho_c(eta, p) (`closure`).  In the limit it is
-    the rest density alone, which no causality bound constrains."""
+def mass_density(consts, eos, p):
+    """Proper energy density rho_c(p) (`closure`).  In the limit it is the
+    rest density alone, which no causality bound constrains."""
     if not consts.finite_c:
         return _rest_density(consts, eos, np.asarray(p))
     return closure(consts, eos, p)[0]
-
-
-def sound_speed_sq(consts, eos, eta, p):
-    """Squared sound speed s_c**2 = (d rho_c / d p)**-1 (`closure`)."""
-    return closure(consts, eos, p)[1]
-
-
-def q_coefficient(consts, eos, eta, p, phi=None):
-    """Pressure-equation coefficient q_c (`closure`); phi needed at finite c."""
-    return closure(consts, eos, p, potential_weight(consts, phi))[2]
 
 
 def lorentz_factor_sq(consts, v):
@@ -189,23 +179,22 @@ def coefficients(consts, eos, w, phi=None):
                         alpha=gam2 * (r + consts.inv_c_sq * big_p), v=v)
 
 
-def background_potential(consts, eos, eta_bar, p_bar):
+def background_potential(consts, eos, p_bar):
     """Spatially constant background potential phi_bar.
 
     In the limit the background constraint is linear:
 
-        phi_bar_inf = -4 pi G rho_inf(eta_bar, p_bar) / kappa**2.
+        phi_bar_inf = -4 pi G rho_inf(p_bar) / kappa**2.
 
     For finite c it is the scalar root of
 
-        F(phi) = kappa**2 phi
-                 + 4 pi G exp(4 phi/c**2) (rho_c(eta_bar,p_bar) - 3 p_bar/c**2)
+        F(phi) = kappa**2 phi + 4 pi G exp(4 phi/c**2) (rho_c(p_bar) - 3 p_bar/c**2)
 
     which is bracketed in [-8 pi G rho_c / kappa**2, 0] and polished by a
     bisection-safeguarded Newton iteration to |F| <= BACKGROUND_TOL.
     """
     g, kap = consts.grav_g, consts.kappa
-    rho = float(mass_density(consts, eos, eta_bar, p_bar))
+    rho = float(mass_density(consts, eos, p_bar))
     if not consts.finite_c:
         return -4.0 * math.pi * g * rho / kap**2
 

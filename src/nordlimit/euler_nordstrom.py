@@ -72,10 +72,6 @@ class RelState:
         """The coefficient fields (`eos.coefficients`) of the state."""
         return eos_mod.coefficients(self.consts, self.eos, self.w, self.phi)
 
-    def script_w(self):
-        """The limit-system variables (eta, p, v) recovered from (W, phi)."""
-        return pull_back(self.w, self.phi, self.consts)
-
 
 def pull_back(w, phi, consts):
     """Limit-system variables (eta, exp(-4 phi/c**2) P, v) of a finite-c state.
@@ -134,7 +130,7 @@ def fluid_rhs(state, co=None, grads=None):
     The 4x4 (P, v) block reduces, after eliminating d_t P, to
     (alpha I + mu v v^T) x = r with mu = s (alpha - s q), s = gamma**2/c**2,
     inverted by the rank-one update formula.  Its pivot alpha + mu |v|**2 is
-    at least alpha > 0, as causality (s_c < c, `eos.sound_speed_sq`) gives
+    at least alpha > 0, as causality (s_c < c, `eos.closure`) gives
     mu = s gamma**2 exp(4 phi/c**2) (rho_c + p/c**2) (1 - s_c**2/c**2) >= 0.
     co, if given, is the coefficient record of state (`eos.coefficients`),
     computed once per right-hand side by the caller; grads, if given, is the

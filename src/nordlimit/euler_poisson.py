@@ -3,7 +3,7 @@
 Variables are w = (eta, p, v1, v2, v3); the potential is fully constrained
 by the screened Poisson equation
 
-    (lap - kappa**2) phi = 4 pi G rho_inf(eta, p)
+    (lap - kappa**2) phi = 4 pi G rho_inf(p)
 
 (on the torus the uniform part is absorbed by the constant background
 potential).  The force -grad phi is therefore a linear Fourier multiplier
@@ -35,7 +35,6 @@ class NewtState:
     consts: object
     eos: object
     grid: object
-    eta_bar: float
     p_bar: float
     phi: np.ndarray = None
     pi = 0.0  # d_t phi: the c**-2 pi terms vanish at c = inf
@@ -47,8 +46,7 @@ class NewtState:
 
 def from_bundle(bundle, consts_inf):
     return NewtState(w=bundle.w_inf.copy(), t=0.0, consts=consts_inf,
-                     eos=bundle.eos, grid=bundle.grid,
-                     eta_bar=bundle.eta_bar, p_bar=bundle.p_bar)
+                     eos=bundle.eos, grid=bundle.grid, p_bar=bundle.p_bar)
 
 
 def _limit_density(state):
@@ -59,28 +57,27 @@ def _limit_density(state):
     return r_inf, q_inf
 
 
-def _constraint_source(consts, eos, eta_bar, p_bar, r_inf, out=None):
+def _constraint_source(consts, eos, p_bar, r_inf, out=None):
     """The constraint's source 4 pi G (rho_inf - rho_bar) for the limit
     density r_inf, written into out when given; rho_bar is the background's
     rho_inf."""
-    rho_bar = float(eos_mod.mass_density(consts, eos, eta_bar, p_bar))
+    rho_bar = float(eos_mod.mass_density(consts, eos, p_bar))
     src = np.subtract(r_inf, rho_bar, out=out)
     src *= 4.0 * math.pi * consts.grav_g
     return src
 
 
-def _potential(consts, eos, grid, eta_bar, p_bar, r_inf):
+def _potential(consts, eos, grid, p_bar, r_inf):
     """The potential solving the screened constraint for r_inf."""
-    phi_bar = eos_mod.background_potential(consts, eos, eta_bar, p_bar)
+    phi_bar = eos_mod.background_potential(consts, eos, p_bar)
     return phi_bar + grid.helmholtz_solve(
-        _constraint_source(consts, eos, eta_bar, p_bar, r_inf), consts.kappa)
+        _constraint_source(consts, eos, p_bar, r_inf), consts.kappa)
 
 
 def solve_constraint(state):
     """Potential from the screened Poisson constraint for the current w."""
-    r_inf = eos_mod.mass_density(state.consts, state.eos, state.w[0], state.w[1])
-    return _potential(state.consts, state.eos, state.grid, state.eta_bar,
-                      state.p_bar, r_inf)
+    r_inf = eos_mod.mass_density(state.consts, state.eos, state.w[1])
+    return _potential(state.consts, state.eos, state.grid, state.p_bar, r_inf)
 
 
 def with_constraint(state):
@@ -115,17 +112,17 @@ def newtonian_rhs(state, density=None):
     return out
 
 
-def mass_form_rhs(state_w_r, consts, eos, grid, eta_bar, p_bar):
+def mass_form_rhs(state_w_r, consts, eos, grid, p_bar):
     """Oracle right-hand side evolving (eta, R, v) in conservation form.
 
     R = rho_inf is advanced by d_t R + d_k(R v^k) = 0 while the velocity
     equation uses the pressure recovered from R through the equation of
-    state, p = A_inf(eta) (R / m0)**gamma.
+    state, p = A_inf (R / m0)**gamma.
     """
     eta, r_inf = state_w_r[0], state_w_r[1]
     v = state_w_r[2:]
     p = eos.a_inf * (r_inf / eos.m0) ** eos.gamma
-    phi = _potential(consts, eos, grid, eta_bar, p_bar, r_inf)
+    phi = _potential(consts, eos, grid, p_bar, r_inf)
 
     deta = grid.gradient(eta)
     dv = grid.gradient(v)
@@ -151,8 +148,7 @@ def _deriv(state):
     r_inf, q_inf = _limit_density(state)
     stack = np.empty((6,) + r_inf.shape)
     _fluid_terms(state, r_inf, q_inf, stack[:5])
-    _constraint_source(state.consts, state.eos, state.eta_bar, state.p_bar,
-                       r_inf, out=stack[5])
+    _constraint_source(state.consts, state.eos, state.p_bar, r_inf, out=stack[5])
     spec = grid.fft(stack)
     del stack, r_inf, q_inf
     src = spec[5]

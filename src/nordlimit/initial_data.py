@@ -1,11 +1,12 @@
 """Perturbed quiet-fluid initial data shared between the two systems.
 
 The data are a uniform background (eta_bar, p_bar, v=0) plus well-localized
-Gaussian bumps.  From the Newtonian fields (eta0, p0, v0) we derive
+Gaussian bumps; the density depends on p alone, so the bundle keeps only
+p_bar of the background.  From the Newtonian fields (eta0, p0, v0) we derive
 
-    phi0_inf = phi_bar_inf + (lap - kappa**2)**-1 [4 pi G (rho_inf(eta0,p0)
-                                                  - rho_inf(eta_bar,p_bar))],
-    psi0     = (lap - kappa**2)**-1 [-4 pi G d_k(rho_inf(eta0,p0) v0^k)],
+    phi0_inf = phi_bar_inf + (lap - kappa**2)**-1 [4 pi G (rho_inf(p0)
+                                                  - rho_inf(p_bar))],
+    psi0     = (lap - kappa**2)**-1 [-4 pi G d_k(rho_inf(p0) v0^k)],
 
 phi0_inf by the limit system's own solve (`euler_poisson._potential`).  For
 finite c the potential datum is shifted by the background constants,
@@ -45,7 +46,6 @@ class DataBundle:
 
     grid: object
     eos: object
-    eta_bar: float
     p_bar: float
     w_inf: np.ndarray
     phi_inf: np.ndarray
@@ -102,17 +102,16 @@ def build_newtonian_data(spec, consts_inf, eos, grid, eta_bar=1.0, p_bar=1.0,
         raise ValueError("initial data must keep eta and p positive")
 
     g = consts_inf.grav_g
-    phi_bar_inf = eos_mod.background_potential(consts_inf, eos, eta_bar, p_bar)
-    rho = eos_mod.mass_density(consts_inf, eos, eta, p)
-    phi_inf = ep._potential(consts_inf, eos, grid, eta_bar, p_bar, rho)
+    phi_bar_inf = eos_mod.background_potential(consts_inf, eos, p_bar)
+    rho = eos_mod.mass_density(consts_inf, eos, p)
+    phi_inf = ep._potential(consts_inf, eos, grid, p_bar, rho)
     # rho v near the float maximum overflows; the initial-state check aborts
     with np.errstate(over="ignore", invalid="ignore"):
         flux_div = sum(grid.derivative(rho * v[k], k) for k in range(3))
         psi0 = grid.helmholtz_solve(-4.0 * math.pi * g * flux_div, consts_inf.kappa)
     w_inf = np.concatenate([eta[None], p[None], v])
-    return DataBundle(grid=grid, eos=eos, eta_bar=eta_bar, p_bar=p_bar,
-                      w_inf=w_inf, phi_inf=phi_inf, psi0=psi0,
-                      phi_bar_inf=phi_bar_inf)
+    return DataBundle(grid=grid, eos=eos, p_bar=p_bar, w_inf=w_inf,
+                      phi_inf=phi_inf, psi0=psi0, phi_bar_inf=phi_bar_inf)
 
 
 def lift_to_relativistic(bundle, consts):
@@ -123,8 +122,7 @@ def lift_to_relativistic(bundle, consts):
     """
     if not consts.finite_c:
         raise ValueError("lift_to_relativistic expects finite c")
-    phi_bar_c = eos_mod.background_potential(
-        consts, bundle.eos, bundle.eta_bar, bundle.p_bar)
+    phi_bar_c = eos_mod.background_potential(consts, bundle.eos, bundle.p_bar)
     phi_c = bundle.phi_inf - bundle.phi_bar_inf + phi_bar_c
     eta, p = bundle.w_inf[0], bundle.w_inf[1]
     big_p = eos_mod.potential_weight(consts, phi_c) * p

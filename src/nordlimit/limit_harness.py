@@ -199,7 +199,12 @@ class LimitOutputs:
         # not carry it
         import multiprocessing
         w_size, phi_size = outputs * 5 * n**3, outputs * n**3
-        buffer = mmap.mmap(-1, 8 * (1 + w_size + phi_size))
+        nbytes = 8 * (1 + w_size + phi_size)
+        try:
+            buffer = mmap.mmap(-1, nbytes)
+        except OverflowError:  # more bytes than a mapping can address
+            raise MemoryError("cannot map %d bytes for %d limit outputs"
+                              % (nbytes, outputs)) from None
         self._ok = np.frombuffer(buffer, count=1)
         self.ws = np.frombuffer(buffer, count=w_size, offset=8).reshape(
             (outputs, 5, n, n, n))
@@ -322,7 +327,7 @@ def newtonian_operator_residual(w, dt_w, phi, consts_inf, eos, grid,
     the velocity rows multiplied by rho_inf (the momentum form).  density,
     if given, is the (rho_inf, q_inf) of w (`eos.closure` at c = inf)."""
     state = ep.NewtState(w=w, t=0.0, consts=consts_inf, eos=eos, grid=grid,
-                         eta_bar=None, p_bar=None, phi=phi)
+                         p_bar=None, phi=phi)
     if density is None:
         density = ep._limit_density(state)
     res = dt_w - ep.newtonian_rhs(state, density)
@@ -345,15 +350,15 @@ def approximate_solution_residuals(traj, phi_data, w_data_inf, consts, eos,
                                            kappa=consts.kappa, c=math.inf)
     fourpg = 4.0 * math.pi * consts.grav_g
 
-    def script_w(m):
+    def pulled_back(m):
         return en.pull_back(traj.ws[m], traj.phis[m], consts)
 
-    rho_data = eos_mod.mass_density(consts_inf, eos, w_data_inf[0], w_data_inf[1])
+    rho_data = eos_mod.mass_density(consts_inf, eos, w_data_inf[1])
 
     def norms(m):
         """The norms of the two residuals at output m; the first is None at
         the end outputs, where the centered difference has no neighbour."""
-        wm = script_w(m)
+        wm = pulled_back(m)
         rho, _, q = eos_mod.closure(consts_inf, eos, wm[1])
         e2 = (grid.laplacian(traj.phis[m] - phi_data)
               - consts.kappa**2 * (traj.phis[m] - phi_data)
@@ -362,7 +367,7 @@ def approximate_solution_residuals(traj, phi_data, w_data_inf, consts, eos,
         if not 1 <= m <= len(traj.ts) - 2:
             return None, e2_norm
         dt_out = traj.ts[m + 1] - traj.ts[m - 1]
-        dt_w = (script_w(m + 1) - script_w(m - 1)) / dt_out
+        dt_w = (pulled_back(m + 1) - pulled_back(m - 1)) / dt_out
         e1 = newtonian_operator_residual(wm, dt_w, traj.phis[m],
                                          consts_inf, eos, grid, (rho, q))
         return grid.sobolev_norm(e1, order - 1), e2_norm

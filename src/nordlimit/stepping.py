@@ -23,7 +23,7 @@ def max_speed(w):
 
 def fluid_signal_speed(state):
     """CFL speed of the fluid: max |v| + max sound speed."""
-    ssq = eos_mod.sound_speed_sq(state.consts, state.eos, state.w[0], state.pressure())
+    ssq = eos_mod.closure(state.consts, state.eos, state.pressure())[1]
     return max_speed(state.w) + float(np.max(np.sqrt(ssq)))
 
 
@@ -119,7 +119,9 @@ def drive(state, start, dt_max, dt_reason, speed, t_final, n_outputs,
     aborts (partial trajectory returned) when the initial state (then dt is
     dt_max) or an output is not admissible, when speed is not finite or
     grows past 110% at an output, on a ValueError raised inside a step, or
-    when a step leaves a NaN or an infinity in any field.
+    when a step leaves a NaN or an infinity in any field.  A dt_max that is
+    not positive, or too small for a finite number of steps per output,
+    raises a ValueError before the stepper is built.
     """
     clock = time.perf_counter()
     traj = Trajectory(dt=dt_max, dt_reason=dt_reason)
@@ -131,8 +133,14 @@ def drive(state, start, dt_max, dt_reason, speed, t_final, n_outputs,
         if reason is not None:
             traj.abort_reason = "initial state: " + reason
             return traj
+        if not dt_max > 0:
+            raise ValueError("time step %r (%s) is not positive"
+                             % (dt_max, dt_reason))
         seg = t_final / n_outputs
         ratio = seg / dt_max
+        if not math.isfinite(ratio):
+            raise ValueError("output interval %r over time step %r: steps "
+                             "per output not finite" % (seg, dt_max))
         per_seg = max(1, math.ceil(ratio - 1e-12))
         if ratio < 1.0 - 1e-12:
             traj.dt_reason = "output interval"

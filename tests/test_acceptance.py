@@ -141,10 +141,10 @@ def test_criterion_5_limit_rates(sweep):
         lifted = sweep.en_bundles[c]
         st = en.from_bundle(lifted)
         a0, ak, _ = en.assemble_matrices(st)
-        w = st.script_w()
+        w = en.pull_back(st.w, st.phi, st.consts)
         consts_inf = cfg.consts(math.inf)
-        r = eos.mass_density(consts_inf, eosf, w[0], w[1])
-        q = eos.q_coefficient(consts_inf, eosf, w[0], w[1])
+        r = eos.mass_density(consts_inf, eosf, w[1])
+        q = eos.closure(consts_inf, eosf, w[1])[2]
         a0_inf = np.zeros_like(a0)
         a0_inf[0, 0] = 1.0
         a0_inf[1, 1] = 1.0
@@ -239,7 +239,7 @@ def test_criterion_7_exactness(sweep):
     grid, eosf = cfg.make_grid(), cfg.make_eos()
     consts = cfg.consts(20.0)
     shape = (grid.n,) * 3
-    phi_bar = eos.background_potential(consts, eosf, cfg.eta_bar, cfg.p_bar)
+    phi_bar = eos.background_potential(consts, eosf, cfg.p_bar)
     w = np.zeros((5,) + shape)
     w[0] = cfg.eta_bar
     w[1] = cfg.p_bar * math.exp(4.0 * phi_bar * consts.inv_c_sq)
@@ -288,11 +288,11 @@ def test_criterion_8_dual_formulation(sweep):
     grid, eosf = cfg.make_grid(), cfg.make_eos()
     consts_inf = cfg.consts(math.inf)
     st = ep.with_constraint(ep.from_bundle(sweep.bundle, consts_inf))
-    r0 = eos.mass_density(consts_inf, eosf, st.w[0], st.w[1])
+    r0 = eos.mass_density(consts_inf, eosf, st.w[1])
     wr = np.concatenate([st.w[:1], r0[None], st.w[2:]])
     dt = 0.005
     deriv = lambda y: grid.dealias(ep.mass_form_rhs(
-        y, consts_inf, eosf, grid, cfg.eta_bar, cfg.p_bar))
+        y, consts_inf, eosf, grid, cfg.p_bar))
     for _ in range(20):
         st = ep.step(st, dt)
         k1 = deriv(wr)
@@ -301,7 +301,7 @@ def test_criterion_8_dual_formulation(sweep):
         k4 = deriv(wr + dt * k3)
         wr = wr + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
     gap = float(np.max(np.abs(
-        wr[1] - eos.mass_density(consts_inf, eosf, st.w[0], st.w[1]))))
+        wr[1] - eos.mass_density(consts_inf, eosf, st.w[1]))))
     ok = gap <= 1e-6
     assert _report(8, ok,
                    "pressure-form vs conservation-form density gap %.2e "

@@ -239,11 +239,18 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, text, message):
     assert capsys.readouterr().err.startswith("error: " + message)
 
 
-@pytest.mark.parametrize("command", ["run-en", "run-ep", "sweep", "check"])
-def test_grid_too_large_to_allocate_is_usage_error(tmp_path, capsys, command):
-    # the n**3 arrays of the grid exceed any address space: a clear message,
-    # not numpy's traceback, and the manifest is still written
-    path = write(tmp_path, SMALL.replace("n = 16", "n = 8388608"))
+@pytest.mark.parametrize("command, line, value", [
+    pytest.param(command, "n = 16", "n = 8388608", id=command)
+    for command in ("run-en", "run-ep", "sweep", "check")] + [
+    # run-en and run-ep take one step per output: 1e14 steps, not an error
+    pytest.param("sweep", "n_outputs = 2", "n_outputs = 100000000000000",
+                 id="sweep-n_outputs")])
+def test_grid_too_large_to_allocate_is_usage_error(tmp_path, capsys, command,
+                                                   line, value):
+    # the n**3 arrays of the grid, or the sweep's mapping of the limit run's
+    # outputs, exceed any address space: a clear message, not numpy's or
+    # mmap's traceback, and the manifest is still written
+    path = write(tmp_path, SMALL.replace(line, value))
     out = tmp_path / "out"
     assert cli.main(["--config", path, "--out", str(out), command]) == 1
     err = capsys.readouterr().err
@@ -294,6 +301,30 @@ def test_non_finite_config_value_is_usage_error(tmp_path, capsys, key, value,
     err = capsys.readouterr().err
     assert err.startswith("error: %s must be finite, got " % name)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, line, bad, message", [
+    pytest.param(command, line, bad, message, id="%s-%s" % (command, name))
+    for name, line, bad, message in (
+        ("cfl=5e-324", "c = 10", "c = 10\ncfl = 5e-324", "time step 0.0 "),
+        ("cfl=1e-320", "c = 10", "c = 10\ncfl = 1e-320", "output interval "),
+        ("t_final=1e308", "t_final = 0.02", "t_final = 1e308",
+         "output interval "))
+    for command in ("run-en", "run-ep", "sweep", "check")
+    # check runs to min(t_final, 0.1), so t_final = 1e308 is valid there
+    if (command, name) != ("check", "t_final=1e308")])
+def test_step_count_out_of_range_is_usage_error(tmp_path, capsys, command,
+                                                line, bad, message):
+    # a cfl that rounds dt_max to 0, or an output interval of infinitely
+    # many steps: refused before the first step, not a ZeroDivisionError or
+    # an OverflowError, and the manifest is still written
+    path = write(tmp_path, SMALL.replace(line, bad))
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert "Traceback" not in err
+    assert (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command, amp_vx", [

@@ -22,7 +22,8 @@ def test_demo_exits_0(path):
     # the suite's warnings-as-errors settings, in the demo's own interpreter
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
                            "-W", "error::DeprecationWarning",
-                           "-W", "error::PendingDeprecationWarning", path],
+                           "-W", "error::PendingDeprecationWarning",
+                           "-W", "error::ResourceWarning", path],
                           env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

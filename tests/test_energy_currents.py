@@ -39,7 +39,7 @@ def rest_background(grid, c):
     w = np.zeros((5,) + shape)
     w[0] = 1.0
     if math.isfinite(c):
-        phi_bar = eos.background_potential(consts, eosf, 1.0, 1.0)
+        phi_bar = eos.background_potential(consts, eosf, 1.0)
         phi = np.full(shape, phi_bar)
         w[1] = math.exp(4.0 * phi_bar / c**2)
         return consts, ec.background_coeffs(consts, eosf, w, phi)
@@ -172,7 +172,7 @@ def test_inhomogeneity_vanishes_on_background(grid, eosf):
         w = np.zeros((5,) + shape)
         w[0] = 1.0
         if math.isfinite(c):
-            phi_bar = eos.background_potential(consts, eosf, 1.0, 1.0)
+            phi_bar = eos.background_potential(consts, eosf, 1.0)
             w[1] = math.exp(4.0 * phi_bar / c**2)
             st = en.RelState(w=w, phi=np.full(shape, phi_bar),
                              pi=np.zeros(shape), t=0.0, consts=consts,
@@ -181,8 +181,7 @@ def test_inhomogeneity_vanishes_on_background(grid, eosf):
         else:
             w[1] = 1.0
             st = ep.with_constraint(ep.NewtState(
-                w=w, t=0.0, consts=consts, eos=eosf, grid=grid,
-                eta_bar=1.0, p_bar=1.0))
+                w=w, t=0.0, consts=consts, eos=eosf, grid=grid, p_bar=1.0))
             phi_data = st.phi
         terms = ec.assemble_eov_inhomogeneity(st, w, phi_data)
         for term in terms:
@@ -270,6 +269,25 @@ def test_divergence_check_fails_on_nan_data(eosf):
         traj, smoothed, b.phi_inf, INF, eosf, grid16)
     assert len(report.rows) == 3
     assert not report.max_defect <= 1e-3
+
+
+def test_divergence_check_of_no_interior_output_fails(eosf):
+    # a run of one output interval has no interior output, so the identity
+    # was checked nowhere: the max defect is NaN and the verdict FAIL
+    grid16 = Grid3(16, L)
+    b = perturbed_bundle(grid16, eosf, 20.0)
+    consts, smoothed = b.consts, mollify_bundle(b, 0.2).w_c
+    traj = en.run(en.from_bundle(b), 0.02, n_outputs=1,
+                  eta_box=BOX[0], p_box=BOX[1])
+    assert traj.ok and len(traj.ts) == 2
+    report = ec.divergence_identity_check(traj, smoothed, b.phi_c, consts,
+                                          eosf, grid16)
+    assert report.rows == [] and math.isnan(report.max_defect)
+    variations = np.random.default_rng(0).normal(size=(16, 5))
+    report, verdicts, values = ec.check_invariants(
+        traj, smoothed, b.phi_c, consts, eosf, grid16, variations, 2)
+    assert report.rows == [] and verdicts["divergence_identity"] is False
+    assert math.isnan(values["divergence_identity"])
 
 
 def test_divergence_check_reads_stored_limit_potentials(monkeypatch, eosf):

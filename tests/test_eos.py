@@ -13,20 +13,20 @@ INF = eos.PhysicalConstants(c=math.inf)
 def test_limit_sound_speed_closed_form():
     # m0=1, gamma=2, a_inf=1, p=1: d rho/d p = 1/2 so squared speed is 2
     e = eos.PolytropicEos(m0=1.0, gamma=2.0, a_inf=1.0)
-    assert eos.sound_speed_sq(INF, e, 1.0, 1.0) == pytest.approx(2.0, rel=1e-14)
+    assert eos.closure(INF, e, 1.0)[1] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_finite_c_sound_speed_closed_form():
     # adds 1/((gamma-1) c^2) = 0.01 to the compressibility: 1/0.51
     e = eos.PolytropicEos()
     k = eos.PhysicalConstants(c=10.0)
-    assert eos.sound_speed_sq(k, e, 1.0, 1.0) == pytest.approx(1.0 / 0.51, rel=1e-14)
+    assert eos.closure(k, e, 1.0)[1] == pytest.approx(1.0 / 0.51, rel=1e-14)
 
 
 def test_finite_c_mass_density_closed_form():
     e = eos.PolytropicEos()
     k = eos.PhysicalConstants(c=10.0)
-    assert eos.mass_density(k, e, 1.0, 1.0) == pytest.approx(1.01, rel=1e-14)
+    assert eos.mass_density(k, e, 1.0) == pytest.approx(1.01, rel=1e-14)
 
 
 def test_sound_speed_matches_density_derivative():
@@ -36,11 +36,11 @@ def test_sound_speed_matches_density_derivative():
     for consts in (INF, eos.PhysicalConstants(c=25.0)):
         for _ in range(20):
             p = rng.uniform(0.5, 1.5)
-            eta = rng.uniform(0.9, 1.1)
+            rng.uniform(0.9, 1.1)  # an eta draw: keeps the p samples
             dp = 1e-6 * p
-            fd = (eos.mass_density(consts, e, eta, p + dp)
-                  - eos.mass_density(consts, e, eta, p - dp)) / (2 * dp)
-            assert 1.0 / eos.sound_speed_sq(consts, e, eta, p) == pytest.approx(
+            fd = (eos.mass_density(consts, e, p + dp)
+                  - eos.mass_density(consts, e, p - dp)) / (2 * dp)
+            assert 1.0 / eos.closure(consts, e, p)[1] == pytest.approx(
                 fd, rel=1e-8)
 
 
@@ -49,12 +49,12 @@ def test_q_identity_polytropic():
     e = eos.PolytropicEos(gamma=1.8)
     rng = np.random.default_rng(3)
     p = rng.uniform(0.5, 1.5, 50)
-    eta = rng.uniform(0.9, 1.1, 50)
+    rng.uniform(0.9, 1.1, 50)  # an eta draw: keeps the phi samples
     phi = rng.uniform(-1.0, 0.0, 50)
     k = eos.PhysicalConstants(c=15.0)
-    q = eos.q_coefficient(k, e, eta, p, phi)
+    q = eos.closure(k, e, p, eos.potential_weight(k, phi))[2]
     assert np.allclose(q, e.gamma * np.exp(4 * phi / 15.0**2) * p, rtol=1e-12)
-    q_inf = eos.q_coefficient(INF, e, eta, p)
+    q_inf = eos.closure(INF, e, p)[2]
     assert np.allclose(q_inf, e.gamma * p, rtol=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_lorentz_factor():
         eos.lorentz_factor_sq(eos.PhysicalConstants(c=5.0), v)
 
 
-def test_coefficients_match_the_one_field_forms():
+def test_coefficients_match_the_closure():
     # every field of the record equals its formula from the EOS primitives
     e = eos.PolytropicEos(a1=0.3)
     rng = np.random.default_rng(4)
@@ -95,19 +95,13 @@ def test_coefficients_match_the_one_field_forms():
         assert np.allclose(co.p, p, rtol=1e-14, atol=0)
         assert np.array_equal(co.big_p, big_p)
         assert np.array_equal(co.v, v)
-        assert np.array_equal(co.q, eos.q_coefficient(k, e, eta, co.p, phi))
-        assert np.array_equal(co.ssq, eos.sound_speed_sq(k, e, eta, co.p))
+        weight = eos.potential_weight(k, phi)
+        assert np.array_equal(co.q, eos.closure(k, e, co.p, weight)[2])
+        assert np.array_equal(co.ssq, eos.closure(k, e, co.p)[1])
         assert np.array_equal(co.gam2, eos.lorentz_factor_sq(k, v))
-        rho = eos.mass_density(k, e, eta, co.p)
+        rho = eos.mass_density(k, e, co.p)
         assert np.array_equal(co.r, np.exp(4.0 * phi * icc) * rho)
         assert np.array_equal(co.alpha, co.gam2 * (co.r + icc * big_p))
-        # the closure is the one-field forms, bit for bit (default weight
-        # 1 in the limit)
-        weight = (np.exp(4.0 * phi * icc),) if k.finite_c else ()
-        one_field = (rho, eos.sound_speed_sq(k, e, eta, co.p),
-                     eos.q_coefficient(k, e, eta, co.p, phi))
-        for got, expect in zip(eos.closure(k, e, co.p, *weight), one_field):
-            assert np.array_equal(got, expect)
     assert np.array_equal(co.alpha, co.r)  # at c = inf
     with pytest.raises(ValueError, match="potential"):
         eos.coefficients(eos.PhysicalConstants(c=10.0), e, w)
@@ -117,25 +111,25 @@ def test_closure_raises_on_causality_for_every_field():
     # gamma = 3 at large p: s_c**2 tends to (gamma - 1) c**2 > c**2
     e = eos.PolytropicEos(gamma=3.0)
     k = eos.PhysicalConstants(c=1.0)
-    for fn in (eos.mass_density, eos.sound_speed_sq, eos.q_coefficient):
+    for fn in (eos.mass_density, eos.closure):
         with pytest.raises(ValueError, match="non-causal"):
-            fn(k, e, 1.0, 1e6, *((0.0,) if fn is eos.q_coefficient else ()))
-    assert eos.mass_density(INF, e, 1.0, 1e6) > 0
+            fn(k, e, 1e6)
+    assert eos.mass_density(INF, e, 1e6) > 0
 
 
 def test_background_potential_limit_closed_form():
     k = eos.PhysicalConstants(grav_g=0.05, kappa=1.0)
     e = eos.PolytropicEos()
     expect = -4.0 * math.pi * 0.05 * 1.0
-    assert eos.background_potential(k, e, 1.0, 1.0) == pytest.approx(expect, rel=1e-14)
+    assert eos.background_potential(k, e, 1.0) == pytest.approx(expect, rel=1e-14)
 
 
 def test_background_potential_finite_c_residual():
     e = eos.PolytropicEos()
     for c in (10.0, 40.0, 160.0):
         k = eos.PhysicalConstants(grav_g=0.05, kappa=1.3, c=c)
-        phi = eos.background_potential(k, e, 1.0, 1.0)
-        rho = eos.mass_density(k, e, 1.0, 1.0)
+        phi = eos.background_potential(k, e, 1.0)
+        rho = eos.mass_density(k, e, 1.0)
         res = k.kappa**2 * phi + 4 * math.pi * k.grav_g * math.exp(
             4 * phi / c**2) * (rho - 3.0 / c**2)
         assert abs(res) <= 1e-12
@@ -146,11 +140,11 @@ def test_background_potential_gap_rate():
     e = eos.PolytropicEos()
     cs = [10, 20, 40, 80, 160]
     inf_consts = eos.PhysicalConstants(grav_g=0.05)
-    phi_inf = eos.background_potential(inf_consts, e, 1.0, 1.0)
+    phi_inf = eos.background_potential(inf_consts, e, 1.0)
     gaps = []
     for c in cs:
         k = eos.PhysicalConstants(grav_g=0.05, c=float(c))
-        gaps.append(abs(eos.background_potential(k, e, 1.0, 1.0) - phi_inf))
+        gaps.append(abs(eos.background_potential(k, e, 1.0) - phi_inf))
     slope = np.polyfit(np.log(cs), np.log(gaps), 1)[0]
     assert slope == pytest.approx(-2.0, abs=0.05)
 
@@ -164,6 +158,6 @@ def test_parameter_validation():
         eos.PolytropicEos(gamma=1.0)
     with pytest.raises(ValueError):
         eos.PolytropicEos(m0=-1.0)
-    with pytest.raises(ValueError):
-        eos.q_coefficient(eos.PhysicalConstants(c=10.0), eos.PolytropicEos(),
-                          1.0, 1.0)  # missing potential
+    k = eos.PhysicalConstants(c=10.0)
+    with pytest.raises(ValueError, match="needs the potential"):
+        eos.closure(k, eos.PolytropicEos(), 1.0, eos.potential_weight(k, None))

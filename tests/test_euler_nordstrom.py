@@ -32,7 +32,7 @@ def eosf():
 
 def background_state(grid, eosf, c):
     consts = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=c)
-    phi_bar = eos.background_potential(consts, eosf, 1.0, 1.0)
+    phi_bar = eos.background_potential(consts, eosf, 1.0)
     shape = (grid.n,) * 3
     w = np.zeros((5,) + shape)
     w[0] = 1.0
@@ -171,9 +171,9 @@ def test_matrix_c_to_limit_rates(grid, eosf):
         st = perturbed_state(grid, eosf, c)
         a0, ak, _ = en.assemble_matrices(st)
         # limit matrices on the same limit-variable state
-        w = st.script_w()
-        r = eos.mass_density(INF, eosf, w[0], w[1])
-        q = eos.q_coefficient(INF, eosf, w[0], w[1])
+        w = en.pull_back(st.w, st.phi, st.consts)
+        r = eos.mass_density(INF, eosf, w[1])
+        q = eos.closure(INF, eosf, w[1])[2]
         a0_inf = np.zeros_like(a0)
         a0_inf[0, 0] = 1.0
         a0_inf[1, 1] = 1.0
@@ -206,8 +206,8 @@ def test_fluid_rhs_c_to_limit_rate(grid, eosf):
         st = perturbed_state(grid, eosf, c)
         st = replace(st, pi=np.zeros_like(st.pi))
         rhs_c = en.fluid_rhs(st)
-        ns = ep.NewtState(w=st.script_w(), t=0.0, consts=INF, eos=eosf,
-                          grid=grid, eta_bar=1.0, p_bar=1.0, phi=st.phi)
+        ns = ep.NewtState(w=en.pull_back(st.w, st.phi, st.consts), t=0.0,
+                          consts=INF, eos=eosf, grid=grid, p_bar=1.0, phi=st.phi)
         rhs_inf = ep.newtonian_rhs(ns)
         # compare in limit variables: d_t p = exp(-4 phi/c^2) d_t P at pi=0
         icc = 1.0 / c**2
@@ -339,9 +339,12 @@ def test_etd_rhs_evaluates_the_closure_once(grid, eosf, monkeypatch):
     assert len(calls) == 1
 
 
-def test_pull_back_matches_script_w_and_is_identity_at_inf(grid, eosf):
+def test_pull_back_unweights_p_and_is_identity_at_inf(grid, eosf):
     st = perturbed_state(grid, eosf, 20.0)
-    assert np.array_equal(en.pull_back(st.w, st.phi, st.consts), st.script_w())
+    back = en.pull_back(st.w, st.phi, st.consts)
+    assert np.array_equal(back[[0, 2, 3, 4]], st.w[[0, 2, 3, 4]])
+    assert np.allclose(back[1], np.exp(-4.0 * st.phi / 20.0**2) * st.w[1],
+                       rtol=1e-14, atol=0)
     w = st.w.copy()
     assert np.array_equal(en.pull_back(w, st.phi, INF), w)
 

@@ -34,7 +34,7 @@ def background_state(grid, eosf):
     w[0] = 1.0
     w[1] = 1.0
     return ep.NewtState(w=w, t=0.0, consts=INF, eos=eosf, grid=grid,
-                        eta_bar=1.0, p_bar=1.0)
+                        p_bar=1.0)
 
 
 def perturbed_state(grid, eosf, amp_v=(0.05, 0.02, 0.01)):
@@ -46,7 +46,7 @@ def perturbed_state(grid, eosf, amp_v=(0.05, 0.02, 0.01)):
 
 def test_constraint_background(grid, eosf):
     st = ep.with_constraint(background_state(grid, eosf))
-    rho_bar = float(eos.mass_density(INF, eosf, 1.0, 1.0))
+    rho_bar = float(eos.mass_density(INF, eosf, 1.0))
     phi_bar = -4.0 * math.pi * G * rho_bar / INF.kappa**2
     assert np.max(np.abs(st.phi - phi_bar)) <= 1e-13
 
@@ -67,7 +67,7 @@ def test_constraint_single_mode(grid, eosf):
 
 def test_constraint_forward_residual(grid, eosf):
     st = ep.with_constraint(perturbed_state(grid, eosf))
-    rho = eos.mass_density(INF, eosf, st.w[0], st.w[1])
+    rho = eos.mass_density(INF, eosf, st.w[1])
     lhs = grid.laplacian(st.phi) - INF.kappa**2 * st.phi
     # the uniform mode closes exactly: -kappa**2 phi_bar = 4 pi G rho_bar
     rhs = 4.0 * math.pi * G * rho
@@ -90,11 +90,11 @@ def test_background_drift(grid, eosf):
 def test_dual_formulation(grid, eosf):
     # the pressure-form run and the conservation-form density evolution agree
     st = ep.with_constraint(perturbed_state(grid, eosf))
-    r0 = eos.mass_density(INF, eosf, st.w[0], st.w[1])
+    r0 = eos.mass_density(INF, eosf, st.w[1])
     wr = np.concatenate([st.w[:1], r0[None], st.w[2:]])
     dt = 0.005
     deriv = lambda y: grid.dealias(
-        ep.mass_form_rhs(y, INF, eosf, grid, 1.0, 1.0))
+        ep.mass_form_rhs(y, INF, eosf, grid, 1.0))
     for _ in range(20):
         st = ep.step(st, dt)
         k1 = deriv(wr)
@@ -102,7 +102,7 @@ def test_dual_formulation(grid, eosf):
         k3 = deriv(wr + 0.5 * dt * k2)
         k4 = deriv(wr + dt * k3)
         wr = wr + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-    r_from_p = eos.mass_density(INF, eosf, st.w[0], st.w[1])
+    r_from_p = eos.mass_density(INF, eosf, st.w[1])
     assert np.max(np.abs(wr[1] - r_from_p)) <= 1e-6
     assert np.max(np.abs(wr[0] - st.w[0])) <= 1e-6
 

@@ -174,8 +174,8 @@ def test_newtonian_operator_residual_is_momentum_form():
     grid, w, phi = st.grid, st.w, st.phi
     dt_w = np.random.default_rng(5).normal(size=w.shape)
     v = w[2:]
-    r_inf = eos.mass_density(st.consts, st.eos, w[0], w[1])
-    q_inf = eos.q_coefficient(st.consts, st.eos, w[0], w[1])
+    r_inf = eos.mass_density(st.consts, st.eos, w[1])
+    q_inf = eos.closure(st.consts, st.eos, w[1])[2]
     dw = grid.gradient(w)
     deta, dp, dv = dw[0], dw[1], dw[2:]
     adv = lambda grad: np.einsum("k...,k...->...", v, grad)
