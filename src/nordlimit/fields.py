@@ -2,22 +2,26 @@
 
 All fields live on the uniform grid of the torus [0, L)^3 with n points per
 axis, stored as float64 arrays indexed [ix, iy, iz].  Derivatives, inverse
-Helmholtz operators, smoothing, and Sobolev norms are computed with FFTs,
-which are exact on the band-limited trigonometric interpolant.  A partial
-derivative takes one real transform pair along its own axis only; the other
-spectral operators use full 3D real transforms.  Nonlinear products are kept
-alias-free with the standard 2/3-rule mask.
+Helmholtz operators, smoothing, and Sobolev norms are spectral, hence exact
+on the band-limited trigonometric interpolant.  Two operators are tensor
+products of one real n x n matrix per axis, and apply it along each axis as
+a small matrix product (`np.matmul`, so BLAS): a partial derivative is the
+Fourier differentiation matrix D along its own axis, and the 2/3-rule
+dealias, which keeps nonlinear products alias-free, is the 1D projector P
+along all three.  The other spectral operators use full 3D real FFTs.
 
-Each of `fft`, `ifft` (so also `dealias`, `laplacian` and
-`helmholtz_solve`), `gradient` and `sobolev_norm` has one implementation at
-every grid size: it transforms the components (for `gradient`, the
+Each of `fft`, `ifft` (so also `laplacian` and `helmholtz_solve`),
+`gradient`, `dealias` and `sobolev_norm` has one implementation at every
+grid size: it works through the components (for `gradient`, the
 component-axis pairs) one at a time, each into its own slice of the output.
 The grid size picks only how many threads share that work: from
 FAN_OUT_POINTS points, a call with more than one such task splits them over
-the calling thread and a pool of threads (numpy's FFT releases the
-interpreter lock while it computes).  A task runs the same transforms on
-the same data on any thread, so every result is bit-identical whatever the
-thread count.
+the calling thread and a pool of threads (numpy's FFT and matrix product
+release the interpreter lock while they compute).  A task runs the same
+operations on the same data on any thread, so every result is bit-identical
+whatever the thread count.  BLAS itself runs one thread per process (see
+the package docstring): these threads and the forked workers are the
+program's parallelism.
 
 `fork_map` maps a function over items in worker processes forked from the
 caller, one per usable CPU, while the caller may run other work; the
@@ -41,10 +45,12 @@ SNAPSHOT_MAGIC = b"NRDF"
 SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sIIddI")
 
-# Grids with fewer points transform on the calling thread alone.  At 32**3 a
-# one-axis transform pair takes 0.3-0.8 ms, and gradient plus dealias of 5
-# components took 10.7 ms on one thread against 10.6 ms fanned out over two
-# (2-core host): the hand-off costs what the second thread saves.
+# Grids with fewer points transform on the calling thread alone.  At 32**3
+# gradient plus dealias of 5 components took 3.0 ms on one thread against
+# 2.0 ms fanned out over two (2-core host), but a whole 20-step finite-c run
+# took 1.4-1.7 s on one thread against 1.5-2.1 s with every transform
+# fanned out: the hand-offs of the other transforms cost what the second
+# thread saves.
 FAN_OUT_POINTS = 64**3
 
 # (pid, threads, executor, {n: idle worker scratch}) of this process's pool;
@@ -130,21 +136,24 @@ def fork_map(fn, items, meanwhile=None):
 
 
 class _Scratch:
-    """One thread's spectrum buffers for an n**3 grid, allocated on first use."""
+    """One thread's work buffers for an n**3 grid, allocated on first use."""
 
     def __init__(self, n):
         self.n = n
         self._complex = None
         self._real = None
 
-    def spectrum(self, axis):
-        """Complex buffer shaped as a real transform of a field along axis."""
+    def spectrum(self):
+        """Complex buffer shaped as a spectrum of rfftn."""
         n = self.n
         if self._complex is None:
-            self._complex = np.empty(n * n * (n // 2 + 1), dtype=complex)
-        shape = [n, n, n]
-        shape[axis] = n // 2 + 1
-        return self._complex.reshape(shape)
+            self._complex = np.empty((n, n, n // 2 + 1), dtype=complex)
+        return self._complex
+
+    def field(self):
+        """Real (n, n, n) buffer; it shares its memory with spectrum()."""
+        n = self.n
+        return self.spectrum().reshape(-1).view(float)[:n**3].reshape(n, n, n)
 
     def real(self):
         """Real buffer shaped as a spectrum of rfftn."""
@@ -216,13 +225,28 @@ def _irfftn_into(spec, n, out, work):
     np.fft.irfft(work, n, axis=2, out=out)
 
 
+def _along(mat, f, axis, out):
+    """mat (n, n) applied along axis 0, 1 or 2 of f (..., n, n, n), written
+    into out, which must be C-contiguous and must not overlap f."""
+    if axis == 2:
+        return np.matmul(f, mat.T, out=out)
+    if axis == 1:
+        return np.matmul(mat, f, out=out)
+    n = mat.shape[0]
+    flat = f.shape[:-3] + (n, n * n)
+    np.matmul(mat, f.reshape(flat), out=out.reshape(flat))
+    return out
+
+
 class Grid3:
     """Uniform periodic grid with cached spectral machinery.
 
     Wavenumber arrays follow the rfftn layout (real transforms along the
-    last axis).  Derivatives use their own per-axis factors i k, laid out
-    for a real transform along that axis.  The 2/3-rule dealias mask and
-    the Sobolev weight tables are built lazily and cached.
+    last axis).  Derivatives and the dealias apply one real n x n matrix
+    along an axis: diff_matrix, the Fourier differentiation matrix with the
+    odd-derivative Nyquist mode set to zero, and dealias_matrix, the 1D
+    projector of the 2/3 rule, whose tensor product over the three axes is
+    dealias_mask.  The Sobolev weight tables are built lazily and cached.
     """
 
     def __init__(self, n, length):
@@ -239,17 +263,20 @@ class Grid3:
         self.kx = k1[:, None, None]
         self.ky = k1[None, :, None]
         self.kz = kr[None, None, :]
-        # i k for a real transform along axis a, shaped to broadcast against
-        # (..., n, n, n); the odd-derivative Nyquist mode is set to zero
-        ik = 1j * kr
-        ik[-1] = 0.0
-        self._ik_axis = tuple(ik.reshape((-1,) + (1,) * (2 - a)) for a in range(3))
         self.k_sq = self.kx**2 + self.ky**2 + self.kz**2
         kmax = np.pi / self.h  # Nyquist
         cut = (2.0 / 3.0) * kmax
         self.dealias_mask = (
             (np.abs(self.kx) < cut) & (np.abs(self.ky) < cut) & (np.abs(self.kz) < cut)
         )
+        # column j of each matrix is the operator applied to the unit
+        # vector e_j: a real transform pair with the 1D symbol in between
+        ik = 1j * kr
+        ik[-1] = 0.0  # the odd-derivative Nyquist mode
+        unit = np.fft.rfft(np.eye(self.n), axis=0)
+        self.diff_matrix = np.fft.irfft(ik[:, None] * unit, self.n, axis=0)
+        self.dealias_matrix = np.fft.irfft((kr < cut)[:, None] * unit, self.n,
+                                           axis=0)
         self._sobolev_weights = {}
 
     def axes(self):
@@ -280,40 +307,34 @@ class Grid3:
         out = np.empty(fh.shape[:-1] + (self.n,))
         _fan_out(self.n, self._width(fh),
                  lambda scratch, comp: _irfftn_into(fh[comp], self.n, out[comp],
-                                                    scratch.spectrum(2)),
+                                                    scratch.spectrum()),
                  np.ndindex(fh.shape[:-3]))
         return out
 
-    def _derivative_into(self, f, axis, out=None, spec=None):
-        """d_axis f into out through the spectrum buffer spec (each one
-        allocated when None)."""
-        a = axis - 3
-        spec = np.fft.rfft(f, axis=a, out=spec)
-        spec *= self._ik_axis[axis]
-        return np.fft.irfft(spec, self.n, axis=a, out=out)
-
     def derivative(self, f, axis):
-        """Spectral partial derivative along axis in {0, 1, 2}.
-
-        One real transform pair along that axis only; leading axes, if any,
-        are independent components.
-        """
-        return self._derivative_into(f, axis)
+        """Spectral partial derivative along axis in {0, 1, 2}: diff_matrix
+        applied along that axis only.  Leading axes, if any, are independent
+        components."""
+        f = np.asarray(f)
+        return _along(self.diff_matrix, f, axis, np.empty(f.shape))
 
     def gradient(self, f):
         """All three partials: (n,n,n) -> (3,n,n,n), (m,n,n,n) -> (m,3,n,n,n).
 
-        For stacked components out[j, k] = d_k f[j].  Components are
-        differentiated one at a time, which measured faster at n = 64 than
-        batched transforms along the strided leading axis; on a large grid
-        the (component, axis) pairs are fanned out over threads.
+        For stacked components out[j, k] = d_k f[j]: one matrix product per
+        (component, axis) pair, written straight into its slice of out; on
+        a large grid the pairs are fanned out over threads.  The product
+        costs O(n**4) against the O(n**3 log n) of a transform pair, yet on
+        a 2-core host one gradient of one field took 0.27 ms at 32**3, 2.8
+        ms at 64**3 and 35 ms at 128**3, against 1.1, 6.4 and 75 ms with
+        one-axis FFT pairs on the same threads; the crossover is expected
+        near n = 256, which was not measured.
         """
         f = np.asarray(f)
         out = np.empty(f.shape[:-3] + (3,) + f.shape[-3:])
 
         def task(scratch, part):
-            a = part[-1]
-            self._derivative_into(f[part[:-1]], a, out[part], scratch.spectrum(a))
+            _along(self.diff_matrix, f[part[:-1]], part[-1], out[part])
 
         parts = [comp + (a,) for comp in np.ndindex(f.shape[:-3]) for a in range(3)]
         _fan_out(self.n, self._width(f, 3), task, parts)
@@ -335,8 +356,20 @@ class Grid3:
         return self.ifft(-self.fft(src) / self.screened_symbol(kappa))
 
     def dealias(self, f):
-        """Apply the 2/3-rule spectral mask (idempotent)."""
-        return self.ifft(self.fft(f) * self.dealias_mask)
+        """Apply the 2/3-rule spectral mask (idempotent): dealias_matrix
+        along axes 0, 1 and 2 of each component in turn."""
+        f = np.asarray(f)
+        out = np.empty(f.shape)
+        mat = self.dealias_matrix
+
+        def task(scratch, comp):
+            work = scratch.field()
+            _along(mat, f[comp], 0, out[comp])
+            _along(mat, out[comp], 1, work)
+            _along(mat, work, 2, out[comp])
+
+        _fan_out(self.n, self._width(f), task, np.ndindex(f.shape[:-3]))
+        return out
 
     def mollify(self, f, eps):
         """Gaussian spectral smoothing exp(-eps**2 |k|**2 / 2); identity at eps=0."""
@@ -385,7 +418,7 @@ class Grid3:
         sums = np.empty(len(g))
 
         def task(scratch, i):
-            ch = np.fft.rfftn(g[i], out=scratch.spectrum(2))
+            ch = np.fft.rfftn(g[i], out=scratch.spectrum())
             terms = np.square(ch.real, out=scratch.real())
             terms += np.square(ch.imag, out=ch.imag)
             terms *= w

@@ -13,6 +13,10 @@ import numpy as np
 
 from . import eos as eos_mod
 
+# the most steps one run may ask for: far above every c ladder the experiment
+# runs (326 steps at c = 160), far below a count that would never finish
+MAX_STEPS = 10**8
+
 
 def max_speed(w):
     """max |v| of the fluid fields w; an overflowing |v| reads inf, which
@@ -121,7 +125,8 @@ def drive(state, start, dt_max, dt_reason, speed, t_final, n_outputs,
     grows past 110% at an output, on a ValueError raised inside a step, or
     when a step leaves a NaN or an infinity in any field.  A dt_max that is
     not positive, or too small for a finite number of steps per output,
-    raises a ValueError before the stepper is built.
+    raises a ValueError before the stepper is built, and so does a run of
+    more than MAX_STEPS steps.
     """
     clock = time.perf_counter()
     traj = Trajectory(dt=dt_max, dt_reason=dt_reason)
@@ -142,6 +147,11 @@ def drive(state, start, dt_max, dt_reason, speed, t_final, n_outputs,
             raise ValueError("output interval %r over time step %r: steps "
                              "per output not finite" % (seg, dt_max))
         per_seg = max(1, math.ceil(ratio - 1e-12))
+        if per_seg * n_outputs > MAX_STEPS:
+            raise ValueError("output interval %r over time step %r: %.15g "
+                             "steps per output times %d outputs is more "
+                             "than %d steps"
+                             % (seg, dt_max, per_seg, n_outputs, MAX_STEPS))
         if ratio < 1.0 - 1e-12:
             traj.dt_reason = "output interval"
         traj.dt = seg / per_seg

@@ -242,7 +242,8 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, text, message):
 @pytest.mark.parametrize("command, line, value", [
     pytest.param(command, "n = 16", "n = 8388608", id=command)
     for command in ("run-en", "run-ep", "sweep", "check")] + [
-    # run-en and run-ep take one step per output: 1e14 steps, not an error
+    # run-en and run-ep refuse 1e14 steps before they map any output (see
+    # test_huge_finite_step_count_is_usage_error)
     pytest.param("sweep", "n_outputs = 2", "n_outputs = 100000000000000",
                  id="sweep-n_outputs")])
 def test_grid_too_large_to_allocate_is_usage_error(tmp_path, capsys, command,
@@ -323,6 +324,30 @@ def test_step_count_out_of_range_is_usage_error(tmp_path, capsys, command,
     assert cli.main(["--config", path, "--out", str(out), command]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: " + message)
+    assert "Traceback" not in err
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param(command, key, value, id="%s-%s=%s" % (command, key, value))
+    for key, value in (("t_final", "1e308"), ("cfl", "1e-300"),
+                       ("n_outputs", "100000000000000"))
+    for command in ("run-en", "run-ep", "sweep", "check")
+    # check runs to min(t_final, 0.1), so t_final = 1e308 is valid there; a
+    # sweep of 1e14 outputs runs out of memory first
+    if (command, key) not in {("check", "t_final"), ("sweep", "n_outputs")}])
+def test_huge_finite_step_count_is_usage_error(tmp_path, capsys, command, key,
+                                               value):
+    # about 4e307 (t_final) or 2e298 (cfl) steps per output, or one step for
+    # each of 1e14 outputs: finite, but a run that would never end; refused
+    # before the first step, and the manifest is still written
+    path = reference_at_16(tmp_path, key, value)
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output interval ")
+    assert re.search(r": [0-9.e+]+ steps per output times [0-9]+ outputs is "
+                     r"more than 100000000 steps$", err.strip()), err
     assert "Traceback" not in err
     assert (out / "manifest.json").exists()
 
@@ -453,16 +478,38 @@ def test_help_exits_0(capsys):
     assert "--seed" in capsys.readouterr().out
 
 
-def _assert_cli_import_leaves_out(module):
-    """Importing nordlimit.cli in a fresh interpreter does not load module."""
+def _run_fresh(code, env=None):
+    """Run code in a fresh interpreter that imports this nordlimit, under env
+    (default: this process's environment); returns its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nordlimit.__file__)))
-    env = dict(os.environ)
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, nordlimit.cli; assert %r not in sys.modules" % module
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _assert_cli_import_leaves_out(module):
+    """Importing nordlimit.cli in a fresh interpreter does not load module."""
+    _run_fresh("import sys, nordlimit.cli; assert %r not in sys.modules" % module)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user", [None, "2"], ids=["unset", "user-set"])
+def test_import_pins_blas_to_one_thread_unless_set(user):
+    # the program's forked workers and transform threads are its
+    # parallelism: importing the package sets one BLAS thread per process
+    # before numpy loads, and leaves a count the user chose alone
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    if user is not None:
+        env.update(dict.fromkeys(BLAS_VARS, user))
+    code = ("import os, sys, nordlimit; assert 'numpy' not in sys.modules; "
+            "print(' '.join(os.environ[k] for k in %r))" % (BLAS_VARS,))
+    assert _run_fresh(code, env).split() == [user or "1"] * 3
 
 
 def test_cli_does_not_import_scipy():

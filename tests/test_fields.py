@@ -273,27 +273,67 @@ def test_derivative_of_nyquist_mode_is_zero(grid):
         assert np.max(np.abs(grid.derivative(mixed, axis))) <= 1e-12
 
 
+@pytest.mark.parametrize("n, length", [(16, 1.0), (32, L), (64, 3.0)])
+def test_diff_matrix_is_the_closed_form(n, length):
+    # periodic differentiation matrix of the band-limited interpolant
+    # (Trefethen, Spectral Methods in MATLAB, ch. 3): entry (i, j) is
+    # (2 pi / L) (-1)**(i - j) cot(pi (i - j) / n) / 2, 0 on the diagonal
+    d = Grid3(n, length).diff_matrix
+    i, j = np.indices((n, n))
+    off = i != j
+    want = np.zeros((n, n))
+    want[off] = (np.pi / length * (-1.0) ** (i - j)[off]
+                 / np.tan(np.pi * (i - j)[off] / n))
+    assert np.max(np.abs(d - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, kept", [(16, 11), (32, 21), (64, 43)])
+def test_dealias_matrix_is_the_projector_on_kept_modes(n, kept):
+    # symmetric, idempotent, of rank the number of modes |k| < n/3 per axis
+    grid = Grid3(n, L)
+    p = grid.dealias_matrix
+    assert np.max(np.abs(p - p.T)) <= 1e-13
+    assert np.max(np.abs(p @ p - p)) <= 1e-13
+    assert np.linalg.matrix_rank(p) == kept
+    assert np.count_nonzero(grid.dealias_mask[:, 0, 0]) == kept
+
+
+def test_dealias_matches_the_3d_mask(grid):
+    # oracle: the 2/3-rule mask applied to full 3D transforms
+    rng = np.random.default_rng(71)
+    stacked = rng.normal(size=(3, 32, 32, 32))
+    want = np.fft.irfftn(np.fft.rfftn(stacked, axes=(-3, -2, -1))
+                         * grid.dealias_mask, s=(32,) * 3, axes=(-3, -2, -1))
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(grid.dealias(stacked) - want)) <= 1e-13 * scale
+    assert np.max(np.abs(grid.dealias(stacked[1]) - want[1])) <= 1e-13 * scale
+
+
 def serial_transforms(grid, single, stacked, order, background):
     """The results of every per-component method, written out with numpy:
     (gradient of single, gradient of stacked, dealias of stacked, fft of
     single, ifft of that, fft of stacked, ifft of that, sobolev_norm of
     stacked)."""
     n, axes = grid.n, (-3, -2, -1)
-    ik = 1j * 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.h)
-    ik[-1] = 0.0  # the odd-derivative Nyquist mode
+
+    def along(mat, f, axis):
+        # the matrix products of mat along one axis of every component
+        if axis == 2:
+            return f @ mat.T
+        if axis == 1:
+            return mat @ f
+        flat = f.shape[:-3] + (n, n * n)
+        return (mat @ f.reshape(flat)).reshape(f.shape)
 
     def gradient(f):
-        out = np.empty(f.shape[:-3] + (3,) + f.shape[-3:])
-        for comp in np.ndindex(f.shape[:-3]):
-            for a in range(3):
-                fh = np.fft.rfft(f[comp], axis=a)
-                fh *= ik.reshape((-1,) + (1,) * (2 - a))
-                out[comp + (a,)] = np.fft.irfft(fh, n, axis=a)
-        return out
+        return np.stack([along(grid.diff_matrix, f, a) for a in range(3)],
+                        axis=-4)
 
     spec1 = np.fft.rfftn(single)
     spec = np.fft.rfftn(stacked, axes=axes)
-    dealiased = np.fft.irfftn(spec * grid.dealias_mask, s=(n, n, n), axes=axes)
+    dealiased = stacked
+    for a in range(3):
+        dealiased = along(grid.dealias_matrix, dealiased, a)
     weight = sum(grid.kx ** (2 * a) * grid.ky ** (2 * b) * grid.kz ** (2 * c)
                  for a, b, c in itertools.product(range(order + 1), repeat=3)
                  if a + b + c <= order)

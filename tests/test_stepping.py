@@ -157,3 +157,30 @@ def test_drive_names_output_interval_when_it_sets_dt(grid, eosf, dt_max,
     assert traj.ok and traj.steps == 2 * per_seg
     assert traj.dt == pytest.approx(0.02 / per_seg, rel=1e-14)
     assert traj.dt_reason == reason
+
+
+class Started(Exception):
+    pass
+
+
+def refuse_start(state, dt):
+    raise Started
+
+
+@pytest.mark.parametrize("per_seg, built", [
+    (stepping.MAX_STEPS // 4, True), (stepping.MAX_STEPS // 4 + 1, False)],
+    ids=["at-ceiling", "above-ceiling"])
+def test_drive_refuses_more_than_max_steps_before_the_stepper(grid, eosf,
+                                                              per_seg, built):
+    # 4 outputs of per_seg steps each: MAX_STEPS in all builds the stepper,
+    # one step per output more raises a ValueError naming the count first
+    state = ready("ep", grid, eosf)
+    args = (state, refuse_start, 1.0 / per_seg, "test rule", 10.0, 4.0, 4)
+    if built:
+        with pytest.raises(Started):
+            stepping.drive(*args)
+        return
+    with pytest.raises(ValueError, match=r"^output interval 1\.0 over time "
+                       r"step .*: %d steps per output times 4 outputs is more "
+                       r"than 100000000 steps$" % per_seg):
+        stepping.drive(*args)
