@@ -10,12 +10,12 @@ Run from the repository root:
     python3 demos/demo_energy_currents.py
 """
 
-import numpy as np
-
+# nordlimit before numpy: importing it pins BLAS to one thread
 from nordlimit import energy_currents as ec
 from nordlimit import euler_nordstrom as en
 from nordlimit import limit_harness as lh
 from nordlimit.initial_data import lift_to_relativistic, mollify_bundle
+import numpy as np
 
 c = 20.0
 sc = lh.SweepConfig(n=16, amp_eta=0.03, amp_p=0.03, amp_v=(0.03, 0.0, 0.0))

@@ -12,10 +12,10 @@ Run from the repository root:
 
 import math
 
-import numpy as np
-
+# nordlimit before numpy: importing it pins BLAS to one thread
 from nordlimit import eos
 from nordlimit.fields import Grid3
+import numpy as np
 
 eosf = eos.PolytropicEos(m0=1.0, gamma=2.0, a_inf=1.0, a1=0.0)
 inf = eos.PhysicalConstants(grav_g=0.05, kappa=1.0, c=math.inf)

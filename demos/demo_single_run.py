@@ -11,12 +11,12 @@ Run from the repository root:
 
 import math
 
-import numpy as np
-
+# nordlimit before numpy: importing it pins BLAS to one thread
 from nordlimit import euler_nordstrom as en
 from nordlimit import euler_poisson as ep
 from nordlimit import limit_harness as lh
 from nordlimit.initial_data import lift_to_relativistic
+import numpy as np
 
 c = 20.0
 sc = lh.SweepConfig(n=16)

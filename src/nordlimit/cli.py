@@ -211,8 +211,7 @@ def cmd_run(args, cfg, sc, out, manifest):
         runner, start = en.run, en.from_bundle(lifted)
     else:
         runner, start = ep.run, ep.from_bundle(bundle, sc.consts(c))
-    traj = runner(start, sc.t_final, cfl=sc.cfl, n_outputs=sc.n_outputs,
-                  eta_box=sc.eta_box, p_box=sc.p_box)
+    traj = runner(start, sc.t_final, **sc.run_args())
     # c as text at c = inf, as in the sweep's records: JSON has no infinity
     manifest.data["run"] = dict(traj.record(), c=c if finite else "inf")
     name = args.command.replace("-", "_")
@@ -296,9 +295,8 @@ def cmd_check(args, cfg, sc, out, manifest):
     consts_c = sc.consts(c_mid)
     lifted = initial_data.lift_to_relativistic(bundle, consts_c)
     t_short = min(sc.t_final, 0.1)
-    traj = en.run(en.from_bundle(lifted), t_short, cfl=sc.cfl,
-                  n_outputs=max(8, sc.n_outputs),
-                  eta_box=sc.eta_box, p_box=sc.p_box)
+    traj = en.run(en.from_bundle(lifted), t_short,
+                  **dict(sc.run_args(), n_outputs=max(8, sc.n_outputs)))
     results["en_run"] = traj.ok
     lap("en_run")
     if not traj.ok:

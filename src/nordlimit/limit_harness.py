@@ -102,6 +102,11 @@ class SweepConfig:
     def consts(self, c):
         return eos_mod.PhysicalConstants(grav_g=self.grav_g, kappa=self.kappa, c=c)
 
+    def run_args(self):
+        """Keyword arguments of `ep.run` and `en.run` for every run of the sweep."""
+        return dict(cfl=self.cfl, n_outputs=self.n_outputs,
+                    eta_box=self.eta_box, p_box=self.p_box)
+
     def make_bundle(self):
         """The limit-system data bundle (it carries the grid and the EOS)."""
         return initial_data.build_newtonian_data(
@@ -225,12 +230,6 @@ class LimitOutputs:
         return bool(self._ok[0])
 
 
-def _run_args(config):
-    """Keyword arguments of `ep.run` and `en.run` for every run of the sweep."""
-    return dict(cfl=config.cfl, n_outputs=config.n_outputs,
-                eta_box=config.eta_box, p_box=config.p_box)
-
-
 def run_sweep(config, keep_trajectories=True, progress=None):
     """Run the full experiment; returns a SweepResult with a fitted report.
 
@@ -264,7 +263,7 @@ def run_sweep(config, keep_trajectories=True, progress=None):
     def limit_run():
         try:
             result.ep_traj = ep.run(ep.from_bundle(bundle, config.consts(math.inf)),
-                                    config.t_final, **_run_args(config))
+                                    config.t_final, **config.run_args())
             finished(math.inf, "limit run", result.ep_traj.record())
             if not result.ep_traj.ok:
                 result.abort_reasons[math.inf] = result.ep_traj.abort_reason
@@ -279,7 +278,7 @@ def run_sweep(config, keep_trajectories=True, progress=None):
         Sobolev gaps against the limit run."""
         consts_c = config.consts(c)
         lifted = initial_data.lift_to_relativistic(bundle, consts_c)
-        traj = en.run(en.from_bundle(lifted), config.t_final, **_run_args(config))
+        traj = en.run(en.from_bundle(lifted), config.t_final, **config.run_args())
         order = config.sobolev_order
         w_sup = 0.0
         phi_sup = 0.0

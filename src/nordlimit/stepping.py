@@ -14,7 +14,7 @@ import numpy as np
 from . import eos as eos_mod
 
 # the most steps one run may ask for: far above every c ladder the experiment
-# runs (326 steps at c = 160), far below a count that would never finish
+# runs (60 steps at c = 640), far below a count that would never finish
 MAX_STEPS = 10**8
 
 

@@ -1,5 +1,7 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script runs to completion, and imports the
+package before numpy."""
 
+import ast
 import glob
 import os
 import subprocess
@@ -27,3 +29,25 @@ def test_demo_exits_0(path):
                           env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+def _imported_packages(path):
+    """Top-level packages of the module-level imports of path, in order."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_imports_nordlimit_before_numpy(path):
+    # the package pins BLAS to one thread only if numpy is not loaded yet;
+    # the runs above inherit the pin from this process, so they cannot
+    # show a demo that imports numpy first
+    packages = list(_imported_packages(path))
+    assert "nordlimit" in packages
+    if "numpy" in packages:
+        assert packages.index("nordlimit") < packages.index("numpy")

@@ -385,8 +385,7 @@ def test_fanned_out_transforms_are_bit_identical(monkeypatch, fields64, n, threa
 
 def test_fan_out_under_thread_contention(monkeypatch, fields64):
     # more threads than cores and a very short switch interval: a task taken
-    # twice or a scratch buffer shared between threads would show as a
-    # changed result
+    # twice would show as a changed result
     grid = Grid3(64, L)
     background = [0.0] * 5
     want = serial_transforms(grid, *fields64, 4, background)
