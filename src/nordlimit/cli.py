@@ -173,7 +173,7 @@ class Manifest:
 
 
 def _out_dir(args):
-    out = os.environ.get("NORDLIMIT_OUT") or args.out or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -353,8 +353,7 @@ def build_parser():
         description="Numerical laboratory for the light-speed limit of a "
                     "self-gravitating relativistic fluid")
     ap.add_argument("--config", metavar="PATH", help="run configuration file")
-    ap.add_argument("--out", metavar="DIR", help="output directory "
-                    "(env NORDLIMIT_OUT overrides)")
+    ap.add_argument("--out", metavar="DIR", help="output directory")
     ap.add_argument("--seed", type=int, metavar="U64", default=0,
                     help="seed for randomized checks")
     ap.add_argument("--strict", action="store_true",

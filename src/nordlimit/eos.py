@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BACKGROUND_TOL = 1e-14  # |F| at which `background_potential` stops
-BACKGROUND_MAX_ITER = 200  # its safeguarded Newton steps at most
+BACKGROUND_MAX_ITER = 200  # its Newton steps at most
 RATE_SAMPLES = 200  # (eta, p, phi) samples of `rate_check`
 RATE_SLOPE_MAX = -1.9  # a `rate_check` slope passes at or below this
 
@@ -190,8 +190,12 @@ def background_potential(consts, eos, p_bar):
 
         F(phi) = kappa**2 phi + 4 pi G exp(4 phi/c**2) (rho_c(p_bar) - 3 p_bar/c**2)
 
-    which is bracketed in [-8 pi G rho_c / kappa**2, 0] and polished by a
-    bisection-safeguarded Newton iteration to |F| <= BACKGROUND_TOL.
+    F is convex and increasing, and F < 0 at the Newtonian guess, so the
+    first Newton step lands between the root and 0 and every later step
+    falls monotonically toward the root.  The iteration stops at
+    |F| <= BACKGROUND_TOL or, when roundoff keeps that out of reach (|phi|
+    large), at the first step after the first that does not lower phi,
+    whose result it returns.
     """
     g, kap = consts.grav_g, consts.kappa
     rho = float(mass_density(consts, eos, p_bar))
@@ -203,35 +207,16 @@ def background_potential(consts, eos, p_bar):
     if src <= 0:
         raise ValueError("background source density must be positive")
 
-    def f_and_df(phi):
+    phi = -4.0 * math.pi * g * src / kap**2  # Newtonian guess
+    for it in range(BACKGROUND_MAX_ITER):
         e = math.exp(4.0 * phi * icc)
         f = kap**2 * phi + 4.0 * math.pi * g * e * src
-        df = kap**2 + 16.0 * math.pi * g * icc * e * src
-        return f, df
-
-    lo = -8.0 * math.pi * g * rho / kap**2
-    hi = 0.0
-    flo, _ = f_and_df(lo)
-    fhi, _ = f_and_df(hi)
-    if not (flo < 0 < fhi):
-        raise ValueError("background potential bracket failed")
-    phi = -4.0 * math.pi * g * src / kap**2  # Newtonian guess
-    best_phi, best_f = phi, math.inf
-    for _ in range(BACKGROUND_MAX_ITER):
-        f, df = f_and_df(phi)
-        if abs(f) < best_f:
-            best_phi, best_f = phi, abs(f)
         if abs(f) <= BACKGROUND_TOL:
             return phi
-        if f > 0:
-            hi = phi
-        else:
-            lo = phi
-        step = phi - f / df
-        # fall back to bisection when Newton leaves the bracket
-        phi = step if lo < step < hi else 0.5 * (lo + hi)
-    if best_f <= 1e-12:  # roundoff-limited but well within contract
-        return best_phi
+        step = phi - f / (kap**2 + 16.0 * math.pi * g * icc * e * src)
+        if it > 0 and step >= phi:
+            return step
+        phi = step
     raise RuntimeError("background potential iteration did not converge")
 
 

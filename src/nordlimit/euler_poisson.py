@@ -6,15 +6,11 @@ by the screened Poisson equation
     (lap - kappa**2) phi = 4 pi G rho_inf(p)
 
 (on the torus the uniform part is absorbed by the constant background
-potential).  The force -grad phi is therefore a linear Fourier multiplier
-of the source, i k src_hat / (|k|**2 + kappa**2): a right-hand side
-(`_deriv`) transforms the source together with the fluid terms and adds
-the force to the velocity spectra, so no RK4 stage solves the constraint.
-`step` solves it once, for the new state, whose potential the outputs
-carry.  The pressure-form equations are evolved; the mass-form (evolving
-R = rho_inf directly in conservation form) is kept only as an equivalence
-oracle, and `newtonian_rhs`, which applies -grad phi of a solved potential
-in physical space, as the oracle of `_deriv`.
+potential).  Every RK4 stage solves the constraint for its own w, and its
+right-hand side (`_deriv`) is the dealiased `newtonian_rhs`, which applies
+the force -grad phi of the solved potential in physical space.  The
+pressure-form equations are evolved; the mass-form (evolving R = rho_inf
+directly in conservation form) is kept only as an equivalence oracle.
 """
 
 import math
@@ -28,7 +24,8 @@ from . import stepping
 
 @dataclass
 class NewtState:
-    """Limit-system state (eta, p, v) at time t; phi is derived and cached."""
+    """Limit-system state (eta, p, v) at time t; phi, the potential solved
+    for w, is None until `with_constraint` caches it."""
 
     w: np.ndarray
     t: float
@@ -57,21 +54,14 @@ def _limit_density(state):
     return r_inf, q_inf
 
 
-def _constraint_source(consts, eos, p_bar, r_inf, out=None):
-    """The constraint's source 4 pi G (rho_inf - rho_bar) for the limit
-    density r_inf, written into out when given; rho_bar is the background's
-    rho_inf."""
-    rho_bar = float(eos_mod.mass_density(consts, eos, p_bar))
-    src = np.subtract(r_inf, rho_bar, out=out)
-    src *= 4.0 * math.pi * consts.grav_g
-    return src
-
-
 def _potential(consts, eos, grid, p_bar, r_inf):
-    """The potential solving the screened constraint for r_inf."""
+    """The potential solving the screened constraint for the limit density
+    r_inf: the background's phi_bar plus the screened response to the
+    source 4 pi G (rho_inf - rho_bar), rho_bar the background's rho_inf."""
     phi_bar = eos_mod.background_potential(consts, eos, p_bar)
-    return phi_bar + grid.helmholtz_solve(
-        _constraint_source(consts, eos, p_bar, r_inf), consts.kappa)
+    rho_bar = float(eos_mod.mass_density(consts, eos, p_bar))
+    src = 4.0 * math.pi * consts.grav_g * (r_inf - rho_bar)
+    return phi_bar + grid.helmholtz_solve(src, consts.kappa)
 
 
 def solve_constraint(state):
@@ -84,30 +74,24 @@ def with_constraint(state):
     return replace(state, phi=solve_constraint(state))
 
 
-def _fluid_terms(state, r_inf, q_inf, out):
-    """d_t w of the pressure-form system without gravity, written into out
-    (5, n, n, n): transport, -q_inf div v and the force -grad p / r_inf."""
+def newtonian_rhs(state, density=None):
+    """d_t w of the pressure-form system: transport, -q_inf div v, the
+    force -grad p / rho_inf and the force -grad phi of the cached
+    potential, applied in physical space.  density, if given, is the
+    state's (rho_inf, q_inf) (`_limit_density`), for a caller that needs
+    rho_inf as well."""
+    if state.phi is None:
+        raise ValueError("potential not cached; call with_constraint first")
+    r_inf, q_inf = _limit_density(state) if density is None else density
     v = state.w[2:]
     dw = state.grid.gradient(state.w)
     deta, dp, dv = dw[0], dw[1], dw[2:]
     adv = lambda f_grad: np.einsum("k...,k...->...", v, f_grad)
     div_v = dv[0, 0] + dv[1, 1] + dv[2, 2]
+    out = np.empty_like(state.w)
     out[0] = -adv(deta)
     out[1] = -adv(dp) - q_inf * div_v
     out[2:] = -np.einsum("k...,jk...->j...", v, dv) - dp / r_inf
-    return out
-
-
-def newtonian_rhs(state, density=None):
-    """d_t w of the pressure-form system; requires a cached potential, whose
-    force -grad phi it applies in physical space.  density, if given, is
-    the state's (rho_inf, q_inf) (`_limit_density`), for a caller that
-    needs rho_inf as well."""
-    if state.phi is None:
-        raise ValueError("potential not cached; call with_constraint first")
-    if density is None:
-        density = _limit_density(state)
-    out = _fluid_terms(state, *density, np.empty_like(state.w))
     out[2:] -= state.grid.gradient(state.phi)
     return out
 
@@ -136,49 +120,26 @@ def mass_form_rhs(state_w_r, consts, eos, grid, p_bar):
 
 
 def _deriv(state):
-    """Dealiased d_t w, with gravity taken from the source spectrum.
-
-    The fluid terms and the constraint source are transformed as one stack
-    of 6 fields; the force -grad phi, with spectrum
-    i k src_hat / (|k|**2 + kappa**2), is added to the velocity spectra in
-    place before the 2/3 mask.  No potential is solved or read, so state.phi
-    may be None.
-    """
-    grid = state.grid
-    r_inf, q_inf = _limit_density(state)
-    stack = np.empty((6,) + r_inf.shape)
-    _fluid_terms(state, r_inf, q_inf, stack[:5])
-    _constraint_source(state.consts, state.eos, state.p_bar, r_inf, out=stack[5])
-    spec = grid.fft(stack)
-    del stack, r_inf, q_inf
-    src = spec[5]
-    src /= grid.screened_symbol(state.consts.kappa)  # -phi_hat
-    force = np.empty_like(src)
-    for j, k in enumerate((grid.kx, grid.ky, grid.kz)):
-        np.multiply(src, 1j * k, out=force)
-        spec[2 + j] += force
-    del force
-    rhs = spec[:5]
-    rhs *= grid.dealias_mask
-    return grid.ifft(rhs)
+    """Dealiased d_t w of a state whose potential is solved."""
+    return state.grid.dealias(newtonian_rhs(state))
 
 
 def step(state, dt):
-    """Classical RK4; the constraint is solved once, for the new state.
+    """Classical RK4 with the constraint solved at every stage.
 
-    `_deriv` takes gravity from the source spectrum, so the stage states
-    carry no potential (phi=None); the new state's potential is what the
-    outputs and the finiteness check see.
+    state must carry the potential of its w (`with_constraint`), which the
+    first stage reuses; the later stages and the new state each get the
+    potential solved for their own w.  The outputs and the finiteness
+    check read the new state's.
     """
+    def stage(w, t):
+        return with_constraint(replace(state, w=w, t=t))
+
     k1 = _deriv(state)
-    k2 = _deriv(replace(state, w=state.w + 0.5 * dt * k1, t=state.t + 0.5 * dt,
-                        phi=None))
-    k3 = _deriv(replace(state, w=state.w + 0.5 * dt * k2, t=state.t + 0.5 * dt,
-                        phi=None))
-    k4 = _deriv(replace(state, w=state.w + dt * k3, t=state.t + dt, phi=None))
-    out = replace(state, w=state.w + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0,
-                  t=state.t + dt)
-    return with_constraint(out)
+    k2 = _deriv(stage(state.w + 0.5 * dt * k1, state.t + 0.5 * dt))
+    k3 = _deriv(stage(state.w + 0.5 * dt * k2, state.t + 0.5 * dt))
+    k4 = _deriv(stage(state.w + dt * k3, state.t + dt))
+    return stage(state.w + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, state.t + dt)
 
 
 def _rk4_stepper(state, dt):

@@ -301,17 +301,12 @@ class Grid3:
     def laplacian(self, f):
         return self.ifft(-self.k_sq * self.fft(f))
 
-    def screened_symbol(self, kappa):
-        """|k|**2 + kappa**2, the symbol of kappa**2 - laplacian: the solution
-        of (laplacian - kappa**2) phi = src has phi_hat = -src_hat / symbol.
-        kappa > 0 keeps mode 0 regular."""
+    def helmholtz_solve(self, src, kappa):
+        """Solve (laplacian - kappa**2) phi = src: phi_hat = -src_hat /
+        (|k|**2 + kappa**2); kappa > 0 keeps mode 0 regular."""
         if not (kappa > 0):
             raise ValueError("the screened Poisson symbol needs kappa > 0")
-        return self.k_sq + kappa**2
-
-    def helmholtz_solve(self, src, kappa):
-        """Solve (laplacian - kappa**2) phi = src; kappa > 0 keeps mode 0 regular."""
-        return self.ifft(-self.fft(src) / self.screened_symbol(kappa))
+        return self.ifft(-self.fft(src) / (self.k_sq + kappa**2))
 
     def dealias(self, f):
         """Apply the 2/3-rule spectral mask (idempotent): dealias_matrix

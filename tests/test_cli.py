@@ -390,14 +390,28 @@ def test_run_en_requires_finite_c(tmp_path):
     assert cli.main(["--config", path, "--out", str(tmp_path), "run-en"]) == 1
 
 
-def test_env_out_dir_overrides_flag(tmp_path, monkeypatch):
+def test_run_en_strong_gravity(tmp_path, capsys):
+    # quick.ini with G = 1e4 at c = 160: the background potential
+    # (|phi_bar| ~ 1e4) is found, and the collapsing run is aborted and
+    # reported, not ended by a traceback
+    with open(os.path.join(CONFIGS, "quick.ini")) as fh:
+        text = fh.read().replace("c = 20", "c = 160")
+    path = write(tmp_path, text + "\n[constants]\ngrav_g = 1e4\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "run-en"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["abort_reason"].startswith("CFL margin violated")
+
+
+def test_out_flag_honoured_with_env_set(tmp_path, monkeypatch):
+    # no environment variable redirects the outputs away from --out
     path = write(tmp_path, QUIET)
-    env_out = tmp_path / "env_out"
-    monkeypatch.setenv("NORDLIMIT_OUT", str(env_out))
+    monkeypatch.setenv("NORDLIMIT_OUT", str(tmp_path / "env_out"))
     assert cli.main(["--config", path, "--out", str(tmp_path / "flag_out"),
                      "run-ep"]) == 0
-    assert (env_out / "manifest.json").exists()
-    assert not (tmp_path / "flag_out").exists()
+    assert (tmp_path / "flag_out" / "manifest.json").exists()
+    assert not (tmp_path / "env_out").exists()
 
 
 def test_info_subcommand(tmp_path, capsys):

@@ -136,6 +136,19 @@ def test_background_potential_finite_c_residual():
         assert phi < 0
 
 
+def test_background_potential_strong_gravity():
+    # |phi_bar| ~ 1e4: |F| <= BACKGROUND_TOL is out of reach in floating
+    # point, and the iteration stops at roundoff instead of raising
+    e = eos.PolytropicEos()
+    k = eos.PhysicalConstants(grav_g=1e4, kappa=1.0, c=160.0)
+    phi = eos.background_potential(k, e, 1.0)
+    rho = eos.mass_density(k, e, 1.0)
+    res = k.kappa**2 * phi + 4 * math.pi * k.grav_g * math.exp(
+        4 * phi / k.c**2) * (rho - 3.0 / k.c**2)
+    assert phi < 0
+    assert abs(res) <= 1e-15 * abs(phi)
+
+
 def test_background_potential_gap_rate():
     e = eos.PolytropicEos()
     cs = [10, 20, 40, 80, 160]
