@@ -29,9 +29,9 @@ Acta Numerica 19, 2010).  Modes outside the mask stay frozen, as under a
 masked right-hand side.  All that the run carries from step to step (the
 Klein-Gordon tables, the spectra of the last state and the remainder y)
 lives in one `EtdStepper`, the stepper `stepping.drive` receives; no
-integrator state lives outside it.  dt is the fluid CFL step, or the
-output interval, and is bounded by c only through an accuracy limit on the
-phase of the slowest Klein-Gordon mode (`MAX_KG_PHASE`).  `step` is the
+integrator state lives outside it.  dt is the limit run's: the fluid CFL
+step, or the output interval.  c does not bound it, and at that shared dt
+the pulled-back run tends to the limit run as c grows.  `step` is the
 classical RK4 scheme on the first-order system in (phi, pi) and is kept as
 the oracle.
 
@@ -398,33 +398,19 @@ def etd_step(state, stepper):
     return new
 
 
-# the largest phase omega_min dt through which one step turns the slowest
-# Klein-Gordon mode.  Measured on the reference data to t = 0.05: halving dt
-# moves the c = 160 fluid by 5% of its gap at a phase of 2 and by 10% at 4
-MAX_KG_PHASE = 2.5
-
-
 def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
     """Integrate to t_final with `etd_step`, storing snapshots at n_outputs
     equal intervals (`stepping.drive` does the output, abort and telemetry
     rules).
 
-    dt = min(cfl h / s_fluid, MAX_KG_PHASE / (c kappa)) from the initial
-    state, or the output interval when that is shorter.  The first is the
-    fluid CFL step; the second, an accuracy bound, binds only for output
-    intervals longer than MAX_KG_PHASE / (c kappa), so that up to there the
-    step count does not grow with c.  The CFL margin watches the fluid
-    signal speed s_fluid.
+    dt = cfl h / s_fluid of the initial state, or the shorter output
+    interval: the limit run's rule, so that a sweep's runs share one time
+    grid at every c.  The CFL margin watches s_fluid.
     """
     if not (0 < cfl <= 1):
         raise ValueError("cfl must lie in (0, 1]")
-    consts = state.consts
-    if not consts.finite_c:
+    if not state.consts.finite_c:
         raise ValueError("the finite-c run needs a finite c")
     speed0 = stepping.fluid_signal_speed(state)
-    fluid_dt = cfl * state.grid.h / speed0
-    phase_dt = MAX_KG_PHASE / (consts.c * consts.kappa)
-    return stepping.drive(
-        state, EtdStepper, min(fluid_dt, phase_dt),
-        "fluid CFL" if fluid_dt <= phase_dt else "Klein-Gordon phase",
-        speed0, t_final, n_outputs, eta_box, p_box)
+    return stepping.drive(state, EtdStepper, cfl * state.grid.h / speed0,
+                          speed0, t_final, n_outputs, eta_box, p_box)

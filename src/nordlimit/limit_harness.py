@@ -15,6 +15,7 @@ fields, which is well-defined on the band-limited grid representation but
 is not a claim about continuum H^(N+1) control.
 """
 
+import errno
 import math
 import mmap
 import os
@@ -207,7 +208,10 @@ class LimitOutputs:
         nbytes = 8 * (1 + w_size + phi_size)
         try:
             buffer = mmap.mmap(-1, nbytes)
-        except OverflowError:  # more bytes than a mapping can address
+        except (OverflowError, OSError) as exc:
+            # more bytes than a mapping can address, or than the system grants
+            if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+                raise
             raise MemoryError("cannot map %d bytes for %d limit outputs"
                               % (nbytes, outputs)) from None
         self._ok = np.frombuffer(buffer, count=1)

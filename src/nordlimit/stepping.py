@@ -14,7 +14,7 @@ import numpy as np
 from . import eos as eos_mod
 
 # the most steps one run may ask for: far above every c ladder the experiment
-# runs (60 steps at c = 640), far below a count that would never finish
+# runs (20 steps at any c on reference.ini), far below a never-ending count
 MAX_STEPS = 10**8
 
 
@@ -108,28 +108,28 @@ def check_admissibility(state, eta_box=None, p_box=None):
     return None
 
 
-def drive(state, start, dt_max, dt_reason, speed, t_final, n_outputs,
-          eta_box=None, p_box=None):
+def drive(state, start, dt_max, speed, t_final, n_outputs, eta_box=None,
+          p_box=None):
     """Integrate state to t_final, storing snapshots at n_outputs equal
     intervals; returns the Trajectory.
 
-    The system supplies its step rule: dt_max, the largest step it allows,
-    set by dt_reason; speed, the signal speed behind dt_max; and the stepper
-    start(state, dt), which returns a function that advances a state by one
-    step of size dt.  dt is dt_max rounded down so that every output time is
-    hit exactly; this keeps output times matched across runs of either
-    system and any c.  When one output interval is shorter than dt_max, the
-    interval sets dt and the recorded reason is "output interval".  The run
-    aborts (partial trajectory returned) when the initial state (then dt is
-    dt_max) or an output is not admissible, when speed is not finite or
-    grows past 110% at an output, on a ValueError raised inside a step, or
-    when a step leaves a NaN or an infinity in any field.  A dt_max that is
-    not positive, or too small for a finite number of steps per output,
-    raises a ValueError before the stepper is built, and so does a run of
-    more than MAX_STEPS steps.
+    Both systems step by one rule: dt_max is the fluid CFL step
+    cfl h / s_fluid of the initial state, speed the fluid signal speed
+    s_fluid behind it, and start(state, dt) returns the system's stepper, a
+    function that advances a state by one step of size dt.  dt is dt_max
+    rounded down so that every output time is hit exactly; this keeps the
+    two systems, at any c, on one time grid.  The recorded reason is
+    "fluid CFL", or "output interval" when one output interval is shorter
+    than dt_max and so sets dt.  The run aborts (partial trajectory
+    returned) when the initial state (then dt is dt_max) or an output is not
+    admissible, when speed is not finite or grows past 110% at an output,
+    on a ValueError raised inside a step, or when a step leaves a NaN or an
+    infinity in any field.  A dt_max that is not positive, or too small for
+    a finite number of steps per output, raises a ValueError before the
+    stepper is built, and so does a run of more than MAX_STEPS steps.
     """
     clock = time.perf_counter()
-    traj = Trajectory(dt=dt_max, dt_reason=dt_reason)
+    traj = Trajectory(dt=dt_max, dt_reason="fluid CFL")
     traj.add(state)
     try:
         reason = check_admissibility(state, eta_box, p_box)
@@ -139,8 +139,8 @@ def drive(state, start, dt_max, dt_reason, speed, t_final, n_outputs,
             traj.abort_reason = "initial state: " + reason
             return traj
         if not dt_max > 0:
-            raise ValueError("time step %r (%s) is not positive"
-                             % (dt_max, dt_reason))
+            raise ValueError("time step %r (fluid CFL) is not positive"
+                             % dt_max)
         seg = t_final / n_outputs
         ratio = seg / dt_max
         if not math.isfinite(ratio):

@@ -245,7 +245,11 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, text, message):
     # run-en and run-ep refuse 1e14 steps before they map any output (see
     # test_huge_finite_step_count_is_usage_error)
     pytest.param("sweep", "n_outputs = 2", "n_outputs = 100000000000000",
-                 id="sweep-n_outputs")])
+                 id="sweep-n_outputs"),
+    # 1.97e17 bytes: past any x86-64 address space, so mmap fails with
+    # ENOMEM, but below the size at which it raises OverflowError
+    pytest.param("sweep", "n_outputs = 2", "n_outputs = 1000000000000",
+                 id="sweep-n_outputs-enomem")])
 def test_grid_too_large_to_allocate_is_usage_error(tmp_path, capsys, command,
                                                    line, value):
     # the n**3 arrays of the grid, or the sweep's mapping of the limit run's

@@ -162,6 +162,32 @@ def test_background_potential_gap_rate():
     assert slope == pytest.approx(-2.0, abs=0.05)
 
 
+@pytest.mark.parametrize("a1, constant", [(0.0, 2.83577), (1.0, 3.14993)],
+                         ids=["a1=0", "a1=1"])
+def test_background_gap_first_post_newtonian_constant(a1, constant):
+    # expanding F(phi) = kappa**2 phi + 4 pi G exp(4 phi/c**2) (rho_c(p_bar)
+    # - 3 p_bar/c**2) = 0 to first order in c**-2 about phi_inf gives
+    #   c**2 (phi_c - phi_inf) -> -(4 pi G / kappa**2) (weight + internal
+    #                              + entropy + pressure_source)
+    # with rho_inf = m0 (p_bar / A_inf)**(1/gamma) and the terms below
+    g, kap, p_bar, c = 0.05, 1.0, 1.0, 640.0
+    e = eos.PolytropicEos(a1=a1)
+    rho_inf = e.m0 * (p_bar / e.a_inf) ** (1.0 / e.gamma)
+    phi_inf = -4.0 * math.pi * g * rho_inf / kap**2
+    weight = 4.0 * phi_inf * rho_inf           # exp(4 phi/c**2) about phi_inf
+    internal = p_bar / (e.gamma - 1.0)         # p/c**2 part of rho_c
+    entropy = -(e.a1 / e.gamma) * rho_inf      # a1/c**2 of A_c in rho_c
+    pressure_source = -3.0 * p_bar             # the -3 P/c**2 source
+    closed = -(4.0 * math.pi * g / kap**2) * (
+        weight + internal + entropy + pressure_source)
+    assert closed == pytest.approx(constant, rel=1e-5)
+    k = eos.PhysicalConstants(grav_g=g, kappa=kap, c=c)
+    inf = eos.PhysicalConstants(grav_g=g, kappa=kap)
+    gap = c**2 * (eos.background_potential(k, e, p_bar)
+                  - eos.background_potential(inf, e, p_bar))
+    assert gap == pytest.approx(closed, rel=1e-4)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         eos.PhysicalConstants(kappa=0.0)

@@ -211,6 +211,37 @@ def test_quick_sweep_gaps_match_rk4_oracle(monkeypatch):
         assert np.max(np.abs(got - want) / want) <= 1e-2
 
 
+def test_slow_sound_sweep_runs_share_one_time_grid():
+    # a fluid signal speed of about 0.7: the fluid CFL step is longer than
+    # the one output interval of 0.2, so the limit run and every rung take
+    # one step of it, and no rung's gap carries a time error the limit run
+    # does not
+    config = lh.SweepConfig(n=16, p_bar=0.05, p_box=(0.01, 0.1), amp_eta=0.02,
+                            amp_p=0.02, amp_v=(0.02, 0.0, 0.0),
+                            c_values=(10.0, 20.0, 40.0), t_final=0.2,
+                            n_outputs=1)
+    runs = lh.run_sweep(config, keep_trajectories=False).runs
+    assert sorted(runs) == [10.0, 20.0, 40.0, math.inf]
+    assert {(r["dt"], r["steps"]) for r in runs.values()} == {(0.2, 1)}
+
+
+def test_etd_rung_is_asymptotic_preserving():
+    # at c = 1e8 on the limit run's time grid, the pulled-back rung is the
+    # limit run to roundoff at every output, while w moves by about 0.44 in
+    # H^3 over the run: the stepper needs no step that resolves c
+    config = lh.SweepConfig(n=16)
+    bundle = config.make_bundle()
+    grid, consts = bundle.grid, config.consts(1e8)
+    limit = ep.run(ep.from_bundle(bundle, config.consts(math.inf)),
+                   config.t_final, **config.run_args())
+    lifted = lift_to_relativistic(bundle, consts)
+    traj = en.run(en.from_bundle(lifted), config.t_final, **config.run_args())
+    assert limit.ok and traj.ok and limit.steps == traj.steps == 20
+    assert grid.sobolev_norm(limit.ws[-1] - limit.ws[0], 3) >= 0.1
+    for w, phi, w_inf in zip(traj.ws, traj.phis, limit.ws):
+        assert grid.sobolev_norm(w_inf - en.pull_back(w, phi, consts), 3) <= 1e-9
+
+
 class InlineFuture:
     """A job of InlinePool, run when its result is taken."""
 

@@ -136,7 +136,7 @@ def test_drive_aborts_on_non_finite_step_inside_segment(grid, eosf, system):
         return step
 
     state = ready(system, grid, eosf)
-    traj = stepping.drive(state, start, 0.01, "test rule",
+    traj = stepping.drive(state, start, 0.01,
                           stepping.fluid_signal_speed(state), 0.03, 1)
     assert not traj.ok and len(calls) == 2
     assert traj.steps == 1 and len(traj.ts) == 1
@@ -145,15 +145,15 @@ def test_drive_aborts_on_non_finite_step_inside_segment(grid, eosf, system):
 
 @pytest.mark.parametrize("dt_max, per_seg, reason", [
     (0.05, 1, "output interval"),
-    (0.02, 1, "test rule"),
-    (0.02 * (1 + 1e-13), 1, "test rule"),
-    (0.0075, 3, "test rule"),
+    (0.02, 1, "fluid CFL"),
+    (0.02 * (1 + 1e-13), 1, "fluid CFL"),
+    (0.0075, 3, "fluid CFL"),
 ], ids=["longer", "equal", "equal-within-roundoff", "shorter"])
 def test_drive_names_output_interval_when_it_sets_dt(grid, eosf, dt_max,
                                                      per_seg, reason):
     state = ready("ep", grid, eosf)
     traj = stepping.drive(state, lambda st, dt: lambda s: replace(s, t=s.t + dt),
-                          dt_max, "test rule", 10.0, 0.04, 2)
+                          dt_max, 10.0, 0.04, 2)
     assert traj.ok and traj.steps == 2 * per_seg
     assert traj.dt == pytest.approx(0.02 / per_seg, rel=1e-14)
     assert traj.dt_reason == reason
@@ -175,7 +175,7 @@ def test_drive_refuses_more_than_max_steps_before_the_stepper(grid, eosf,
     # 4 outputs of per_seg steps each: MAX_STEPS in all builds the stepper,
     # one step per output more raises a ValueError naming the count first
     state = ready("ep", grid, eosf)
-    args = (state, refuse_start, 1.0 / per_seg, "test rule", 10.0, 4.0, 4)
+    args = (state, refuse_start, 1.0 / per_seg, 10.0, 4.0, 4)
     if built:
         with pytest.raises(Started):
             stepping.drive(*args)
