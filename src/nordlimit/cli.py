@@ -13,6 +13,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 import time
 
@@ -178,28 +179,28 @@ def _out_dir(args):
     return out
 
 
-def _write_diagnostics(path, traj, grid, order, lifted=None):
-    """One row per output; kgE, the field energy of a finite-c run from its
-    lifted data, is 0 without them.  An aborted run's overflowing state is
+def _diagnostics_row(state, order, phi_data=None):
+    """The diagnostics of one output state, as (t, minEta, minP, maxV, hNw,
+    kgE); kgE, the field energy of a finite-c run from its lifted data
+    phi_data, is 0 without them.  An aborted run's overflowing state is
     recorded as inf or nan."""
-    with open(path, "w") as fh, np.errstate(over="ignore", invalid="ignore"):
-        fh.write("t,dt,minEta,minP,maxV,hNw,kgE\n")
-        for m, t in enumerate(traj.ts):
-            w = traj.ws[m]
-            hn = grid.sobolev_norm(w, order,
-                                   background=[float(np.mean(f)) for f in w])
-            kge = 0.0
-            if lifted is not None:
-                st = en.RelState(w=w, phi=traj.phis[m], pi=traj.pis[m], t=t,
-                                 consts=lifted.consts, eos=lifted.eos, grid=grid)
-                kge = ec.kg_energy(st, lifted.phi_c, order)
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % (t, traj.dt, float(np.min(w[0])), float(np.min(w[1])),
-                        stepping.max_speed(w), hn, kge))
+    w = state.w
+    with np.errstate(over="ignore", invalid="ignore"):
+        hn = state.grid.sobolev_norm(w, order,
+                                     background=[float(np.mean(f)) for f in w])
+        kge = 0.0 if phi_data is None else ec.kg_energy(state, phi_data, order)
+        return (state.t, float(np.min(w[0])), float(np.min(w[1])),
+                stepping.max_speed(w), hn, kge)
 
 
 def cmd_run(args, cfg, sc, out, manifest):
-    """run-en (the finite-c system at run.c) or run-ep (the limit system)."""
+    """run-en (the finite-c system at run.c) or run-ep (the limit system).
+
+    Each diagnostics row is computed as its output arrives, and the final
+    snapshot is the last output state, so the run holds one state whatever
+    n_outputs is.  The manifest's run record adds this process's peak
+    resident memory.
+    """
     finite = args.command == "run-en"
     c = _run_c_value(cfg) if finite else math.inf
     if finite and not math.isfinite(c):
@@ -211,18 +212,26 @@ def cmd_run(args, cfg, sc, out, manifest):
         runner, start = en.run, en.from_bundle(lifted)
     else:
         runner, start = ep.run, ep.from_bundle(bundle, sc.consts(c))
-    traj = runner(start, sc.t_final, **sc.run_args())
+    rows = []
+    phi_data = lifted.phi_c if finite else None
+    traj = runner(start, sc.t_final, observe=lambda state: rows.append(
+        _diagnostics_row(state, sc.sobolev_order, phi_data)), **sc.run_args())
     # c as text at c = inf, as in the sweep's records: JSON has no infinity
-    manifest.data["run"] = dict(traj.record(), c=c if finite else "inf")
+    manifest.data["run"] = dict(traj.record(), c=c if finite else "inf",
+                                peak_rss_mb=peak_rss_mb())
     name = args.command.replace("-", "_")
     diag = os.path.join(out, name + "_diagnostics.csv")
-    _write_diagnostics(diag, traj, grid, sc.sobolev_order,
-                       lifted=lifted if finite else None)
-    comps = [traj.ws[-1], traj.phis[-1][None]]
+    with open(diag, "w") as fh:
+        fh.write("t,dt,minEta,minP,maxV,hNw,kgE\n")
+        for t, *rest in rows:
+            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+                     % (t, traj.dt, *rest))
+    last = traj.last
+    comps = [last.w, last.phi[None]]
     if finite:
-        comps.append(traj.pis[-1][None])
+        comps.append(last.pi[None])
     snap = os.path.join(out, name + "_final.nrdf")
-    fields.write_snapshot(snap, grid, traj.ts[-1], np.concatenate(comps))
+    fields.write_snapshot(snap, grid, last.t, np.concatenate(comps))
     manifest.add_output(diag)
     manifest.add_output(snap)
     manifest.set_check("run_completed", traj.ok)
@@ -236,22 +245,33 @@ def cmd_run(args, cfg, sc, out, manifest):
     return 0
 
 
+def peak_rss_mb():
+    """Peak resident memory of this process so far, in MB (ru_maxrss is in
+    KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _run_records(runs):
     """Per-run telemetry keyed by the light speed as text ("inf" = limit)."""
     return {"%g" % c: record for c, record in runs.items()}
 
 
 def cmd_sweep(args, cfg, sc, out, manifest):
+    """The rate experiment; the manifest records each run's telemetry and
+    this process's peak resident memory (the rungs' forked workers are not
+    counted)."""
     try:
         result = lh.run_sweep(sc, keep_trajectories=False,
                               progress=lambda line: print(line, file=sys.stderr))
     except lh.SweepAborted as exc:
+        manifest.data["peak_rss_mb"] = peak_rss_mb()
         manifest.data["phases_s"] = exc.result.phases_s
         manifest.data["runs"] = _run_records(exc.result.runs)
         manifest.data["abort_reasons"] = _run_records(exc.result.abort_reasons)
         manifest.set_check("rate_thresholds", False)
         print("sweep aborted: %s" % exc, file=sys.stderr)
         return 2
+    manifest.data["peak_rss_mb"] = peak_rss_mb()
     manifest.data["runs"] = _run_records(result.runs)
     clock = time.perf_counter()
     csv_path, summary_path = lh.emit_report(result.report, out)

@@ -352,7 +352,8 @@ def etd_step(state, stepper):
     A module function, not a method: `EtdStepper.__call__` looks it up at
     every step, so that a test can replace it to inject a failure and
     perfbench's tracer, which wraps public module functions, sees it.  The
-    fluid block takes the RK4 weights, as in `step`, and z the
+    fluid block takes the RK4 weights, as in `step`, summed as the stages
+    come in (the order of k1 + 2 k2 + 2 k3 + k4, bit for bit), and z the
     Cox-Matthews final update.  The Cox-Matthews stage values za, zb and zc
     only predict the potential of a stage: the stage's own source N_s is
     transformed from the coefficients of its fluid state and that
@@ -386,11 +387,18 @@ def etd_step(state, stepper):
 
     za = stepper.e2 * z + stepper.q * n1
     k2, n2 = stage(state.w + 0.5 * dt * k1, za, 0.5 * dt)
+    acc = k1 + 2.0 * k2
+    del k1
     zb = stepper.e2 * z + stepper.q * n2
     k3, n3 = stage(state.w + 0.5 * dt * k2, zb, 0.5 * dt)
+    del k2
+    acc += 2.0 * k3
     zc = stepper.e2 * za + stepper.q * (2.0 * n3 - n1)
     k4, n4 = stage(state.w + dt * k3, zc, dt)
-    w_new = state.w + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+    del k3
+    acc += k4
+    del k4
+    w_new = state.w + dt * (acc / 6.0)
     z_new = stepper.e * z + stepper.f1 * n1 + stepper.f2 * (n2 + n3)
     # the Cox-Matthews update predicts the potential of the new source
     z_new += stepper.f3 * source(w_new, z_new + stepper.f3 * n4)
@@ -398,10 +406,11 @@ def etd_step(state, stepper):
     return new
 
 
-def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
-    """Integrate to t_final with `etd_step`, storing snapshots at n_outputs
-    equal intervals (`stepping.drive` does the output, abort and telemetry
-    rules).
+def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None,
+        observe=None):
+    """Integrate to t_final with `etd_step`, with outputs at n_outputs equal
+    intervals (`stepping.drive` does the output, abort and telemetry
+    rules): stored snapshots, or each output state handed to observe.
 
     dt = cfl h / s_fluid of the initial state, or the shorter output
     interval: the limit run's rule, so that a sweep's runs share one time
@@ -413,4 +422,5 @@ def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
         raise ValueError("the finite-c run needs a finite c")
     speed0 = stepping.fluid_signal_speed(state)
     return stepping.drive(state, EtdStepper, cfl * state.grid.h / speed0,
-                          speed0, t_final, n_outputs, eta_box, p_box)
+                          speed0, t_final, n_outputs, eta_box, p_box,
+                          observe)

@@ -130,16 +130,25 @@ def step(state, dt):
     state must carry the potential of its w (`with_constraint`), which the
     first stage reuses; the later stages and the new state each get the
     potential solved for their own w.  The outputs and the finiteness
-    check read the new state's.
+    check read the new state's.  The weighted sum of the stages is kept
+    running, so that at most two stages are held at once; it adds in the
+    order of k1 + 2 k2 + 2 k3 + k4, bit for bit.
     """
     def stage(w, t):
         return with_constraint(replace(state, w=w, t=t))
 
     k1 = _deriv(state)
     k2 = _deriv(stage(state.w + 0.5 * dt * k1, state.t + 0.5 * dt))
+    acc = k1 + 2 * k2
+    del k1
     k3 = _deriv(stage(state.w + 0.5 * dt * k2, state.t + 0.5 * dt))
+    del k2
+    acc += 2 * k3
     k4 = _deriv(stage(state.w + dt * k3, state.t + dt))
-    return stage(state.w + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, state.t + dt)
+    del k3
+    acc += k4
+    del k4
+    return stage(state.w + dt * acc / 6.0, state.t + dt)
 
 
 def _rk4_stepper(state, dt):
@@ -147,9 +156,11 @@ def _rk4_stepper(state, dt):
     return lambda st: step(st, dt)
 
 
-def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
+def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None,
+        observe=None):
     """Mirror of the finite-c run: fixed dt, outputs at matched times, the
-    same `stepping.drive` rules.
+    same `stepping.drive` rules; observe, if given, receives each output
+    state in place of the stored snapshots.
 
     dt = cfl h / s_fluid, or the shorter output interval; RK4 steps.
     """
@@ -158,4 +169,5 @@ def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None):
     state = with_constraint(state)
     speed0 = stepping.fluid_signal_speed(state)
     return stepping.drive(state, _rk4_stepper, cfl * state.grid.h / speed0,
-                          speed0, t_final, n_outputs, eta_box, p_box)
+                          speed0, t_final, n_outputs, eta_box, p_box,
+                          observe)

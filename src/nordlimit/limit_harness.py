@@ -16,6 +16,7 @@ is not a claim about continuum H^(N+1) control.
 """
 
 import errno
+import itertools
 import math
 import mmap
 import os
@@ -196,16 +197,17 @@ class RungResult:
 
 class LimitOutputs:
     """The limit run's output fields, for rungs that may run in forked
-    workers: w and phi of every output, and a flag that they were written,
-    in one anonymous shared mapping made before the fork, and a
-    fork-context Event, done, set when the limit run ends."""
+    workers: w and phi of every output, and a header holding the count of
+    outputs published so far and a flag that the limit run has ended, in
+    one anonymous shared mapping made before the fork.  A fork-context
+    Condition wakes the rungs waiting on the header."""
 
     def __init__(self, outputs, n):
         # imported here, as in fork_map: a process that runs no sweep need
         # not carry it
         import multiprocessing
         w_size, phi_size = outputs * 5 * n**3, outputs * n**3
-        nbytes = 8 * (1 + w_size + phi_size)
+        nbytes = 8 * (2 + w_size + phi_size)
         try:
             buffer = mmap.mmap(-1, nbytes)
         except (OverflowError, OSError) as exc:
@@ -214,24 +216,39 @@ class LimitOutputs:
                 raise
             raise MemoryError("cannot map %d bytes for %d limit outputs"
                               % (nbytes, outputs)) from None
-        self._ok = np.frombuffer(buffer, count=1)
-        self.ws = np.frombuffer(buffer, count=w_size, offset=8).reshape(
+        # [published outputs, ended]
+        self._header = np.frombuffer(buffer, dtype=np.int64, count=2)
+        self.ws = np.frombuffer(buffer, count=w_size, offset=16).reshape(
             (outputs, 5, n, n, n))
-        self.phis = np.frombuffer(buffer, offset=8 * (1 + w_size)).reshape(
+        self.phis = np.frombuffer(buffer, offset=8 * (2 + w_size)).reshape(
             (outputs, n, n, n))
-        self.done = multiprocessing.get_context("fork").Event()
+        self._changed = multiprocessing.get_context("fork").Condition()
 
-    def publish(self, traj):
-        """Copy the outputs of a completed run in; traj keeps views of them."""
-        for m, (w, phi) in enumerate(zip(traj.ws, traj.phis)):
-            self.ws[m], self.phis[m] = w, phi
-        traj.ws, traj.phis = list(self.ws), list(self.phis)
-        self._ok[0] = 1.0
+    @property
+    def published(self):
+        return int(self._header[0])
 
-    def wait(self):
-        """Wait for the limit run to end; whether its outputs were written."""
-        self.done.wait()
-        return bool(self._ok[0])
+    def publish(self, state):
+        """Write the next output state in, then wake the rungs waiting for it."""
+        m = self.published
+        self.ws[m], self.phis[m] = state.w, state.phi
+        with self._changed:
+            self._header[0] = m + 1
+            self._changed.notify_all()
+
+    def end(self):
+        """Mark the limit run ended, with or without all of its outputs."""
+        with self._changed:
+            self._header[1] = 1
+            self._changed.notify_all()
+
+    def wait_for(self, m):
+        """Wait until output m is published or the limit run has ended;
+        whether output m was published."""
+        with self._changed:
+            self._changed.wait_for(
+                lambda: self._header[0] > m or self._header[1])
+        return self.published > m
 
 
 def run_sweep(config, keep_trajectories=True, progress=None):
@@ -241,12 +258,16 @@ def run_sweep(config, keep_trajectories=True, progress=None):
     data, so they run through `fields.fork_map`: in forked worker processes,
     one per rung and at most one per CPU this process may run on, while the
     limit run runs in this process (in this process, after the limit run,
-    when that is one CPU).  Each worker holds one rung's state, waits for
-    the limit outputs (`LimitOutputs`) only before its gap norms, and sends
-    back only the gaps and the telemetry.  The results are taken in ladder
-    order.  progress, if given, is called with one line of text per
-    finished run, in ladder order.  An aborted run raises SweepAborted
-    carrying the partial result: the runs up to the first aborted one.
+    when that is one CPU).  The limit run publishes each output into
+    `LimitOutputs` as it reaches it.  Each worker holds one rung's state:
+    at each of its outputs it waits for the limit output of the same index,
+    takes both gaps there and drops the state, and it sends back only the
+    sups and the telemetry.  The results are taken in ladder order.
+    keep_trajectories keeps every rung's outputs as well; result.ep_traj
+    holds views of the mapping either way.  progress, if given, is called
+    with one line of text per finished run, in ladder order.  An aborted run
+    raises SweepAborted carrying the partial result: the runs up to the
+    first aborted one.
     """
     config.validate()
     clock = time.perf_counter()
@@ -266,34 +287,52 @@ def run_sweep(config, keep_trajectories=True, progress=None):
 
     def limit_run():
         try:
-            result.ep_traj = ep.run(ep.from_bundle(bundle, config.consts(math.inf)),
-                                    config.t_final, **config.run_args())
-            finished(math.inf, "limit run", result.ep_traj.record())
-            if not result.ep_traj.ok:
-                result.abort_reasons[math.inf] = result.ep_traj.abort_reason
+            traj = result.ep_traj = ep.run(
+                ep.from_bundle(bundle, config.consts(math.inf)),
+                config.t_final, observe=limit.publish, **config.run_args())
+            k = limit.published
+            traj.ws, traj.phis = list(limit.ws[:k]), list(limit.phis[:k])
+            traj.pis = [0.0] * k
+            finished(math.inf, "limit run", traj.record())
+            if not traj.ok:
+                result.abort_reasons[math.inf] = traj.abort_reason
                 raise SweepAborted("limit-system run aborted: "
-                                   + result.ep_traj.abort_reason, result)
-            limit.publish(result.ep_traj)
+                                   + traj.abort_reason, result)
         finally:
-            limit.done.set()
+            limit.end()
 
     def run_rung(c):
-        """One finite-c rung: lift the data, run, and take the sup-in-time
-        Sobolev gaps against the limit run."""
+        """One finite-c rung: lift the data, and run, taking the sup-in-time
+        Sobolev gaps against the limit run output by output."""
         consts_c = config.consts(c)
         lifted = initial_data.lift_to_relativistic(bundle, consts_c)
-        traj = en.run(en.from_bundle(lifted), config.t_final, **config.run_args())
         order = config.sobolev_order
-        w_sup = 0.0
-        phi_sup = 0.0
-        if traj.ok and limit.wait():
-            for m in range(len(traj.ts)):
-                w_sup = max(w_sup, grid.sobolev_norm(
-                    limit.ws[m] - en.pull_back(traj.ws[m], traj.phis[m], consts_c),
-                    order - 1))
-                dev = ((limit.phis[m] - bundle.phi_bar_inf)
-                       - (traj.phis[m] - lifted.phi_bar_c))
-                phi_sup = max(phi_sup, grid.sobolev_norm(dev, order + 1))
+        w_sup = phi_sup = 0.0
+        kept = []
+        outputs = itertools.count()
+
+        def gaps(state):
+            """Both gaps at output m, the state's, once the limit run has
+            published it; the state is kept only for keep_trajectories."""
+            nonlocal w_sup, phi_sup
+            m = next(outputs)
+            if keep_trajectories:
+                kept.append(state)
+            if not limit.wait_for(m):
+                return
+            w_sup = max(w_sup, grid.sobolev_norm(
+                limit.ws[m] - en.pull_back(state.w, state.phi, consts_c),
+                order - 1))
+            dev = ((limit.phis[m] - bundle.phi_bar_inf)
+                   - (state.phi - lifted.phi_bar_c))
+            phi_sup = max(phi_sup, grid.sobolev_norm(dev, order + 1))
+
+        traj = en.run(en.from_bundle(lifted), config.t_final, observe=gaps,
+                      **config.run_args())
+        if keep_trajectories:
+            traj.ws = [st.w for st in kept]
+            traj.phis = [st.phi for st in kept]
+            traj.pis = [st.pi for st in kept]
         return RungResult(record=traj.record(), sup_w=w_sup, sup_phi=phi_sup,
                           phi_bar_gap=abs(bundle.phi_bar_inf - lifted.phi_bar_c),
                           abort_reason=traj.abort_reason,

@@ -33,7 +33,9 @@ def fluid_signal_speed(state):
 
 @dataclass
 class Trajectory:
-    """Output-time snapshots of a run, step telemetry and abort bookkeeping.
+    """Output times of a run, its last output state, the stored snapshots
+    (none when the run had an observer), step telemetry and abort
+    bookkeeping.
 
     pis holds the potential's time derivative: an evolved field at finite
     c, and the limit state's constant 0.0 at c = inf.
@@ -45,6 +47,7 @@ class Trajectory:
     ws: list = field(default_factory=list)
     phis: list = field(default_factory=list)
     pis: list = field(default_factory=list)
+    last: object = None
     abort_reason: str = None
     steps: int = 0
     wall_s: float = 0.0
@@ -58,14 +61,21 @@ class Trajectory:
         """Right-hand sides evaluated: both integrators take four per step."""
         return 4 * self.steps
 
-    def add(self, state):
-        """Store the snapshot of state: its own arrays, not copies.
+    def add(self, state, observe=None):
+        """Record the output state: its time, and state as the last output.
 
-        A step builds new arrays and nothing writes into a state's, so the
-        snapshot stays valid; a copy would keep the initial state twice, as
-        the caller of `drive` holds it for the whole run.
+        With observe, observe(state) is called and no field is kept, so a
+        run holds one state whatever its output count.  Without, the
+        snapshot is stored: the state's own arrays, not copies.  A step
+        builds new arrays and nothing writes into a state's, so the snapshot
+        stays valid; a copy would keep the initial state twice, as the
+        caller of `drive` holds it for the whole run.
         """
         self.ts.append(state.t)
+        self.last = state
+        if observe is not None:
+            observe(state)
+            return
         self.ws.append(state.w)
         self.phis.append(state.phi)
         self.pis.append(state.pi)
@@ -109,9 +119,15 @@ def check_admissibility(state, eta_box=None, p_box=None):
 
 
 def drive(state, start, dt_max, speed, t_final, n_outputs, eta_box=None,
-          p_box=None):
-    """Integrate state to t_final, storing snapshots at n_outputs equal
-    intervals; returns the Trajectory.
+          p_box=None, observe=None):
+    """Integrate state to t_final with outputs at n_outputs equal intervals;
+    returns the Trajectory.
+
+    Every output, the initial state included, goes to `Trajectory.add`:
+    to observe(state) if observe is given, or else into the stored
+    snapshots.  The Trajectory records the output times, the last output
+    state and the telemetry either way; its wall_s includes the observer's
+    time.
 
     Both systems step by one rule: dt_max is the fluid CFL step
     cfl h / s_fluid of the initial state, speed the fluid signal speed
@@ -130,8 +146,8 @@ def drive(state, start, dt_max, speed, t_final, n_outputs, eta_box=None,
     """
     clock = time.perf_counter()
     traj = Trajectory(dt=dt_max, dt_reason="fluid CFL")
-    traj.add(state)
     try:
+        traj.add(state, observe)
         reason = check_admissibility(state, eta_box, p_box)
         if reason is None and not math.isfinite(speed):
             reason = "non-finite fluid signal speed"
@@ -178,7 +194,7 @@ def drive(state, start, dt_max, speed, t_final, n_outputs, eta_box=None,
             if reason is not None:
                 traj.abort_reason = reason
                 return traj
-            traj.add(state)
+            traj.add(state, observe)
         return traj
     finally:
         traj.wall_s = time.perf_counter() - clock

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -558,6 +559,7 @@ def test_sweep_manifest_records_runs_and_progress(tmp_path, capsys):
         assert run["dt"] == pytest.approx(0.01) and run["wall_s"] > 0
     assert manifest["runs"]["inf"]["dt_reason"] == "output interval"
     assert "abort_reasons" not in manifest
+    assert_positive_number(manifest["peak_rss_mb"])
     assert set(manifest["phases_s"]) == {"bundle", "runs", "report"}
     assert all(t >= 0 for t in manifest["phases_s"].values())
     assert_records_parallelism(manifest)
@@ -584,6 +586,10 @@ def assert_records_parallelism(manifest, outputs=None):
         assert all(t >= 0 for t in manifest["phases_s"].values())
 
 
+def assert_positive_number(x):
+    assert isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+
+
 def _reject_constant(name):
     raise ValueError("manifest holds %s, which strict JSON does not allow" % name)
 
@@ -605,9 +611,30 @@ def test_run_manifest_records_run(tmp_path, capsys, command, c, dt_reason):
     assert run["dt_reason"] == dt_reason
     assert run["steps"] == 2 and run["rhs_evals"] == 8
     assert run["dt"] == pytest.approx(0.01) and run["wall_s"] > 0
+    assert_positive_number(run["peak_rss_mb"])
     assert capsys.readouterr().out == (
         "%s complete: t=0.02, dt=0.01 (%s), steps=2, outputs=3\n"
         % (command, dt_reason))
+
+
+@pytest.mark.parametrize("command", ["run-ep", "run-en"])
+def test_run_memory_does_not_grow_with_outputs(tmp_path, command):
+    # each output goes to its diagnostics row and is dropped: 64 outputs
+    # peak less than one state (7 fields of 16**3) above 4, one step each
+    peaks = []
+    for outputs in (4, 64):
+        path = write(tmp_path, SMALL.replace("t_final = 0.02", "t_final = 0.2")
+                     .replace("n_outputs = 2", "n_outputs = %d" % outputs))
+        out = tmp_path / ("out%d" % outputs)
+        tracemalloc.start()
+        try:
+            assert cli.main(["--config", path, "--out", str(out), command]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows = out / (command.replace("-", "_") + "_diagnostics.csv")
+        assert len(rows.read_text().splitlines()) == outputs + 2
+    assert peaks[1] - peaks[0] < 7 * 16**3 * 8
 
 
 def _raise_in_step(*args):

@@ -6,6 +6,9 @@ import math
 import multiprocessing
 import os
 import signal
+import time
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -298,6 +301,31 @@ def test_rung_workers_capped_by_rungs_and_cpus(monkeypatch, cpus, workers):
     assert result.en_trajs == {} and result.en_bundles == {}
 
 
+def test_sweep_memory_does_not_grow_with_outputs(monkeypatch):
+    # on one CPU the limit run, then each rung, runs here: the limit outputs
+    # go to the shared mapping, which tracemalloc does not see, and a rung
+    # drops each state at its gaps, so 40 outputs peak less than one state
+    # (7 fields of 16**3) above 5
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    config = quiet_config()
+    config.amp_eta = config.amp_p = 0.05
+    peaks, reports = [], []
+    for outputs in (5, 40):
+        config.n_outputs = outputs
+        tracemalloc.start()
+        try:
+            reports.append(lh.run_sweep(config, keep_trajectories=False).report)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 7 * 16**3 * 8
+    # the gaps taken output by output do not depend on keeping the runs
+    kept = lh.run_sweep(config, keep_trajectories=True)
+    assert len(kept.ep_traj.ws) == len(kept.en_trajs[10.0].ws) == 41
+    for key in ("sup_w", "sup_phi", "phi_bar_gap"):
+        assert getattr(kept.report, key) == getattr(reports[1], key)
+
+
 def test_parallel_sweep_matches_in_process_sweep(monkeypatch):
     # forked workers return the same gaps, bit for bit, and the kept
     # trajectories and lifted bundles
@@ -400,6 +428,75 @@ def test_aborted_limit_run_ends_forked_sweep(monkeypatch):
                                "failed: nonpositive limit density")
     assert list(info.value.result.runs) == [math.inf]
     assert multiprocessing.active_children() == []
+
+
+def test_limit_outputs_release_rungs_one_by_one(monkeypatch, tmp_path):
+    # the limit run fails at its step 3, after publishing outputs 0 to 2:
+    # every rung takes its gaps at those, and its wait for output 3 and on
+    # ends with the limit run, so no rung is left waiting
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = []
+    real_step, real_wait = ep.step, lh.LimitOutputs.wait_for
+    log = tmp_path / "waits"
+
+    def failing(state, dt):
+        calls.append(state.t)
+        if len(calls) == 3:
+            raise ValueError("nonpositive limit density")
+        return real_step(state, dt)
+
+    def logged(self, m):
+        # one line per wait, appended from whichever process waits
+        published = real_wait(self, m)
+        with open(log, "a") as fh:
+            fh.write("%d %d %d\n" % (os.getpid(), m, published))
+        return published
+
+    monkeypatch.setattr(ep, "step", failing)
+    monkeypatch.setattr(lh.LimitOutputs, "wait_for", logged)
+    with pytest.raises(lh.SweepAborted) as info:
+        _sweep_within(60, quiet_config())
+    assert str(info.value) == ("limit-system run aborted: step 3 from t=0.02 "
+                               "failed: nonpositive limit density")
+    assert multiprocessing.active_children() == []
+    waits = sorted(tuple(map(int, line.split()))[1:]
+                   for line in log.read_text().splitlines())
+    # three rungs, each waiting once at each of its six outputs
+    assert waits == sorted([(m, int(m < 3)) for m in range(6)] * 3)
+
+
+def test_limit_outputs_stress_more_waiters_than_cores():
+    # four forked waiters, more than the cores of a small host, and one
+    # output published every millisecond: each waiter must see every output
+    # m whole (w all m, phi all -m), woken by its publication alone (the run
+    # is ended only after the joins), so a lost wake-up leaves a waiter
+    # alive at its join
+    outputs = 40
+    limit = lh.LimitOutputs(outputs, 2)
+
+    def waiter():
+        ok = all(limit.wait_for(m) and np.all(limit.ws[m] == m)
+                 and np.all(limit.phis[m] == -m) for m in range(outputs))
+        os._exit(0 if ok else 1)
+
+    ctx = multiprocessing.get_context("fork")
+    procs = [ctx.Process(target=waiter) for _ in range(4)]
+    for proc in procs:
+        proc.start()
+    try:
+        for m in range(outputs):
+            time.sleep(0.001)
+            limit.publish(types.SimpleNamespace(
+                w=np.full((5, 2, 2, 2), float(m)),
+                phi=np.full((2, 2, 2), -float(m))))
+        for proc in procs:
+            proc.join(30)
+        assert [proc.exitcode for proc in procs] == [0] * 4
+    finally:
+        limit.end()
+        for proc in procs:
+            if proc.is_alive():
+                proc.kill()
 
 
 def test_raising_limit_run_ends_forked_sweep(monkeypatch):
