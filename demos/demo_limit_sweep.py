@@ -20,7 +20,7 @@ config = lh.SweepConfig(n=16, c_values=(10.0, 20.0, 40.0, 80.0),
 print("grid %d^3, box [0, %.3f)^3, c values %s"
       % (config.n, config.length, list(config.c_values)))
 print("running the sweep (one limit run + one run per c) ...")
-result = lh.run_sweep(config, keep_trajectories=False)
+result = lh.run_sweep(config)
 report = result.report
 
 print()

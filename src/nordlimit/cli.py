@@ -261,8 +261,8 @@ def cmd_sweep(args, cfg, sc, out, manifest):
     this process's peak resident memory (the rungs' forked workers are not
     counted)."""
     try:
-        result = lh.run_sweep(sc, keep_trajectories=False,
-                              progress=lambda line: print(line, file=sys.stderr))
+        result = lh.run_sweep(
+            sc, progress=lambda line: print(line, file=sys.stderr))
     except lh.SweepAborted as exc:
         manifest.data["peak_rss_mb"] = peak_rss_mb()
         manifest.data["phases_s"] = exc.result.phases_s

@@ -195,7 +195,8 @@ def background_potential(consts, eos, p_bar):
     falls monotonically toward the root.  The iteration stops at
     |F| <= BACKGROUND_TOL or, when roundoff keeps that out of reach (|phi|
     large), at the first step after the first that does not lower phi,
-    whose result it returns.
+    whose result it returns.  A source rho_c(p_bar) - 3 p_bar/c**2 that
+    is not positive has no root: a ValueError names it and c.
     """
     g, kap = consts.grav_g, consts.kappa
     rho = float(mass_density(consts, eos, p_bar))
@@ -204,8 +205,9 @@ def background_potential(consts, eos, p_bar):
 
     icc = consts.inv_c_sq
     src = rho - 3.0 * p_bar * icc
-    if src <= 0:
-        raise ValueError("background source density must be positive")
+    if not src > 0:
+        raise ValueError("background source density rho_c - 3 p/c**2 must be "
+                         "positive: %.6g at c = %g" % (src, consts.c))
 
     phi = -4.0 * math.pi * g * src / kap**2  # Newtonian guess
     for it in range(BACKGROUND_MAX_ITER):

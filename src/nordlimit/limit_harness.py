@@ -87,6 +87,13 @@ class SweepConfig:
             if not lo < hi:
                 raise ValueError("admissible %s box [%g, %g] is empty: %s_min "
                                  "must be below %s_max" % (name, lo, hi, name, name))
+        # every rung lifts the data onto its background: a c without one
+        # fails here, before any run.  A p_bar <= 0, outside the density's
+        # domain, is left to the data's own positivity and box checks.
+        if self.p_bar > 0:
+            eos = self.make_eos()
+            for c in cs:
+                eos_mod.background_potential(self.consts(c), eos, self.p_bar)
         return self
 
     def make_grid(self):
@@ -151,7 +158,8 @@ class RateReport:
 
 @dataclass
 class SweepResult:
-    """RateReport plus the raw trajectories for downstream diagnostics.
+    """The fitted RateReport, the limit data bundle and the telemetry; no
+    run's fields.
 
     runs maps each light speed (math.inf for the limit run) to its dt,
     dt_reason, steps, rhs_evals and wall_s; phases_s maps each phase run so
@@ -162,9 +170,6 @@ class SweepResult:
     config: SweepConfig
     report: RateReport
     bundle: object
-    ep_traj: object = None
-    en_trajs: dict = field(default_factory=dict)
-    en_bundles: dict = field(default_factory=dict)
     abort_reasons: dict = field(default_factory=dict)
     runs: dict = field(default_factory=dict)
     phases_s: dict = field(default_factory=dict)
@@ -180,19 +185,18 @@ class SweepAborted(RuntimeError):
 
 @dataclass
 class RungResult:
-    """What one finite-c rung hands back to `run_sweep`.
-
-    traj and lifted (the full trajectory and the lifted bundle) are set only
-    when the sweep keeps trajectories.
-    """
+    """What one finite-c rung hands back to `run_sweep`: its telemetry
+    record, its three gaps and its abort reason, and no fields."""
 
     record: dict
     sup_w: float
     sup_phi: float
     phi_bar_gap: float
     abort_reason: str = None
-    traj: object = None
-    lifted: object = None
+
+
+class LimitRunEnded(RuntimeError):
+    """The limit run ended without the output a rung waits for."""
 
 
 class LimitOutputs:
@@ -200,7 +204,9 @@ class LimitOutputs:
     workers: w and phi of every output, and a header holding the count of
     outputs published so far and a flag that the limit run has ended, in
     one anonymous shared mapping made before the fork.  A fork-context
-    Condition wakes the rungs waiting on the header."""
+    Condition wakes the rungs waiting on the header.  A rung waiting for an
+    output the ended limit run did not publish gets LimitRunEnded, which
+    stops its run there."""
 
     def __init__(self, outputs, n):
         # imported here, as in fork_map: a process that runs no sweep need
@@ -243,15 +249,16 @@ class LimitOutputs:
             self._changed.notify_all()
 
     def wait_for(self, m):
-        """Wait until output m is published or the limit run has ended;
-        whether output m was published."""
+        """Return once output m is published; raise LimitRunEnded if the
+        limit run has ended without it."""
         with self._changed:
             self._changed.wait_for(
                 lambda: self._header[0] > m or self._header[1])
-        return self.published > m
+        if self.published <= m:
+            raise LimitRunEnded("the limit run ended before output %d" % m)
 
 
-def run_sweep(config, keep_trajectories=True, progress=None):
+def run_sweep(config, progress=None):
     """Run the full experiment; returns a SweepResult with a fitted report.
 
     The finite-c rungs share nothing but the limit run's outputs and the
@@ -262,12 +269,11 @@ def run_sweep(config, keep_trajectories=True, progress=None):
     `LimitOutputs` as it reaches it.  Each worker holds one rung's state:
     at each of its outputs it waits for the limit output of the same index,
     takes both gaps there and drops the state, and it sends back only the
-    sups and the telemetry.  The results are taken in ladder order.
-    keep_trajectories keeps every rung's outputs as well; result.ep_traj
-    holds views of the mapping either way.  progress, if given, is called
-    with one line of text per finished run, in ladder order.  An aborted run
-    raises SweepAborted carrying the partial result: the runs up to the
-    first aborted one.
+    sups and the telemetry.  A rung stops at the first limit output that
+    will not come.  The results are taken in ladder order.  progress, if
+    given, is called with one line of text per finished run, in ladder
+    order.  An aborted run raises SweepAborted carrying the partial result:
+    the runs up to the first aborted one.
     """
     config.validate()
     clock = time.perf_counter()
@@ -287,12 +293,9 @@ def run_sweep(config, keep_trajectories=True, progress=None):
 
     def limit_run():
         try:
-            traj = result.ep_traj = ep.run(
-                ep.from_bundle(bundle, config.consts(math.inf)),
-                config.t_final, observe=limit.publish, **config.run_args())
-            k = limit.published
-            traj.ws, traj.phis = list(limit.ws[:k]), list(limit.phis[:k])
-            traj.pis = [0.0] * k
+            traj = ep.run(ep.from_bundle(bundle, config.consts(math.inf)),
+                          config.t_final, observe=limit.publish,
+                          **config.run_args())
             finished(math.inf, "limit run", traj.record())
             if not traj.ok:
                 result.abort_reasons[math.inf] = traj.abort_reason
@@ -308,18 +311,14 @@ def run_sweep(config, keep_trajectories=True, progress=None):
         lifted = initial_data.lift_to_relativistic(bundle, consts_c)
         order = config.sobolev_order
         w_sup = phi_sup = 0.0
-        kept = []
         outputs = itertools.count()
 
         def gaps(state):
             """Both gaps at output m, the state's, once the limit run has
-            published it; the state is kept only for keep_trajectories."""
+            published it."""
             nonlocal w_sup, phi_sup
             m = next(outputs)
-            if keep_trajectories:
-                kept.append(state)
-            if not limit.wait_for(m):
-                return
+            limit.wait_for(m)
             w_sup = max(w_sup, grid.sobolev_norm(
                 limit.ws[m] - en.pull_back(state.w, state.phi, consts_c),
                 order - 1))
@@ -329,15 +328,9 @@ def run_sweep(config, keep_trajectories=True, progress=None):
 
         traj = en.run(en.from_bundle(lifted), config.t_final, observe=gaps,
                       **config.run_args())
-        if keep_trajectories:
-            traj.ws = [st.w for st in kept]
-            traj.phis = [st.phi for st in kept]
-            traj.pis = [st.pi for st in kept]
         return RungResult(record=traj.record(), sup_w=w_sup, sup_phi=phi_sup,
                           phi_bar_gap=abs(bundle.phi_bar_inf - lifted.phi_bar_c),
-                          abort_reason=traj.abort_reason,
-                          traj=traj if keep_trajectories else None,
-                          lifted=lifted if keep_trajectories else None)
+                          abort_reason=traj.abort_reason)
 
     clock = time.perf_counter()
     try:
@@ -354,9 +347,6 @@ def run_sweep(config, keep_trajectories=True, progress=None):
         sup_w.append(rung.sup_w)
         sup_phi.append(rung.sup_phi)
         gaps.append(rung.phi_bar_gap)
-        if keep_trajectories:
-            result.en_trajs[c] = rung.traj
-            result.en_bundles[c] = rung.lifted
     result.report = RateReport(c_values=list(config.c_values), sup_w=sup_w,
                                sup_phi=sup_phi, phi_bar_gap=gaps).fit()
     return result

@@ -2,7 +2,8 @@
 
 Each test prints a single PASS/FAIL line (visible with pytest -s or in the
 captured output).  The reference sweep runs once per session and feeds the
-rate, positivity, residual, and energy checks.
+rate checks; the stored runs of its limit run and rungs, made once per
+session, feed the positivity, residual, and energy checks.
 """
 
 import math
@@ -18,7 +19,7 @@ from nordlimit import eos
 from nordlimit import euler_nordstrom as en
 from nordlimit import euler_poisson as ep
 from nordlimit import limit_harness as lh
-from nordlimit.fields import Grid3
+from nordlimit.fields import Grid3, fork_map
 from nordlimit.initial_data import lift_to_relativistic, mollify_bundle
 
 
@@ -33,9 +34,28 @@ def _report(num, ok, desc):
 def sweep():
     cfg = lh.SweepConfig()
     start = time.monotonic()
-    result = lh.run_sweep(cfg, keep_trajectories=True)
+    result = lh.run_sweep(cfg)
     result.elapsed = time.monotonic() - start
     return result
+
+
+@pytest.fixture(scope="session")
+def runs(sweep):
+    """The stored trajectory of every run of the sweep, keyed by c (math.inf
+    for the limit run): the runs `run_sweep` makes, through the same calls,
+    with every output kept."""
+    cfg, bundle = sweep.config, sweep.bundle
+
+    def run(c):
+        if math.isinf(c):
+            start, runner = ep.from_bundle(bundle, cfg.consts(c)), ep.run
+        else:
+            start = en.from_bundle(lift_to_relativistic(bundle, cfg.consts(c)))
+            runner = en.run
+        return runner(start, cfg.t_final, **cfg.run_args())
+
+    cs = [math.inf, *cfg.c_values]
+    return dict(zip(cs, fork_map(run, cs)))
 
 
 def test_criterion_1_fluid_rate(sweep):
@@ -57,7 +77,7 @@ def test_criterion_2_potential_rate(sweep):
                    % (rep.slope_phi, rep.slope_gap))
 
 
-def test_criterion_3_positivity(sweep):
+def test_criterion_3_positivity(sweep, runs):
     cfg = sweep.config
     eosf = cfg.make_eos()
     rng = np.random.default_rng(5)
@@ -65,12 +85,12 @@ def test_criterion_3_positivity(sweep):
     minima = {}
     consts_inf = cfg.consts(math.inf)
     lows = []
-    for m in range(len(sweep.ep_traj.ts)):
-        bg = ec.background_coeffs(consts_inf, eosf, sweep.ep_traj.ws[m])
+    for m in range(len(runs[math.inf].ts)):
+        bg = ec.background_coeffs(consts_inf, eosf, runs[math.inf].ws[m])
         lows.append(ec.positivity_ratio(consts_inf, bg, variations)[0])
     minima["inf"] = min(lows)
-    for c, traj in sweep.en_trajs.items():
-        consts = cfg.consts(c)
+    for c in cfg.c_values:
+        traj, consts = runs[c], cfg.consts(c)
         lows = []
         for m in range(len(traj.ts)):
             bg = ec.background_coeffs(consts, eosf, traj.ws[m], traj.phis[m])
@@ -118,7 +138,7 @@ def test_criterion_4_divergence_identity(sweep):
     assert _report(4, ok, "divergence identity " + "; ".join(msgs))
 
 
-def test_criterion_5_limit_rates(sweep):
+def test_criterion_5_limit_rates(sweep, runs):
     cfg = sweep.config
     grid, eosf = cfg.make_grid(), cfg.make_eos()
     cs = list(cfg.c_values)
@@ -138,8 +158,7 @@ def test_criterion_5_limit_rates(sweep):
     # entrywise gaps of the symmetrizable system matrices and of (a0)^-1
     gaps_a, gaps_inv = [], []
     for c in cs:
-        lifted = sweep.en_bundles[c]
-        st = en.from_bundle(lifted)
+        st = en.from_bundle(lift_to_relativistic(sweep.bundle, cfg.consts(c)))
         a0, ak, _ = en.assemble_matrices(st)
         w = en.pull_back(st.w, st.phi, st.consts)
         consts_inf = cfg.consts(math.inf)
@@ -171,13 +190,13 @@ def test_criterion_5_limit_rates(sweep):
     # floor, measured on the limit trajectory and subtracted
     consts_inf = cfg.consts(math.inf)
     floor_e1, _ = lh.approximate_solution_residuals(
-        sweep.ep_traj, sweep.bundle.phi_inf, sweep.bundle.w_inf, consts_inf,
+        runs[math.inf], sweep.bundle.phi_inf, sweep.bundle.w_inf, consts_inf,
         eosf, grid, cfg.sobolev_order)
     e1s, e2s = [], []
     for c in cs:
-        lifted = sweep.en_bundles[c]
+        lifted = lift_to_relativistic(sweep.bundle, cfg.consts(c))
         e1, e2 = lh.approximate_solution_residuals(
-            sweep.en_trajs[c], lifted.phi_c, sweep.bundle.w_inf,
+            runs[c], lifted.phi_c, sweep.bundle.w_inf,
             cfg.consts(c), eosf, grid, cfg.sobolev_order)
         e1s.append(max(e1 - floor_e1, 1e-16))
         e2s.append(e2)
@@ -191,14 +210,14 @@ def test_criterion_5_limit_rates(sweep):
         "%s=%.2f" % (name, s) for name, s in sorted(slopes.items())))
 
 
-def test_criterion_6_energy_estimates(sweep):
+def test_criterion_6_energy_estimates(sweep, runs):
     cfg = sweep.config
     grid, eosf = cfg.make_grid(), cfg.make_eos()
     ok = True
     worst = 0.0
-    for c, traj in sweep.en_trajs.items():
-        consts = cfg.consts(c)
-        lifted = sweep.en_bundles[c]
+    for c in cfg.c_values:
+        traj, consts = runs[c], cfg.consts(c)
+        lifted = lift_to_relativistic(sweep.bundle, consts)
         smooth = mollify_bundle(lifted, cfg.mollify_eps)
         sup_l = 0.0
         e0 = None
@@ -253,7 +272,7 @@ def test_criterion_7_exactness(sweep):
                 float(np.max(np.abs(run_st.phi - phi0))))
     drift_ok = drift <= 1e-10
 
-    lifted = sweep.en_bundles[20.0]
+    lifted = lift_to_relativistic(sweep.bundle, consts)
     base = en.from_bundle(lifted)
     finals = []
     for steps in (16, 32, 64):

@@ -409,6 +409,25 @@ def test_run_en_strong_gravity(tmp_path, capsys):
     assert manifest["abort_reason"].startswith("CFL margin violated")
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("sweep", "c_values = 10,20,40", "c_values = 1,20,40"),
+    ("run-en", "c = 20", "c = 1")], ids=["sweep", "run-en"])
+def test_light_speed_without_background_is_usage_error(tmp_path, capsys,
+                                                       command, key, value):
+    # quick.ini at c = 1: the background source rho_c - 3 p/c**2 is 2 - 3,
+    # so no background potential exists; the error names that c, and the
+    # sweep fails before its limit run
+    with open(os.path.join(CONFIGS, "quick.ini")) as fh:
+        text = fh.read().replace(key, value)
+    path = write(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert cli.main(["--config", path, "--out", out, command]) == 1
+    err = capsys.readouterr().err
+    assert ("error: background source density rho_c - 3 p/c**2 must be "
+            "positive: -1 at c = 1\n") in err
+    assert "limit run:" not in err
+
+
 def test_out_flag_honoured_with_env_set(tmp_path, monkeypatch):
     # no environment variable redirects the outputs away from --out
     path = write(tmp_path, QUIET)

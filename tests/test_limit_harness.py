@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 import tracemalloc
@@ -50,6 +51,11 @@ def test_config_validation():
         lh.SweepConfig(sobolev_order=2).validate()
     with pytest.raises(ValueError, match="cfl"):
         lh.SweepConfig(cfl=1.5).validate()
+    with pytest.raises(ValueError, match="positive: -1 at c = 1$"):
+        lh.SweepConfig(c_values=(1.0, 20.0, 40.0)).validate()
+    # a p_bar <= 0 is named by the data's admissible-box check
+    with pytest.raises(ValueError, match="initial p leaves the admissible box"):
+        lh.SweepConfig(p_bar=-1.0).validate().make_bundle()
 
 
 def quiet_config():
@@ -196,7 +202,7 @@ def test_quick_sweep_gaps_match_rk4_oracle(monkeypatch):
     # classical RK4 (`en.step`) at the wave CFL step h / (2 c)
     path = os.path.join(os.path.dirname(__file__), "..", "configs", "quick.ini")
     config = cli.sweep_config_from(cli.parse_config(path))
-    report = lh.run_sweep(config, keep_trajectories=False).report
+    report = lh.run_sweep(config).report
 
     def rk4_stepper(state, dt):
         sub = math.ceil(dt / (0.5 * state.grid.h / state.consts.c) - 1e-12)
@@ -208,7 +214,7 @@ def test_quick_sweep_gaps_match_rk4_oracle(monkeypatch):
         return advance
 
     monkeypatch.setattr(en, "EtdStepper", rk4_stepper)
-    oracle = lh.run_sweep(config, keep_trajectories=False).report
+    oracle = lh.run_sweep(config).report
     for key in ("sup_w", "sup_phi", "phi_bar_gap"):
         got, want = np.array(getattr(report, key)), np.array(getattr(oracle, key))
         assert np.max(np.abs(got - want) / want) <= 1e-2
@@ -223,7 +229,7 @@ def test_slow_sound_sweep_runs_share_one_time_grid():
                             amp_p=0.02, amp_v=(0.02, 0.0, 0.0),
                             c_values=(10.0, 20.0, 40.0), t_final=0.2,
                             n_outputs=1)
-    runs = lh.run_sweep(config, keep_trajectories=False).runs
+    runs = lh.run_sweep(config).runs
     assert sorted(runs) == [10.0, 20.0, 40.0, math.inf]
     assert {(r["dt"], r["steps"]) for r in runs.values()} == {(0.2, 1)}
 
@@ -288,7 +294,7 @@ def test_rung_workers_capped_by_rungs_and_cpus(monkeypatch, cpus, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     InlinePool.made = []
-    result = lh.run_sweep(quiet_config(), keep_trajectories=False)
+    result = lh.run_sweep(quiet_config())
     assert multiprocessing.active_children() == []
     if workers == 1:
         assert InlinePool.made == []
@@ -298,7 +304,6 @@ def test_rung_workers_capped_by_rungs_and_cpus(monkeypatch, cpus, workers):
         assert pool.submitted == [10.0, 20.0, 40.0]
     assert list(result.runs) == [math.inf, 10.0, 20.0, 40.0]
     assert result.report.c_values == [10.0, 20.0, 40.0]
-    assert result.en_trajs == {} and result.en_bundles == {}
 
 
 def test_sweep_memory_does_not_grow_with_outputs(monkeypatch):
@@ -309,37 +314,34 @@ def test_sweep_memory_does_not_grow_with_outputs(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     config = quiet_config()
     config.amp_eta = config.amp_p = 0.05
-    peaks, reports = [], []
+    peaks = []
     for outputs in (5, 40):
         config.n_outputs = outputs
         tracemalloc.start()
         try:
-            reports.append(lh.run_sweep(config, keep_trajectories=False).report)
+            lh.run_sweep(config)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 7 * 16**3 * 8
-    # the gaps taken output by output do not depend on keeping the runs
-    kept = lh.run_sweep(config, keep_trajectories=True)
-    assert len(kept.ep_traj.ws) == len(kept.en_trajs[10.0].ws) == 41
-    for key in ("sup_w", "sup_phi", "phi_bar_gap"):
-        assert getattr(kept.report, key) == getattr(reports[1], key)
 
 
 def test_parallel_sweep_matches_in_process_sweep(monkeypatch):
-    # forked workers return the same gaps, bit for bit, and the kept
-    # trajectories and lifted bundles
+    # forked workers return the same gaps, bit for bit, and the same run
+    # records but for their wall times
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     parallel = lh.run_sweep(quiet_config())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     serial = lh.run_sweep(quiet_config())
     for key in ("sup_w", "sup_phi", "phi_bar_gap"):
         assert getattr(parallel.report, key) == getattr(serial.report, key)
-    assert sorted(parallel.en_trajs) == [10.0, 20.0, 40.0]
-    for c, traj in serial.en_trajs.items():
-        other = parallel.en_trajs[c]
-        assert other.ts == traj.ts
-        assert all(np.array_equal(a, b) for a, b in zip(other.ws, traj.ws))
-        assert parallel.en_bundles[c].phi_bar_c == serial.en_bundles[c].phi_bar_c
+
+    def timeless(result):
+        return [(c, {key: value for key, value in record.items()
+                     if key != "wall_s"}) for c, record in result.runs.items()]
+
+    assert timeless(parallel) == timeless(serial)
+    assert list(serial.runs) == [math.inf, 10.0, 20.0, 40.0]
 
 
 # a 64**3 grid, where the grid transforms fan out over threads; one step
@@ -403,7 +405,7 @@ def _sweep_within(seconds, config):
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
     try:
-        return lh.run_sweep(config, keep_trajectories=False)
+        return lh.run_sweep(config)
     except Timeout:
         for child in multiprocessing.active_children():
             child.kill()
@@ -432,12 +434,14 @@ def test_aborted_limit_run_ends_forked_sweep(monkeypatch):
 
 def test_limit_outputs_release_rungs_one_by_one(monkeypatch, tmp_path):
     # the limit run fails at its step 3, after publishing outputs 0 to 2:
-    # every rung takes its gaps at those, and its wait for output 3 and on
-    # ends with the limit run, so no rung is left waiting
+    # every rung takes its gaps at those, and its wait for output 3 raises
+    # once the limit run has ended, which stops the rung there: no rung is
+    # left waiting, and none steps on past its step 3
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     calls = []
     real_step, real_wait = ep.step, lh.LimitOutputs.wait_for
-    log = tmp_path / "waits"
+    real_etd_step = en.etd_step
+    waits, steps = tmp_path / "waits", tmp_path / "steps"
 
     def failing(state, dt):
         calls.append(state.t)
@@ -446,23 +450,36 @@ def test_limit_outputs_release_rungs_one_by_one(monkeypatch, tmp_path):
         return real_step(state, dt)
 
     def logged(self, m):
-        # one line per wait, appended from whichever process waits
-        published = real_wait(self, m)
-        with open(log, "a") as fh:
-            fh.write("%d %d %d\n" % (os.getpid(), m, published))
-        return published
+        # one line per wait, appended from whichever process waits: 1 if
+        # output m was published, 0 if the wait raised
+        published = 0
+        try:
+            real_wait(self, m)
+            published = 1
+        finally:
+            with open(waits, "a") as fh:
+                fh.write("%d %d\n" % (m, published))
+
+    def counted(state, stepper):
+        # one line per rung step, with the rung's c
+        with open(steps, "a") as fh:
+            fh.write("%g\n" % state.consts.c)
+        return real_etd_step(state, stepper)
 
     monkeypatch.setattr(ep, "step", failing)
     monkeypatch.setattr(lh.LimitOutputs, "wait_for", logged)
+    monkeypatch.setattr(en, "etd_step", counted)
     with pytest.raises(lh.SweepAborted) as info:
         _sweep_within(60, quiet_config())
     assert str(info.value) == ("limit-system run aborted: step 3 from t=0.02 "
                                "failed: nonpositive limit density")
     assert multiprocessing.active_children() == []
-    waits = sorted(tuple(map(int, line.split()))[1:]
-                   for line in log.read_text().splitlines())
-    # three rungs, each waiting once at each of its six outputs
-    assert waits == sorted([(m, int(m < 3)) for m in range(6)] * 3)
+    logged_waits = sorted(tuple(map(int, line.split()))
+                          for line in waits.read_text().splitlines())
+    # three rungs, each waiting once at outputs 0 to 3 and nowhere else
+    assert logged_waits == sorted([(m, int(m < 3)) for m in range(4)] * 3)
+    # each of the three rungs stopped after 3 of its 5 steps
+    assert sorted(steps.read_text().split()) == sorted(["10", "20", "40"] * 3)
 
 
 def test_limit_outputs_stress_more_waiters_than_cores():
@@ -475,8 +492,10 @@ def test_limit_outputs_stress_more_waiters_than_cores():
     limit = lh.LimitOutputs(outputs, 2)
 
     def waiter():
-        ok = all(limit.wait_for(m) and np.all(limit.ws[m] == m)
-                 and np.all(limit.phis[m] == -m) for m in range(outputs))
+        ok = True
+        for m in range(outputs):
+            limit.wait_for(m)
+            ok = ok and np.all(limit.ws[m] == m) and np.all(limit.phis[m] == -m)
         os._exit(0 if ok else 1)
 
     ctx = multiprocessing.get_context("fork")
@@ -497,6 +516,12 @@ def test_limit_outputs_stress_more_waiters_than_cores():
         for proc in procs:
             if proc.is_alive():
                 proc.kill()
+    # past the end of the ended run, a wait raises at once, and its error
+    # crosses a process boundary with its message
+    with pytest.raises(lh.LimitRunEnded) as info:
+        limit.wait_for(outputs)
+    assert str(pickle.loads(pickle.dumps(info.value))) == (
+        "the limit run ended before output %d" % outputs)
 
 
 def test_raising_limit_run_ends_forked_sweep(monkeypatch):
