@@ -245,10 +245,11 @@ def cmd_run(args, cfg, sc, out, manifest):
     return 0
 
 
-def peak_rss_mb():
+def peak_rss_mb(who=resource.RUSAGE_SELF):
     """Peak resident memory of this process so far, in MB (ru_maxrss is in
-    KiB on Linux)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    KiB on Linux); with who = RUSAGE_CHILDREN, that of its largest child
+    process that has ended, 0 if none has."""
+    return resource.getrusage(who).ru_maxrss / 1024.0
 
 
 def _run_records(runs):
@@ -256,22 +257,32 @@ def _run_records(runs):
     return {"%g" % c: record for c, record in runs.items()}
 
 
+def _record_memory(manifest):
+    """This process's peak resident memory, and as peak_rss_children_mb that
+    of its largest ended child process: for the command run on its own, the
+    largest forked rung worker."""
+    manifest.data["peak_rss_mb"] = peak_rss_mb()
+    manifest.data["peak_rss_children_mb"] = peak_rss_mb(resource.RUSAGE_CHILDREN)
+
+
 def cmd_sweep(args, cfg, sc, out, manifest):
-    """The rate experiment; the manifest records each run's telemetry and
-    this process's peak resident memory (the rungs' forked workers are not
-    counted)."""
+    """The rate experiment; the manifest records each run's telemetry, this
+    process's peak resident memory and, as peak_rss_children_mb, that of its
+    largest ended child: the largest forked rung worker, or 0 when the rungs
+    ran in this process, with one fork worker (in a process that has
+    reaped other children, such as a test session, the largest of those)."""
     try:
         result = lh.run_sweep(
             sc, progress=lambda line: print(line, file=sys.stderr))
     except lh.SweepAborted as exc:
-        manifest.data["peak_rss_mb"] = peak_rss_mb()
+        _record_memory(manifest)
         manifest.data["phases_s"] = exc.result.phases_s
         manifest.data["runs"] = _run_records(exc.result.runs)
         manifest.data["abort_reasons"] = _run_records(exc.result.abort_reasons)
         manifest.set_check("rate_thresholds", False)
         print("sweep aborted: %s" % exc, file=sys.stderr)
         return 2
-    manifest.data["peak_rss_mb"] = peak_rss_mb()
+    _record_memory(manifest)
     manifest.data["runs"] = _run_records(result.runs)
     clock = time.perf_counter()
     csv_path, summary_path = lh.emit_report(result.report, out)
@@ -287,6 +298,9 @@ def cmd_sweep(args, cfg, sc, out, manifest):
 
 
 def cmd_check(args, cfg, sc, out, manifest):
+    """The invariant suite on a finite-c run at the middle c of the ladder;
+    the manifest records that run's telemetry under runs, keyed by c as
+    the sweep's are, and this process's peak resident memory."""
     rng = np.random.default_rng(args.seed)
     results = {}
     phases_s = manifest.data["phases_s"] = {}
@@ -317,6 +331,7 @@ def cmd_check(args, cfg, sc, out, manifest):
     t_short = min(sc.t_final, 0.1)
     traj = en.run(en.from_bundle(lifted), t_short,
                   **dict(sc.run_args(), n_outputs=max(8, sc.n_outputs)))
+    manifest.data["runs"] = _run_records({c_mid: traj.record()})
     results["en_run"] = traj.ok
     lap("en_run")
     if not traj.ok:
@@ -348,7 +363,9 @@ def _json_number(x):
 
 
 def _report_checks(results, manifest):
-    """Print and record each check; the exit code is 2 if one failed."""
+    """Print and record each check, and this process's peak resident
+    memory; the exit code is 2 if one failed."""
+    manifest.data["peak_rss_mb"] = peak_rss_mb()
     for name, flag in sorted(results.items()):
         manifest.set_check(name, flag)
         print("%-24s %s" % (name, "PASS" if flag else "FAIL"))

@@ -78,20 +78,47 @@ def quadratic_form_matrix(consts, bg):
     return m
 
 
+# the (j, k), j <= k, of the symmetric v_j v_k terms of j0
+_PAIRS = [(j, k) for j in range(3) for k in range(j, 3)]
+# grid points per block of `positivity_ratio`: a block's 11 fields and
+# (K, block) product stay in cache; built for the whole 32**3 grid at once
+# they are 27 fresh fields, and the call took 5.6 ms against 1.8 ms in
+# blocks and 5.1 ms for one j0 pass per row (16 rows, 2-core host)
+POSITIVITY_BLOCK = 4096
+
+
 def positivity_ratio(consts, bg, variations):
     """Min and max over the grid of j0(wdot)/|wdot|^2 for the variations.
 
     variations has shape (K, 5); each row is used as a constant variation
     field (unit normalization enforced here), its entries entering j0 as
-    scalars against the coefficient fields.  A min ratio <= 0 means the
-    current lost positivity; it is returned, for the caller to judge.
+    scalars against the coefficient fields.  j0 of such a row is then
+    eta_dot**2 plus a fixed combination of the 11 fields 1/q, s v, alpha
+    and alpha s v_j v_k, so each point's fields are built once, a block of
+    points at a time, and all the rows take one matrix product per block.  A min ratio <= 0 means the current
+    lost positivity; it is returned, for the caller to judge.
     """
+    rows = np.atleast_2d(np.asarray(variations, float))
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    if np.any(norms == 0):
+        raise ValueError("zero variation supplied")
+    units = rows / norms[:, None]
+    eta_sq, p_dot, v_dot = units[:, :1] ** 2, units[:, 1], units[:, 2:]
+    weights = np.column_stack(
+        [p_dot**2, 2.0 * p_dot[:, None] * v_dot, np.sum(v_dot**2, axis=1)]
+        + [(1.0 if j == k else 2.0) * v_dot[:, j] * v_dot[:, k]
+           for j, k in _PAIRS])
+    v = np.asarray(bg.v).reshape(3, -1)
+    q, gam2, alpha = (np.reshape(f, -1) for f in (bg.q, bg.gam2, bg.alpha))
     lo, hi = math.inf, -math.inf
-    for row in np.atleast_2d(np.asarray(variations, float)):
-        norm = math.sqrt(float(np.dot(row, row)))
-        if norm == 0:
-            raise ValueError("zero variation supplied")
-        ratio = j0(consts, bg, row / norm)
+    for start in range(0, v.shape[1], POSITIVITY_BLOCK):
+        part = slice(start, start + POSITIVITY_BLOCK)
+        vb, ab = v[:, part], alpha[part]
+        sb = consts.inv_c_sq * gam2[part]
+        coeff = np.stack([1.0 / q[part], *(sb * vb), ab]
+                         + [ab * sb * vb[j] * vb[k] for j, k in _PAIRS])
+        ratio = weights @ coeff
+        ratio += eta_sq
         lo = min(lo, float(np.min(ratio)))
         hi = max(hi, float(np.max(ratio)))
     return lo, hi

@@ -146,6 +146,16 @@ def pull_back_pressure(consts, phi, big_p):
     return np.exp(-4.0 * phi * consts.inv_c_sq) * big_p
 
 
+def potential_source(consts, eos, big_p, phi):
+    """Source R - 3 P/c**2 = exp(4 phi/c**2) rho_c(p) - 3 P/c**2 of the
+    potential equation at finite c, from the weighted pressure P and phi
+    alone: the r of `coefficients` (with the causality check of `closure`)
+    without its Lorentz factor, q, s_c**2 or alpha."""
+    p = pull_back_pressure(consts, phi, big_p)
+    r = potential_weight(consts, phi) * mass_density(consts, eos, p)
+    return r - 3.0 * consts.inv_c_sq * big_p
+
+
 @dataclass(frozen=True)
 class Coefficients:
     """Pointwise coefficient fields of a state w = (eta, P, v) with potential

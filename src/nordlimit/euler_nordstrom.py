@@ -29,11 +29,22 @@ Acta Numerica 19, 2010).  Modes outside the mask stay frozen, as under a
 masked right-hand side.  All that the run carries from step to step (the
 Klein-Gordon tables, the spectra of the last state and the remainder y)
 lives in one `EtdStepper`, the stepper `stepping.drive` receives; no
-integrator state lives outside it.  dt is the limit run's: the fluid CFL
-step, or the output interval.  c does not bound it, and at that shared dt
-the pulled-back run tends to the limit run as c grows.  `step` is the
-classical RK4 scheme on the first-order system in (phi, pi) and is kept as
-the oracle.
+integrator state lives outside it.  It keeps the flat indices of the masked
+modes, with which it gathers and scatters them.
+
+Each evaluated state costs one full coefficient build (`eos.coefficients`),
+shared by `fluid_rhs` and the potential's source.  A stage's source under
+its predicted potential needs only R - 3 P/c**2, which
+`eos.potential_source` takes from P and phi alone (with the causality
+check), and the predictor's phi row alone is transformed back.  The fluid
+block (`fluid_residual`, `fluid_rhs`) forms each shared product once and
+works in place in the arrays it allocates itself, never in its inputs: a
+run's stored outputs are the states' own arrays.
+
+dt is the limit run's: the fluid CFL step, or the output interval.  c does
+not bound it, and at that shared dt the pulled-back run tends to the limit
+run as c grows.  `step` is the classical RK4 scheme on the first-order
+system in (phi, pi) and is kept as the oracle.
 
 A note on the coefficient matrices: a0 is assembled directly from the
 evolution equations.  Its velocity rows couple to the pressure column with
@@ -89,17 +100,57 @@ def from_bundle(bundle):
                     eos=bundle.eos, grid=bundle.grid)
 
 
-def _source_terms(consts, co, pi, dphi):
+def _dot(a, b, out=None):
+    """a[0] b[0] + a[1] b[1] + a[2] b[2] of two 3-vectors of fields, into
+    out if given (one einsum: faster than the three products)."""
+    return np.einsum("k...,k...->...", a, b, out=out)
+
+
+def _source_terms(consts, co, pi, dphi, out):
     """Potential source rows (g_src, h_src) of the fluid right-hand side b,
-    h_src of shape (3, ...), from the coefficient fields co of a state, its
-    d_t phi = pi and its potential's gradient dphi; the eta row of b is 0."""
-    icc = consts.inv_c_sq
-    big_p, v = co.big_p, co.v
-    mat_phi = icc * (pi + np.sum(v * dphi, axis=0))
-    g_src = (4.0 * big_p - 3.0 * co.q) * mat_phi
-    coeff = 3.0 * icc * big_p - co.r
-    h_src = coeff * (dphi + v * mat_phi / co.gam2)
-    return g_src, h_src
+    written into out[0] and out[1:4], from the coefficient fields co of a
+    state, its d_t phi = pi and its potential's gradient dphi; the eta row
+    of b is 0."""
+    icc, big_p = consts.inv_c_sq, co.big_p
+    mat_phi = _dot(co.v, dphi)
+    mat_phi += pi
+    mat_phi *= icc
+    np.multiply(4.0 * big_p - 3.0 * co.q, mat_phi, out=out[0])
+    mat_phi /= co.gam2
+    h_src = np.multiply(co.v, mat_phi, out=out[1:4])
+    h_src += dphi
+    h_src *= 3.0 * icc * big_p - co.r
+
+
+def _residual(consts, co, pi, dw, dphi):
+    """`fluid_residual` as one fresh (5, ...) array, and the fields s and
+    s q that the block solve of `fluid_rhs` shares."""
+    v, q, alpha = co.v, co.q, co.alpha
+    s = consts.inv_c_sq * co.gam2
+    sq = s * q
+    deta, dbig_p, dv = dw[0], dw[1], dw[2:]  # dv[j, k] = d_k v^j
+    res = np.empty((5,) + q.shape)
+    _source_terms(consts, co, pi, dphi, res[1:])
+    r_eta, r_p, r_v = res[0], res[1], res[2:]
+
+    np.negative(_dot(v, deta, out=r_eta), out=r_eta)
+    adv_p = _dot(v, dbig_p)
+    r_p -= adv_p
+    r_p -= q * (dv[0, 0] + dv[1, 1] + dv[2, 2])
+    r_v -= dbig_p
+    v_adv_v = np.zeros_like(q)                      # v_k (v . grad) v^k
+    for j in range(3):
+        adv_v = _dot(v, dv[j])                      # (v . grad) v^j
+        v_adv_v += v[j] * adv_v
+        adv_v *= alpha
+        r_v[j] -= adv_v
+    r_p -= sq * v_adv_v
+    v_adv_v *= alpha
+    adv_p += v_adv_v
+    adv_p *= s                                      # s (adv_p + alpha v_adv_v)
+    for j in range(3):
+        r_v[j] -= v[j] * adv_p
+    return res, s, sq
 
 
 def fluid_residual(consts, co, pi, dw, dphi):
@@ -107,21 +158,10 @@ def fluid_residual(consts, co, pi, dw, dphi):
     shape (3, ...), with co, pi and dphi as in `_source_terms` and any fluid
     gradient dw[m, k] = d_k W^m: that of the state's W gives a0 d_t W, that
     of the smoothed data the inhomogeneity (f, g, h) of the equations of
-    variation.  At c = inf (s = 0, alpha = r) it is the limit operator."""
-    v, q, alpha = co.v, co.q, co.alpha
-    s = consts.inv_c_sq * co.gam2
-    deta, dbig_p, dv = dw[0], dw[1], dw[2:]  # dv[j, k] = d_k v^j
-    g_src, h_src = _source_terms(consts, co, pi, dphi)
-
-    adv_p = np.einsum("k...,k...->...", v, dbig_p)
-    div_v = dv[0, 0] + dv[1, 1] + dv[2, 2]
-    adv_v = np.einsum("k...,jk...->j...", v, dv)       # (v . grad) v^j
-    v_adv_v = np.einsum("j...,j...->...", v, adv_v)    # v_k (v . grad) v^k
-
-    r_eta = -np.einsum("k...,k...->...", v, deta)
-    r_p = g_src - adv_p - q * div_v - s * q * v_adv_v
-    r_v = (h_src - dbig_p - s * v * adv_p - alpha * (adv_v + s * v * v_adv_v))
-    return r_eta, r_p, r_v
+    variation.  At c = inf (s = 0, alpha = r) it is the limit operator.
+    The rows are views of one fresh array."""
+    res = _residual(consts, co, pi, dw, dphi)[0]
+    return res[0], res[1], res[2:]
 
 
 def fluid_rhs(state, co=None, grads=None):
@@ -135,25 +175,29 @@ def fluid_rhs(state, co=None, grads=None):
     co, if given, is the coefficient record of state (`eos.coefficients`),
     computed once per right-hand side by the caller; grads, if given, is the
     pair (grid.gradient(state.w), grid.gradient(state.phi)), for a caller
-    that takes them anyway.
+    that takes them anyway.  The solve works in place in the residual's own
+    array, which it returns; no input array is written.
     """
     if co is None:
         co = state.coefficients()
-    v, q, alpha = co.v, co.q, co.alpha
-    s = state.consts.inv_c_sq * co.gam2
-
     if grads is None:
         grads = state.grid.gradient(state.w), state.grid.gradient(state.phi)
-    r_eta, r_p, r_v = fluid_residual(state.consts, co, state.pi, *grads)
-
-    r_tilde = r_v - s * v * r_p
-    mu = s * (alpha - s * q)
-    vsq = np.sum(v * v, axis=0)
-    denom = alpha + mu * vsq
-    vdotr = np.einsum("j...,j...->...", v, r_tilde)
-    x = r_tilde / alpha - (mu * vdotr / (alpha * denom)) * v
-    dt_p = r_p - s * q * np.einsum("j...,j...->...", v, x)
-    return np.concatenate([r_eta[None], dt_p[None], x])
+    res, s, sq = _residual(state.consts, co, state.pi, *grads)
+    del grads  # the gradients made here are not kept through the solve
+    v, alpha = co.v, co.alpha
+    r_p, x = res[1], res[2:]
+    mu = s * (alpha - sq)
+    s *= r_p
+    for j in range(3):
+        x[j] -= v[j] * s                            # r_tilde = r_v - s v r_p
+    coef = _dot(v, x)
+    coef *= mu
+    coef /= alpha + mu * _dot(v, v)                 # mu (v . r_tilde) / pivot
+    for j in range(3):
+        x[j] -= coef * v[j]
+    x /= alpha
+    r_p -= sq * _dot(v, x)                          # d_t P
+    return res
 
 
 def assemble_matrices(state):
@@ -190,11 +234,8 @@ def assemble_matrices(state):
             for m in range(3):
                 ak[k, 2 + j, 2 + m] = alpha * v[k] * (delta[j, m] + s * v[j] * v[m])
 
-    dphi = grid.gradient(state.phi)
-    g_src, h_src = _source_terms(state.consts, co, state.pi, dphi)
     b = np.zeros((5,) + shape)
-    b[1] = g_src
-    b[2:] = h_src
+    _source_terms(state.consts, co, state.pi, grid.gradient(state.phi), b[1:])
     return a0, ak, b
 
 
@@ -292,6 +333,8 @@ class EtdStepper:
     Each table (e = exp(i omega dt), e2 = exp(i omega dt / 2), q, f1, f2,
     f3) has the same shape: row 0 for z+, row 1 its complex conjugate for
     z-.  The tables are built on the distinct |k|**2 values and gathered.
+    index holds the flat indices of the masked modes within one spectrum,
+    with which `split`, `merge` and `potential` gather and scatter them.
     remainder is y = z - `quasi_static` of the last step start, None before
     the first step.
     """
@@ -299,8 +342,8 @@ class EtdStepper:
     def __init__(self, state, dt):
         grid, consts = state.grid, state.consts
         self.grid, self.consts, self.dt = grid, consts, dt
-        self.mask = grid.dealias_mask
-        ksq, where = np.unique(grid.k_sq[self.mask], return_inverse=True)
+        self.index = np.flatnonzero(grid.dealias_mask)
+        ksq, where = np.unique(grid.k_sq.ravel()[self.index], return_inverse=True)
         omega = consts.c * np.sqrt(ksq + consts.kappa**2)
         lam_dt = 1j * omega * dt
         tables = (np.exp(lam_dt), np.exp(0.5 * lam_dt)) + etd_coefficients(lam_dt, dt)
@@ -316,16 +359,22 @@ class EtdStepper:
 
     def split(self):
         """z of the masked modes of spec."""
-        phi_h, pi_h = self.spec[:, self.mask]
+        phi_h, pi_h = np.take(self.spec.reshape(2, -1), self.index, axis=1)
         iw_phi = 1j * self.omega * phi_h
         return np.stack([pi_h + iw_phi, pi_h - iw_phi])
 
     def merge(self, z):
         """Copy of spec with the masked modes taken from z."""
         out = self.spec.copy()
-        out[:, self.mask] = np.stack([(z[0] - z[1]) / (2j * self.omega),
-                                      0.5 * (z[0] + z[1])])
+        out[0].put(self.index, (z[0] - z[1]) / (2j * self.omega))
+        out[1].put(self.index, 0.5 * (z[0] + z[1]))
         return out
+
+    def potential(self, z):
+        """phi of `merge`(z), from its phi row alone."""
+        phi_h = self.spec[0].copy()
+        phi_h.put(self.index, (z[0] - z[1]) / (2j * self.omega))
+        return self.grid.ifft(phi_h)
 
     def quasi_static(self, n_hat):
         """z = +-i N/omega, the fixed point of dz/dt = +-i omega z + N: the
@@ -333,16 +382,16 @@ class EtdStepper:
         z_plus = 1j * n_hat / self.omega
         return np.stack([z_plus, -z_plus])
 
-    def source(self, co):
-        """Masked transform of the potential's source N, from the
-        coefficient fields co of a state."""
-        src = self.grid.fft(_potential_source(self.consts, co))
-        return self.source_scale * src[self.mask]
+    def source(self, src):
+        """Masked transform N of the potential's source src = R - 3 P/c**2."""
+        return self.source_scale * np.take(self.grid.fft(src), self.index)
 
     def rhs(self, state):
-        """(dealiased d_t W, masked transform of the potential's source N)."""
+        """(dealiased d_t W, masked transform of the potential's source N),
+        from one coefficient build of state."""
         co = state.coefficients()
-        return self.grid.dealias(fluid_rhs(state, co)), self.source(co)
+        return (self.grid.dealias(fluid_rhs(state, co)),
+                self.source(_potential_source(self.consts, co)))
 
 
 def etd_step(state, stepper):
@@ -356,8 +405,9 @@ def etd_step(state, stepper):
     come in (the order of k1 + 2 k2 + 2 k3 + k4, bit for bit), and z the
     Cox-Matthews final update.  The Cox-Matthews stage values za, zb and zc
     only predict the potential of a stage: the stage's own source N_s is
-    transformed from the coefficients of its fluid state and that
-    predictor, and the stage potential is z = `quasi_static`(N_s) + y(tau).
+    transformed from its fluid state's P and that predictor's phi
+    (`eos.potential_source`), and the stage potential is
+    z = `quasi_static`(N_s) + y(tau).
     The remainder y of the step start is extrapolated linearly from that of
     the previous step (stepper.remainder) and held on the first step.  The
     final update weights the source of the new fluid state, not that of
@@ -372,8 +422,8 @@ def etd_step(state, stepper):
 
     def source(w, z_pred):
         """N of the fluid w under the potential of the predictor z_pred."""
-        phi = grid.ifft(stepper.merge(z_pred)[0])
-        return stepper.source(eos_mod.coefficients(state.consts, state.eos, w, phi))
+        return stepper.source(eos_mod.potential_source(
+            state.consts, state.eos, w[1], stepper.potential(z_pred)))
 
     z = stepper.split()
     k1, n1 = stepper.rhs(state)

@@ -579,6 +579,12 @@ def test_sweep_manifest_records_runs_and_progress(tmp_path, capsys):
     assert manifest["runs"]["inf"]["dt_reason"] == "output interval"
     assert "abort_reasons" not in manifest
     assert_positive_number(manifest["peak_rss_mb"])
+    # the largest forked rung worker's peak; with one fork worker the rungs
+    # run in this process and no child need have ended
+    if fields.fork_workers(3) > 1:
+        assert_positive_number(manifest["peak_rss_children_mb"])
+    else:
+        assert manifest["peak_rss_children_mb"] >= 0
     assert set(manifest["phases_s"]) == {"bundle", "runs", "report"}
     assert all(t >= 0 for t in manifest["phases_s"].values())
     assert_records_parallelism(manifest)
@@ -767,6 +773,14 @@ def test_check_on_two_cpus_matches_one(tmp_path, monkeypatch, capsys):
         manifest = json.loads((out / "manifest.json").read_text(),
                               parse_constant=_reject_constant)
         assert_records_parallelism(manifest, outputs=9)
+        # the finite-c run's telemetry, keyed by its c as the sweep keys
+        # its runs (8 outputs to t = 0.05, one step each), and the memory
+        assert manifest["runs"] == {"20": {
+            "dt": pytest.approx(0.00625), "dt_reason": "output interval",
+            "steps": 8, "rhs_evals": 32,
+            "wall_s": manifest["runs"]["20"]["wall_s"]}}
+        assert manifest["runs"]["20"]["wall_s"] > 0
+        assert_positive_number(manifest["peak_rss_mb"])
         seen.append((capsys.readouterr().out,
                      (out / "divergence_check.csv").read_bytes(),
                      manifest["check_values"]))
@@ -805,10 +819,12 @@ def test_check_rejects_huge_mollify_eps(tmp_path, capsys):
 
 def test_lost_positivity_is_exit_2(tmp_path, monkeypatch):
     # a current that is negative everywhere is a physics failure: check
-    # records it and exits 2 (not 1, the usage/config-error code)
+    # records it and exits 2 (not 1, the usage/config-error code); -j0 has
+    # the ratios (-max, -min)
     from nordlimit import energy_currents as ec
-    real = ec.j0
-    monkeypatch.setattr(ec, "j0", lambda *args: -real(*args))
+    real = ec.positivity_ratio
+    monkeypatch.setattr(ec, "positivity_ratio",
+                        lambda *args: tuple(-x for x in reversed(real(*args))))
     out = tmp_path / "out"
     path = os.path.join(CONFIGS, "quick.ini")
     assert cli.main(["--config", path, "--out", str(out), "check"]) == 2

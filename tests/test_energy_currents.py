@@ -148,6 +148,26 @@ def test_positivity_matches_quadratic_form(grid, eosf, c):
     assert hi == pytest.approx(float(np.max(forms)), abs=1e-14)
 
 
+@pytest.mark.parametrize("c", [20.0, math.inf])
+def test_positivity_ratio_matches_per_row_j0(grid, eosf, c):
+    # the one matrix product per block of points against one j0 pass per
+    # unit row, taken as constant variation fields
+    b = perturbed_bundle(grid, eosf, c)
+    if math.isfinite(c):
+        consts = b.consts
+        bg = ec.background_coeffs(consts, eosf, b.w_c, b.phi_c)
+    else:
+        consts = INF
+        bg = ec.background_coeffs(consts, eosf, b.w_inf)
+    rows = np.random.default_rng(11).normal(size=(16, 5))
+    lo, hi = math.inf, -math.inf
+    for row in rows:
+        ratio = ec.j0(consts, bg, row / np.linalg.norm(row))
+        lo, hi = min(lo, float(np.min(ratio))), max(hi, float(np.max(ratio)))
+    got = ec.positivity_ratio(consts, bg, rows)
+    assert got == pytest.approx((lo, hi), rel=1e-12, abs=0)
+
+
 def test_positivity_reports_lost_positivity(grid):
     # a nonpositive ratio is returned for the caller to judge, not raised
     consts, bg = rest_background(grid, math.inf)

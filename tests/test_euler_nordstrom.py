@@ -1,7 +1,9 @@
 """Tests for the finite-c integrator: matrices, solves, and stepping."""
 
+import hashlib
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -337,6 +339,53 @@ def test_etd_rhs_evaluates_the_closure_once(grid, eosf, monkeypatch):
     monkeypatch.setattr(eos, "closure", counted)
     stepper.rhs(st)
     assert len(calls) == 1
+
+
+def test_fluid_rhs_transient_memory(grid, eosf):
+    # the fused fluid block: 7.61 MB of temporaries at 32**3 with co given,
+    # of which the 18 gradient fields are 4.72 MB, against 10.75 MB for the
+    # separate einsum expressions (12.3 MB with the coefficient build)
+    st = perturbed_state(grid, eosf, 20.0)
+    co = st.coefficients()
+    en.fluid_rhs(st, co)
+    tracemalloc.start()
+    try:
+        en.fluid_rhs(st, co)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0e6
+
+
+def _digests(arrays):
+    return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for a in arrays]
+
+
+def test_fluid_rhs_and_etd_step_leave_inputs_unchanged(grid, eosf):
+    # both work in place only in arrays they allocated: a stored output
+    # (`Trajectory.add` keeps the state's own arrays) and the coefficient
+    # record stay as they were
+    st = perturbed_state(grid, eosf, 20.0)
+    co = st.coefficients()
+    arrays = [st.w, st.phi, st.pi] + [getattr(co, f.name) for f in fields(co)]
+    before = _digests(arrays)
+    en.fluid_rhs(st, co)
+    en.etd_step(st, en.EtdStepper(st, 0.005))
+    assert _digests(arrays) == before
+
+
+def test_stage_source_matches_coefficient_record(grid, eosf):
+    # the stage source R - 3 P/c**2 from P and phi alone is that of the
+    # full coefficient record, and keeps the causality check of the closure
+    st = perturbed_state(grid, eosf, 20.0)
+    got = eos.potential_source(st.consts, eosf, st.w[1], st.phi)
+    want = en._potential_source(st.consts, st.coefficients())
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    k = eos.PhysicalConstants(c=1.0)
+    with pytest.raises(ValueError, match="non-causal"):
+        eos.potential_source(k, eos.PolytropicEos(gamma=3.0),
+                             np.full(4, 1e6), np.zeros(4))
 
 
 def test_pull_back_unweights_p_and_is_identity_at_inf(grid, eosf):
