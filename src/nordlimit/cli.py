@@ -13,7 +13,6 @@ import json
 import math
 import os
 import platform
-import resource
 import sys
 import time
 
@@ -218,7 +217,7 @@ def cmd_run(args, cfg, sc, out, manifest):
         _diagnostics_row(state, sc.sobolev_order, phi_data)), **sc.run_args())
     # c as text at c = inf, as in the sweep's records: JSON has no infinity
     manifest.data["run"] = dict(traj.record(), c=c if finite else "inf",
-                                peak_rss_mb=peak_rss_mb())
+                                peak_rss_mb=stepping.peak_rss_mb())
     name = args.command.replace("-", "_")
     diag = os.path.join(out, name + "_diagnostics.csv")
     with open(diag, "w") as fh:
@@ -245,44 +244,27 @@ def cmd_run(args, cfg, sc, out, manifest):
     return 0
 
 
-def peak_rss_mb(who=resource.RUSAGE_SELF):
-    """Peak resident memory of this process so far, in MB (ru_maxrss is in
-    KiB on Linux); with who = RUSAGE_CHILDREN, that of its largest child
-    process that has ended, 0 if none has."""
-    return resource.getrusage(who).ru_maxrss / 1024.0
-
-
 def _run_records(runs):
     """Per-run telemetry keyed by the light speed as text ("inf" = limit)."""
     return {"%g" % c: record for c, record in runs.items()}
 
 
-def _record_memory(manifest):
-    """This process's peak resident memory, and as peak_rss_children_mb that
-    of its largest ended child process: for the command run on its own, the
-    largest forked rung worker."""
-    manifest.data["peak_rss_mb"] = peak_rss_mb()
-    manifest.data["peak_rss_children_mb"] = peak_rss_mb(resource.RUSAGE_CHILDREN)
-
-
 def cmd_sweep(args, cfg, sc, out, manifest):
-    """The rate experiment; the manifest records each run's telemetry, this
-    process's peak resident memory and, as peak_rss_children_mb, that of its
-    largest ended child: the largest forked rung worker, or 0 when the rungs
-    ran in this process, with one fork worker (in a process that has
-    reaped other children, such as a test session, the largest of those)."""
+    """The rate experiment; the manifest records each run's telemetry (a
+    rung's with its own peak resident memory) and this process's peak
+    resident memory."""
     try:
         result = lh.run_sweep(
             sc, progress=lambda line: print(line, file=sys.stderr))
     except lh.SweepAborted as exc:
-        _record_memory(manifest)
+        manifest.data["peak_rss_mb"] = stepping.peak_rss_mb()
         manifest.data["phases_s"] = exc.result.phases_s
         manifest.data["runs"] = _run_records(exc.result.runs)
         manifest.data["abort_reasons"] = _run_records(exc.result.abort_reasons)
         manifest.set_check("rate_thresholds", False)
         print("sweep aborted: %s" % exc, file=sys.stderr)
         return 2
-    _record_memory(manifest)
+    manifest.data["peak_rss_mb"] = stepping.peak_rss_mb()
     manifest.data["runs"] = _run_records(result.runs)
     clock = time.perf_counter()
     csv_path, summary_path = lh.emit_report(result.report, out)
@@ -365,7 +347,7 @@ def _json_number(x):
 def _report_checks(results, manifest):
     """Print and record each check, and this process's peak resident
     memory; the exit code is 2 if one failed."""
-    manifest.data["peak_rss_mb"] = peak_rss_mb()
+    manifest.data["peak_rss_mb"] = stepping.peak_rss_mb()
     for name, flag in sorted(results.items()):
         manifest.set_check(name, flag)
         print("%-24s %s" % (name, "PASS" if flag else "FAIL"))

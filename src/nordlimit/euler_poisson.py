@@ -9,8 +9,19 @@ by the screened Poisson equation
 potential).  Every RK4 stage solves the constraint for its own w, and its
 right-hand side (`_deriv`) is the dealiased `newtonian_rhs`, which applies
 the force -grad phi of the solved potential in physical space.  The
-pressure-form equations are evolved; the mass-form (evolving R = rho_inf
-directly in conservation form) is kept only as an equivalence oracle.
+closure is taken once per solved state: `with_constraint` keeps the
+(rho_inf, q_inf) whose rho_inf sourced phi next to it, and `newtonian_rhs`
+reads them.  The pressure-form equations are evolved; the mass-form
+(evolving R = rho_inf directly in conservation form) is kept only as an
+equivalence oracle.
+
+From 64**3 points (`fields.FAN_OUT_POINTS`) a stage's per-point work also
+runs in x-slabs on the transform threads (`Grid3.per_slab`): the constraint
+source and the phi_bar sum, the terms of `newtonian_rhs`, the stage update
+and the running sum of the stages.  The gradients, the dealias and the
+FFT-based solve keep their per-component tasks.  Below that size, or on
+one CPU, the one slab is the whole grid, and the results are bit-identical
+on any number of CPUs.
 """
 
 import math
@@ -25,7 +36,8 @@ from . import stepping
 @dataclass
 class NewtState:
     """Limit-system state (eta, p, v) at time t; phi, the potential solved
-    for w, is None until `with_constraint` caches it."""
+    for w, and density, the (rho_inf, q_inf) of w that sourced it, are None
+    until `with_constraint` caches them."""
 
     w: np.ndarray
     t: float
@@ -34,6 +46,7 @@ class NewtState:
     grid: object
     p_bar: float
     phi: np.ndarray = None
+    density: tuple = None
     pi = 0.0  # d_t phi: the c**-2 pi terms vanish at c = inf
 
     def pressure(self):
@@ -47,31 +60,58 @@ def from_bundle(bundle, consts_inf):
 
 
 def _limit_density(state):
-    """(rho_inf, q_inf) of the state from one closure; rho_inf must be > 0."""
+    """(rho_inf, q_inf) of the state's w from one closure; `newtonian_rhs`
+    requires rho_inf > 0."""
     r_inf, _, q_inf = eos_mod.closure(state.consts, state.eos, state.w[1])
-    if np.any(r_inf <= 0):
-        raise ValueError("nonpositive limit density")
     return r_inf, q_inf
+
+
+def _slab(sl):
+    """Index of x-slab sl of a field (..., n, n, n)."""
+    return (Ellipsis, sl, slice(None), slice(None))
 
 
 def _potential(consts, eos, grid, p_bar, r_inf):
     """The potential solving the screened constraint for the limit density
     r_inf: the background's phi_bar plus the screened response to the
-    source 4 pi G (rho_inf - rho_bar), rho_bar the background's rho_inf."""
+    source 4 pi G (rho_inf - rho_bar), rho_bar the background's rho_inf.
+    The source and the sum are formed slab by slab (`Grid3.per_slab`)."""
     phi_bar = eos_mod.background_potential(consts, eos, p_bar)
     rho_bar = float(eos_mod.mass_density(consts, eos, p_bar))
-    src = 4.0 * math.pi * consts.grav_g * (r_inf - rho_bar)
-    return phi_bar + grid.helmholtz_solve(src, consts.kappa)
+    fourpg = 4.0 * math.pi * consts.grav_g
+    src = np.empty(r_inf.shape)
+
+    def source(sl):
+        part = src[_slab(sl)]
+        np.subtract(r_inf[_slab(sl)], rho_bar, out=part)
+        part *= fourpg
+
+    grid.per_slab(source)
+    phi = grid.helmholtz_solve(src, consts.kappa)
+    del src
+
+    def add_background(sl):
+        part = phi[_slab(sl)]
+        part += phi_bar
+
+    grid.per_slab(add_background)
+    return phi
 
 
-def solve_constraint(state):
-    """Potential from the screened Poisson constraint for the current w."""
-    r_inf = eos_mod.mass_density(state.consts, state.eos, state.w[1])
+def solve_constraint(state, r_inf=None):
+    """Potential from the screened Poisson constraint for the current w;
+    r_inf, if given, is the limit density of w."""
+    if r_inf is None:
+        r_inf = eos_mod.mass_density(state.consts, state.eos, state.w[1])
     return _potential(state.consts, state.eos, state.grid, state.p_bar, r_inf)
 
 
 def with_constraint(state):
-    return replace(state, phi=solve_constraint(state))
+    """The state with its potential and density cached: one closure gives
+    the (rho_inf, q_inf) of w, whose rho_inf sources the potential."""
+    density = _limit_density(state)
+    return replace(state, phi=solve_constraint(state, density[0]),
+                   density=density)
 
 
 def newtonian_rhs(state, density=None):
@@ -79,20 +119,49 @@ def newtonian_rhs(state, density=None):
     force -grad p / rho_inf and the force -grad phi of the cached
     potential, applied in physical space.  density, if given, is the
     state's (rho_inf, q_inf) (`_limit_density`), for a caller that needs
-    rho_inf as well."""
+    rho_inf as well; otherwise the pair cached next to the potential is
+    read, or computed if there is none.  A rho_inf that is not positive
+    everywhere raises ValueError.
+
+    The gradients fan out per component (`Grid3.gradient`); the terms are
+    then formed slab by slab (`Grid3.per_slab`), each ufunc or einsum
+    writing straight into its row of the output.
+    """
     if state.phi is None:
         raise ValueError("potential not cached; call with_constraint first")
-    r_inf, q_inf = _limit_density(state) if density is None else density
-    v = state.w[2:]
-    dw = state.grid.gradient(state.w)
-    deta, dp, dv = dw[0], dw[1], dw[2:]
-    adv = lambda f_grad: np.einsum("k...,k...->...", v, f_grad)
-    div_v = dv[0, 0] + dv[1, 1] + dv[2, 2]
+    if density is None:
+        density = state.density
+    if density is None:
+        density = _limit_density(state)
+    r_inf, q_inf = density
+    grid = state.grid
+    dw = grid.gradient(state.w)
+    dphi = grid.gradient(state.phi)
     out = np.empty_like(state.w)
-    out[0] = -adv(deta)
-    out[1] = -adv(dp) - q_inf * div_v
-    out[2:] = -np.einsum("k...,jk...->j...", v, dv) - dp / r_inf
-    out[2:] -= state.grid.gradient(state.phi)
+
+    def terms(sl):
+        x = _slab(sl)
+        r = r_inf[x]
+        if np.any(r <= 0):
+            raise ValueError("nonpositive limit density")
+        v, dp, dv = state.w[2:][x], dw[1][x], dw[2:][x]
+        transport, pressure, momentum = out[0][x], out[1][x], out[2:][x]
+        np.einsum("k...,k...->...", v, dw[0][x], out=transport)
+        np.negative(transport, out=transport)
+        np.einsum("k...,k...->...", v, dp, out=pressure)
+        np.negative(pressure, out=pressure)
+        work = dv[0, 0] + dv[1, 1]
+        work += dv[2, 2]
+        work *= q_inf[x]
+        pressure -= work
+        np.einsum("k...,jk...->j...", v, dv, out=momentum)
+        np.negative(momentum, out=momentum)
+        for j in range(3):
+            np.divide(dp[j], r, out=work)
+            np.subtract(momentum[j], work, out=momentum[j])
+        momentum -= dphi[x]
+
+    grid.per_slab(terms)
     return out
 
 
@@ -131,24 +200,60 @@ def step(state, dt):
     first stage reuses; the later stages and the new state each get the
     potential solved for their own w.  The outputs and the finiteness
     check read the new state's.  The weighted sum of the stages is kept
-    running, so that at most two stages are held at once; it adds in the
-    order of k1 + 2 k2 + 2 k3 + k4, bit for bit.
+    running in the first stage's array, so that at most two stages are
+    held at once; it adds in the order of k1 + 2 k2 + 2 k3 + k4, bit for
+    bit.  The stage updates w + a dt k and the sum are formed slab by slab
+    (`Grid3.per_slab`: x-slabs on the transform threads from 64**3 points),
+    each written into its array without a temporary, so the new state is
+    bit-identical on any number of CPUs.
     """
-    def stage(w, t):
-        return with_constraint(replace(state, w=w, t=t))
+    w, t, per_slab = state.w, state.t, state.grid.per_slab
 
-    k1 = _deriv(state)
-    k2 = _deriv(stage(state.w + 0.5 * dt * k1, state.t + 0.5 * dt))
-    acc = k1 + 2 * k2
-    del k1
-    k3 = _deriv(stage(state.w + 0.5 * dt * k2, state.t + 0.5 * dt))
+    def stage(k, a, t_stage):
+        """The state at w + a k, its potential solved."""
+        new = np.empty_like(w)
+
+        def update(sl):
+            part = new[_slab(sl)]
+            np.multiply(k[_slab(sl)], a, out=part)
+            np.add(w[_slab(sl)], part, out=part)
+
+        per_slab(update)
+        return with_constraint(replace(state, w=new, t=t_stage))
+
+    def add_twice(k):
+        """acc += 2 k, doubling k in place."""
+        def add(sl):
+            part, acc_part = k[_slab(sl)], acc[_slab(sl)]
+            part *= 2
+            acc_part += part
+
+        per_slab(add)
+
+    acc = _deriv(state)
+    k2 = _deriv(stage(acc, 0.5 * dt, t + 0.5 * dt))
+    mid = stage(k2, 0.5 * dt, t + 0.5 * dt)
+    add_twice(k2)
     del k2
-    acc += 2 * k3
-    k4 = _deriv(stage(state.w + dt * k3, state.t + dt))
+    k3 = _deriv(mid)
+    del mid
+    end = stage(k3, dt, t + dt)
+    add_twice(k3)
     del k3
-    acc += k4
+    k4 = _deriv(end)
+    del end
+
+    def combine(sl):
+        """w + dt (acc + k4) / 6, into acc."""
+        part = acc[_slab(sl)]
+        part += k4[_slab(sl)]
+        part *= dt
+        part /= 6.0
+        np.add(w[_slab(sl)], part, out=part)
+
+    per_slab(combine)
     del k4
-    return stage(state.w + dt * acc / 6.0, state.t + dt)
+    return with_constraint(replace(state, w=acc, t=t + dt))
 
 
 def _rk4_stepper(state, dt):

@@ -19,9 +19,14 @@ FAN_OUT_POINTS points, a call with more than one such task splits them over
 the calling thread and a pool of threads (numpy's FFT and matrix product
 release the interpreter lock while they compute).  A task runs the same
 operations on the same data on any thread, so every result is bit-identical
-whatever the thread count.  BLAS itself runs one thread per process (see
-the package docstring): these threads and the forked workers are the
-program's parallelism.
+whatever the thread count.  From the same grid size, `Grid3.per_slab`
+shares per-point work over the same threads in x-slabs: a limit-system RK4
+stage forms its constraint source, its right-hand side's terms, its stage
+update and the running sum of its stages that way (`euler_poisson`).  An
+elementwise result does not depend on where the grid is cut, so these too
+are bit-identical on any number of CPUs.  BLAS itself runs one thread per
+process (see the package docstring): these threads and the forked workers
+are the program's parallelism.
 
 `fork_map` maps a function over items in worker processes forked from the
 caller, one per usable CPU, while the caller may run other work; the
@@ -45,12 +50,14 @@ SNAPSHOT_MAGIC = b"NRDF"
 SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sIIddI")
 
-# Grids with fewer points transform on the calling thread alone.  At 32**3
-# gradient plus dealias of 5 components took 3.0 ms on one thread against
-# 2.0 ms fanned out over two (2-core host), but a whole 20-step finite-c run
-# took 1.4-1.7 s on one thread against 1.5-2.1 s with every transform
-# fanned out: the hand-offs of the other transforms cost what the second
-# thread saves.
+# Grids with fewer points transform on the calling thread alone, and do
+# their per-point work in one slab.  At 32**3 gradient plus dealias of 5
+# components took 3.0 ms on one thread against 2.0 ms fanned out over two
+# (2-core host), but a whole 20-step finite-c run took 1.4-1.7 s on one
+# thread against 1.5-2.1 s with every transform fanned out: the hand-offs
+# of the other transforms cost what the second thread saves.  From 64**3
+# the x-slabs of `Grid3.per_slab` halve a limit stage's per-point work on
+# two cores (`newtonian_rhs` 10-12 ms against 21-28 ms).
 FAN_OUT_POINTS = 64**3
 
 # (pid, threads, executor) of this process's pool; a forked child sees
@@ -139,8 +146,9 @@ def _fan_out(width, task, items):
     """Run task(item) for every item on the calling thread and up to
     width - 1 threads of this process's pool; returns when all are done.
 
-    Every per-component transform runs through here at every grid size:
-    with width 1 all tasks run on the calling thread and no pool is built.
+    Every per-component transform, and every x-slab of `Grid3.per_slab`,
+    runs through here at every grid size: with width 1 all tasks run on the
+    calling thread and no pool is built.
 
     Tasks call numpy and private helpers only, and each allocates its own
     temporaries.  Those of a pool thread land in that thread's malloc
@@ -250,6 +258,27 @@ class Grid3:
         tasks each; 1 runs them serially."""
         tasks = per_component * math.prod(f.shape[:-3])
         return transform_threads(self.n) if tasks > 1 else 1
+
+    def per_slab(self, task):
+        """Run task(slab) over the x-slabs of the grid and return when all
+        are done: transform_threads(n) contiguous ranges of x-planes, as
+        even as the split allows, one task each.  Below FAN_OUT_POINTS
+        points, or on one CPU, the one slab is slice(None), the whole grid.
+
+        This is how a limit stage's per-point work runs: a task works on
+        field[..., slab, :, :] alone, with numpy ufuncs and einsums that
+        write into the slab of their output.  A slab is whole x-planes, a
+        multiple of n**2 >= 4096 points starting a multiple of n**2 points
+        into the field, so a vectorised loop meets the same alignment and
+        no other tail than on the whole field, and each point's result is
+        bit-identical to the whole-grid operation's.
+        """
+        count = min(transform_threads(self.n), self.n)
+        if count == 1:
+            task(slice(None))
+            return
+        cuts = [self.n * i // count for i in range(count + 1)]
+        _fan_out(count, task, [slice(a, b) for a, b in zip(cuts, cuts[1:])])
 
     def fft(self, f):
         # leading axes, if any, are independent components

@@ -60,7 +60,14 @@ class DataBundle:
 def gaussian_bump(grid, center, width):
     """Unit-amplitude Gaussian on the torus via minimum-image distance.
 
-    Smooth to machine precision provided width <= L/6.
+    The bump is not smooth on the torus.  The minimum-image distance has a
+    kink on the faces opposite the centre, half a box away along an axis,
+    where the bump is exp(-L**2 / (8 width**2)): 3.4e-4 at width pi/4 on
+    L = 2 pi, and 1.1e-2 at width L/6.  Its slope jumps there, so the data
+    lie in H^s only for s < 3/2.  The width must lie in (0, L/6]: the box
+    is then at least six widths across, and the bump at those faces at
+    most exp(-4.5) of its peak, which bounds the kink but does not remove
+    it.
     """
     if not (0 < width <= grid.length / 6):
         raise ValueError("bump width must lie in (0, L/6]")

@@ -30,6 +30,7 @@ from . import euler_nordstrom as en
 from . import euler_poisson as ep
 from . import fields
 from . import initial_data
+from . import stepping
 from .eos import fit_slope
 
 
@@ -162,7 +163,8 @@ class SweepResult:
     run's fields.
 
     runs maps each light speed (math.inf for the limit run) to its dt,
-    dt_reason, steps, rhs_evals and wall_s; phases_s maps each phase run so
+    dt_reason, steps, rhs_evals and wall_s, and for a rung also its
+    peak_rss_mb (`run_sweep`); phases_s maps each phase run so
     far (bundle, then runs: the limit run and the rungs, which overlap) to
     its wall time.
     """
@@ -306,7 +308,10 @@ def run_sweep(config, progress=None):
 
     def run_rung(c):
         """One finite-c rung: lift the data, and run, taking the sup-in-time
-        Sobolev gaps against the limit run output by output."""
+        Sobolev gaps against the limit run output by output.  Its record
+        adds peak_rss_mb, the peak resident memory of the process it ran
+        in: its forked worker's own, or, for a rung run in this process,
+        this process's peak so far."""
         consts_c = config.consts(c)
         lifted = initial_data.lift_to_relativistic(bundle, consts_c)
         order = config.sobolev_order
@@ -328,7 +333,9 @@ def run_sweep(config, progress=None):
 
         traj = en.run(en.from_bundle(lifted), config.t_final, observe=gaps,
                       **config.run_args())
-        return RungResult(record=traj.record(), sup_w=w_sup, sup_phi=phi_sup,
+        return RungResult(record=dict(traj.record(),
+                                      peak_rss_mb=stepping.peak_rss_mb()),
+                          sup_w=w_sup, sup_phi=phi_sup,
                           phi_bar_gap=abs(bundle.phi_bar_inf - lifted.phi_bar_c),
                           abort_reason=traj.abort_reason)
 

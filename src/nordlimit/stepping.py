@@ -6,6 +6,7 @@ margin checks, the abort format, telemetry) live here once, in `drive`.
 """
 
 import math
+import resource
 import time
 from dataclasses import dataclass, field, replace
 
@@ -16,6 +17,12 @@ from . import eos as eos_mod
 # the most steps one run may ask for: far above every c ladder the experiment
 # runs (20 steps at any c on reference.ini), far below a never-ending count
 MAX_STEPS = 10**8
+
+
+def peak_rss_mb():
+    """Peak resident memory of this process so far, in MB (ru_maxrss is in
+    KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def max_speed(w):

@@ -579,12 +579,12 @@ def test_sweep_manifest_records_runs_and_progress(tmp_path, capsys):
     assert manifest["runs"]["inf"]["dt_reason"] == "output interval"
     assert "abort_reasons" not in manifest
     assert_positive_number(manifest["peak_rss_mb"])
-    # the largest forked rung worker's peak; with one fork worker the rungs
-    # run in this process and no child need have ended
-    if fields.fork_workers(3) > 1:
-        assert_positive_number(manifest["peak_rss_children_mb"])
-    else:
-        assert manifest["peak_rss_children_mb"] >= 0
+    # each rung records the peak of the process it ran in; the limit run
+    # runs in this process, whose peak the manifest records
+    for key in ("10", "20", "40"):
+        assert_positive_number(manifest["runs"][key]["peak_rss_mb"])
+    assert "peak_rss_mb" not in manifest["runs"]["inf"]
+    assert "peak_rss_children_mb" not in manifest
     assert set(manifest["phases_s"]) == {"bundle", "runs", "report"}
     assert all(t >= 0 for t in manifest["phases_s"].values())
     assert_records_parallelism(manifest)
@@ -596,6 +596,34 @@ def test_sweep_manifest_records_runs_and_progress(tmp_path, capsys):
     labels = [line.split(":")[0] for line in err
               if line.startswith(("limit run:", "c="))]
     assert labels == ["limit run", "c=10", "c=20", "c=40"]
+
+
+# a process that first reaps a child of 200 MB resident, then runs a quick
+# sweep on two fork workers; it prints that child's peak in MB
+BIG_CHILD_THEN_SWEEP = """
+import os, resource, subprocess, sys
+subprocess.run([sys.executable, "-c", "b = b'x' * (200 << 20)"], check=True)
+os.sched_getaffinity = lambda pid: {0, 1}
+from nordlimit import cli
+assert cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "sweep"]) == 0
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0)
+"""
+
+
+def test_rung_peak_memory_is_its_own_workers(tmp_path):
+    # a rung records its worker's own peak, not the largest child the
+    # process ever reaped
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(nordlimit.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", BIG_CHILD_THEN_SWEEP,
+         os.path.join(CONFIGS, "quick.ini"), str(out)],
+        env=env, capture_output=True, text=True, check=True)
+    child_mb = float(done.stdout.split()[-1])
+    assert child_mb >= 200
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    for key in ("10", "20", "40"):
+        assert 0 < runs[key]["peak_rss_mb"] < child_mb
 
 
 def assert_records_parallelism(manifest, outputs=None):

@@ -2,12 +2,15 @@
 
 import math
 import os
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nordlimit import eos
+from nordlimit import fields
 from nordlimit import euler_poisson as ep
 from nordlimit.fields import Grid3, read_snapshot
 from nordlimit.initial_data import PerturbationSpec, build_newtonian_data
@@ -151,38 +154,93 @@ def test_rhs_requires_constraint(grid, eosf):
         ep.newtonian_rhs(background_state(grid, eosf))
 
 
-def test_deriv_evaluates_the_closure_once(grid, eosf, monkeypatch):
-    # rho_inf and q_inf of the state come from one closure evaluation; the
-    # background density, a constant of the run, is evaluated on first use
-    st = ep.with_constraint(perturbed_state(grid, eosf))
-    ep._deriv(st)
-    real = eos.closure
+def count_calls(monkeypatch, module, name):
+    """Patch module.name to log the shapes of each call's arguments (not
+    the arguments, which would stay alive); returns the log."""
+    real = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append([np.shape(arg) for arg in args])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(eos, "closure", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_deriv_evaluates_the_closure_once(grid, eosf, monkeypatch):
+    # rho_inf and q_inf of a solved state come from one closure evaluation:
+    # `with_constraint` makes it and caches the pair, which `_deriv` reads;
+    # the background density, a constant of the run, is evaluated on first
+    # use
+    st = ep.with_constraint(perturbed_state(grid, eosf))
+    ep._deriv(st)
+    calls = count_calls(monkeypatch, eos, "closure")
+    st = ep.with_constraint(st)
+    assert len(calls) == 1
     ep._deriv(st)
     assert len(calls) == 1
+    # a state that carries a potential but no density gets its own closure
+    ep._deriv(replace(st, density=None))
+    assert len(calls) == 2
 
 
 def test_step_solves_constraint_per_stage(grid, eosf, monkeypatch):
-    # the first stage reuses the potential of the step start; the other
-    # three stages and the new state each solve the constraint
+    # the first stage reuses the potential and density of the step start;
+    # the other three stages and the new state each solve the constraint,
+    # from the one closure (one power of p) of their own w
     st = ep.with_constraint(perturbed_state(grid, eosf))
-    real = ep.solve_constraint
-    calls = []
-
-    def counted(state):
-        calls.append(state.t)
-        return real(state)
-
-    monkeypatch.setattr(ep, "solve_constraint", counted)
+    solves = count_calls(monkeypatch, ep, "solve_constraint")
+    closures = count_calls(monkeypatch, eos, "closure")
+    powers = count_calls(monkeypatch, eos, "_rest_density")
     for _ in range(3):
         st = ep.step(st, 0.01)
-    assert len(calls) == 12
+    assert len(solves) == len(closures) == 12
+    # besides the scalar powers of the background, at p_bar
+    assert sum(len(shapes[2]) == 3 for shapes in powers) == 12
+
+
+# the tracemalloc peak of one 64**3 `step` of the perturbed state, dt =
+# 0.02, on two CPUs, as measured for the stage that formed its terms on
+# whole arrays and took the closure twice per stage
+WHOLE_ARRAY_STEP_PEAK = 94.376e6
+
+
+def test_step_at_64_cubed_takes_one_closure_per_state(eosf, monkeypatch):
+    # on two CPUs the per-point work runs in two x-slabs; the closure is
+    # still taken once per solved state, four per step, and the step
+    # allocates no more than the whole-array stage did
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    st = ep.with_constraint(perturbed_state(Grid3(64, L), eosf))
+    closures = count_calls(monkeypatch, eos, "closure")
+    tracemalloc.start()
+    try:
+        ep.step(st, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(closures) == 4
+    assert peak <= WHOLE_ARRAY_STEP_PEAK
+
+
+def test_step_on_four_threads_matches_one_cpu(eosf, monkeypatch):
+    # four x-slabs on four threads that switch as often as the interpreter
+    # allows give the step of one CPU, bit for bit
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    st = ep.with_constraint(perturbed_state(Grid3(64, L), eosf))
+    one = ep.step(st, 0.02)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = ep.step(st, 0.02)
+    finally:
+        sys.setswitchinterval(interval)
+        fields.stop_transform_threads()
+    for a, b in ((one.w, four.w), (one.phi, four.phi),
+                 (one.density[0], four.density[0]),
+                 (one.density[1], four.density[1])):
+        assert a.tobytes() == b.tobytes()
 
 
 def _step_solving_every_stage(state, dt):

@@ -447,6 +447,32 @@ def test_no_thread_pool_on_one_cpu_or_below_64_cubed(monkeypatch, fields64):
     assert fields._pool is None
 
 
+@pytest.mark.parametrize("n, cpus, planes", [
+    (64, 3, [21, 21, 22]), (64, 2, [32, 32]), (64, 1, [64]), (32, 2, [32])])
+def test_per_slab_covers_the_x_planes_once(monkeypatch, n, cpus, planes):
+    # transform_threads(n) contiguous, near-even x-slabs that cover the grid
+    # once; one slab, the whole grid, below 64**3 or on one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    seen = np.zeros((n, n, n), dtype=int)
+    slabs = []
+
+    def task(sl):
+        slabs.append(sl)
+        seen[sl] += 1
+
+    try:
+        Grid3(n, L).per_slab(task)
+    finally:
+        fields.stop_transform_threads()
+    assert np.all(seen == 1)
+    if len(planes) == 1:
+        assert slabs == [slice(None)]
+    else:
+        slabs.sort(key=lambda sl: sl.start)
+        assert [sl.stop - sl.start for sl in slabs] == planes
+        assert [sl.start for sl in slabs] == [0] + list(np.cumsum(planes)[:-1])
+
+
 def _raise_at(item):
     raise ValueError("no data at output %d" % item)
 

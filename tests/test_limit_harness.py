@@ -328,7 +328,7 @@ def test_sweep_memory_does_not_grow_with_outputs(monkeypatch):
 
 def test_parallel_sweep_matches_in_process_sweep(monkeypatch):
     # forked workers return the same gaps, bit for bit, and the same run
-    # records but for their wall times
+    # records but for their wall times and peak resident memory
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     parallel = lh.run_sweep(quiet_config())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -338,7 +338,8 @@ def test_parallel_sweep_matches_in_process_sweep(monkeypatch):
 
     def timeless(result):
         return [(c, {key: value for key, value in record.items()
-                     if key != "wall_s"}) for c, record in result.runs.items()]
+                     if key not in ("wall_s", "peak_rss_mb")})
+                for c, record in result.runs.items()]
 
     assert timeless(parallel) == timeless(serial)
     assert list(serial.runs) == [math.inf, 10.0, 20.0, 40.0]
@@ -370,13 +371,40 @@ def run_cli(tmp_path, name, command, cpus, monkeypatch, code=0):
 
 
 def test_run_ep_on_two_cpus_matches_one_cpu(tmp_path, monkeypatch):
-    one = run_cli(tmp_path, "one", "run-ep", 1, monkeypatch)
-    two = run_cli(tmp_path, "two", "run-ep", 2, monkeypatch)
-    for out, threads in ((one, 1), (two, 2)):
+    # on three CPUs the x-slabs of the limit stage are uneven (21, 21 and
+    # 22 planes)
+    outs = [run_cli(tmp_path, "cpus%d" % cpus, "run-ep", cpus, monkeypatch)
+            for cpus in (1, 2, 3)]
+    for cpus, out in enumerate(outs, 1):
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["transform_threads"] == threads
+        assert manifest["transform_threads"] == cpus
+        for name in ("run_ep_final.nrdf", "run_ep_diagnostics.csv"):
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
+def test_run_ep_slab_error_aborts_alike_on_one_and_two_cpus(tmp_path,
+                                                            monkeypatch):
+    # the first stage state gets a zero density in its last x-slab: the
+    # ValueError of that slab's task ends run-ep with the same abort record
+    # and the same outputs on one CPU as on two
+    real = ep._limit_density
+
+    def zero_in_last_slab(state):
+        r_inf, q_inf = real(state)
+        if state.t > 0:
+            r_inf = r_inf.copy()
+            r_inf[-1, 0, 0] = 0.0
+        return r_inf, q_inf
+
+    monkeypatch.setattr(ep, "_limit_density", zero_in_last_slab)
+    outs = [run_cli(tmp_path, "cpus%d" % cpus, "run-ep", cpus, monkeypatch,
+                    code=2) for cpus in (1, 2)]
+    for out in outs:
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["abort_reason"] == ("step 1 from t=0 failed: "
+                                            "nonpositive limit density")
     for name in ("run_ep_final.nrdf", "run_ep_diagnostics.csv"):
-        assert (one / name).read_bytes() == (two / name).read_bytes()
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_forked_sweep_after_thread_pool_matches_one_cpu(tmp_path, monkeypatch):
