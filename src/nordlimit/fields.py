@@ -184,8 +184,11 @@ def _fan_out(width, task, items):
     try:
         drain()
     finally:
-        # every task is done before an error is raised here
-        errors = [future.exception() for future in futures]
+        # every task is done before an error is raised here.  A pool thread
+        # that has not begun by now would find no item left: it is cancelled
+        # instead of waited for, so a late wake-up costs the caller nothing
+        errors = [None if future.cancel() else future.exception()
+                  for future in futures]
     for exc in errors:
         if exc is not None:
             raise exc
