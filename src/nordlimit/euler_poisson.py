@@ -20,8 +20,9 @@ runs in x-slabs on the transform threads (`Grid3.per_slab`): the constraint
 source and the phi_bar sum, the terms of `newtonian_rhs`, the stage update
 and the running sum of the stages.  The gradients, the dealias and the
 FFT-based solve keep their per-component tasks.  Below that size, or on
-one CPU, the one slab is the whole grid, and the results are bit-identical
-on any number of CPUs.
+one CPU, the one slab is the whole grid.  An elementwise result does not
+depend on where the grid is cut, so a step is bit-identical on any number
+of CPUs.
 """
 
 import math

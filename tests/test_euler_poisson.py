@@ -219,6 +219,7 @@ def test_step_at_64_cubed_takes_one_closure_per_state(eosf, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        fields.stop_transform_threads()
     assert len(closures) == 4
     assert peak <= WHOLE_ARRAY_STEP_PEAK
 
