@@ -197,8 +197,7 @@ def cmd_run(args, cfg, sc, out, manifest):
 
     Each diagnostics row is computed as its output arrives, and the final
     snapshot is the last output state, so the run holds one state whatever
-    n_outputs is.  The manifest's run record adds this process's peak
-    resident memory.
+    n_outputs is.
     """
     finite = args.command == "run-en"
     c = _run_c_value(cfg) if finite else math.inf
@@ -216,8 +215,7 @@ def cmd_run(args, cfg, sc, out, manifest):
     traj = runner(start, sc.t_final, observe=lambda state: rows.append(
         _diagnostics_row(state, sc.sobolev_order, phi_data)), **sc.run_args())
     # c as text at c = inf, as in the sweep's records: JSON has no infinity
-    manifest.data["run"] = dict(traj.record(), c=c if finite else "inf",
-                                peak_rss_mb=stepping.peak_rss_mb())
+    manifest.data["run"] = dict(traj.record(), c=c if finite else "inf")
     name = args.command.replace("-", "_")
     diag = os.path.join(out, name + "_diagnostics.csv")
     with open(diag, "w") as fh:
@@ -251,8 +249,8 @@ def _run_records(runs):
 
 def cmd_sweep(args, cfg, sc, out, manifest):
     """The rate experiment; the manifest records each run's telemetry (a
-    rung's with its own peak resident memory) and this process's peak
-    resident memory."""
+    rung's peak resident memory is its own process's) and this process's
+    peak resident memory."""
     try:
         result = lh.run_sweep(
             sc, progress=lambda line: print(line, file=sys.stderr))

@@ -95,7 +95,8 @@ def closure(consts, eos, p, weight=1.0):
     """(rho_c, s_c**2, q_c) at pressure p > 0 with s_c**2 = (d rho_c/d p)**-1,
     q_c = s_c**2 weight (rho_c + p/c**2) = gamma weight p and weight =
     exp(4 phi/c**2) (1 in the limit).  Raises ValueError if causality
-    (s_c < c) fails anywhere, which only invalid parameters can cause."""
+    (s_c < c) fails anywhere, naming, when p is a field, the grid point of
+    the largest s_c**2."""
     p = np.asarray(p)
     rho = _rest_density(consts, eos, p)
     inv_ssq, enthalpy = rho / (eos.gamma * p), rho
@@ -106,7 +107,11 @@ def closure(consts, eos, p, weight=1.0):
         enthalpy = rho + p * icc
     ssq = 1.0 / inv_ssq
     if np.any(ssq >= consts.c**2):
-        raise ValueError("sound speed reached the light speed: non-causal state")
+        message = "sound speed reached the light speed: non-causal state"
+        if ssq.ndim:
+            idx = np.unravel_index(np.nanargmax(ssq), ssq.shape)
+            message += " at grid point %s" % (tuple(int(i) for i in idx),)
+        raise ValueError(message)
     return rho, ssq, ssq * weight * enthalpy
 
 

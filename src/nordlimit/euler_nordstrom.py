@@ -459,18 +459,13 @@ def etd_step(state, stepper):
 def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None,
         observe=None):
     """Integrate to t_final with `etd_step`, with outputs at n_outputs equal
-    intervals (`stepping.drive` does the output, abort and telemetry
-    rules): stored snapshots, or each output state handed to observe.
+    intervals: stored snapshots, or each output state handed to observe.
 
-    dt = cfl h / s_fluid of the initial state, or the shorter output
-    interval: the limit run's rule, so that a sweep's runs share one time
-    grid at every c.  The CFL margin watches s_fluid.
+    `stepping.drive` works out dt from cfl by the limit run's rule, so that
+    a sweep's runs share one time grid at every c, and applies the output,
+    abort (a non-causal state included) and telemetry rules.
     """
-    if not (0 < cfl <= 1):
-        raise ValueError("cfl must lie in (0, 1]")
     if not state.consts.finite_c:
         raise ValueError("the finite-c run needs a finite c")
-    speed0 = stepping.fluid_signal_speed(state)
-    return stepping.drive(state, EtdStepper, cfl * state.grid.h / speed0,
-                          speed0, t_final, n_outputs, eta_box, p_box,
-                          observe)
+    return stepping.drive(state, EtdStepper, cfl, t_final, n_outputs, eta_box,
+                          p_box, observe)

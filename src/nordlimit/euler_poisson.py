@@ -9,9 +9,9 @@ by the screened Poisson equation
 potential).  Every RK4 stage solves the constraint for its own w, and its
 right-hand side (`_deriv`) is the dealiased `newtonian_rhs`, which applies
 the force -grad phi of the solved potential in physical space.  The
-closure is taken once per solved state: `with_constraint` keeps the
-(rho_inf, q_inf) whose rho_inf sourced phi next to it, and `newtonian_rhs`
-reads them.  The pressure-form equations are evolved; the mass-form
+closure is taken once per solved state, only by `with_constraint`, which
+keeps the (rho_inf, q_inf) of w that `solve_constraint` and `newtonian_rhs`
+read.  The pressure-form equations are evolved; the mass-form
 (evolving R = rho_inf directly in conservation form) is kept only as an
 equivalence oracle.
 
@@ -61,8 +61,8 @@ def from_bundle(bundle, consts_inf):
 
 
 def _limit_density(state):
-    """(rho_inf, q_inf) of the state's w from one closure; `newtonian_rhs`
-    requires rho_inf > 0."""
+    """(rho_inf, q_inf) of the state's w from one closure (`with_constraint`);
+    `newtonian_rhs` requires rho_inf > 0."""
     r_inf, _, q_inf = eos_mod.closure(state.consts, state.eos, state.w[1])
     return r_inf, q_inf
 
@@ -99,42 +99,35 @@ def _potential(consts, eos, grid, p_bar, r_inf):
     return phi
 
 
-def solve_constraint(state, r_inf=None):
-    """Potential from the screened Poisson constraint for the current w;
-    r_inf, if given, is the limit density of w."""
-    if r_inf is None:
-        r_inf = eos_mod.mass_density(state.consts, state.eos, state.w[1])
-    return _potential(state.consts, state.eos, state.grid, state.p_bar, r_inf)
+def solve_constraint(state):
+    """Potential from the screened Poisson constraint for the current w,
+    sourced by the cached limit density (`with_constraint`)."""
+    if state.density is None:
+        raise ValueError("density not cached; call with_constraint first")
+    return _potential(state.consts, state.eos, state.grid, state.p_bar,
+                      state.density[0])
 
 
 def with_constraint(state):
-    """The state with its potential and density cached: one closure gives
+    """The state with its density and potential cached: one closure gives
     the (rho_inf, q_inf) of w, whose rho_inf sources the potential."""
-    density = _limit_density(state)
-    return replace(state, phi=solve_constraint(state, density[0]),
-                   density=density)
+    state = replace(state, density=_limit_density(state))
+    return replace(state, phi=solve_constraint(state))
 
 
-def newtonian_rhs(state, density=None):
+def newtonian_rhs(state):
     """d_t w of the pressure-form system: transport, -q_inf div v, the
-    force -grad p / rho_inf and the force -grad phi of the cached
-    potential, applied in physical space.  density, if given, is the
-    state's (rho_inf, q_inf) (`_limit_density`), for a caller that needs
-    rho_inf as well; otherwise the pair cached next to the potential is
-    read, or computed if there is none.  A rho_inf that is not positive
-    everywhere raises ValueError.
+    force -grad p / rho_inf and the force -grad phi, applied in physical
+    space from the cached potential and (rho_inf, q_inf).  A rho_inf that
+    is not positive everywhere raises ValueError.
 
     The gradients fan out per component (`Grid3.gradient`); the terms are
     then formed slab by slab (`Grid3.per_slab`), each ufunc or einsum
     writing straight into its row of the output.
     """
-    if state.phi is None:
+    if state.phi is None or state.density is None:
         raise ValueError("potential not cached; call with_constraint first")
-    if density is None:
-        density = state.density
-    if density is None:
-        density = _limit_density(state)
-    r_inf, q_inf = density
+    r_inf, q_inf = state.density
     grid = state.grid
     dw = grid.gradient(state.w)
     dphi = grid.gradient(state.phi)
@@ -264,16 +257,10 @@ def _rk4_stepper(state, dt):
 
 def run(state, t_final, cfl=0.5, n_outputs=10, eta_box=None, p_box=None,
         observe=None):
-    """Mirror of the finite-c run: fixed dt, outputs at matched times, the
-    same `stepping.drive` rules; observe, if given, receives each output
-    state in place of the stored snapshots.
-
-    dt = cfl h / s_fluid, or the shorter output interval; RK4 steps.
+    """Mirror of the finite-c run: RK4 steps of the dt that
+    `stepping.drive` works out from cfl, outputs at matched times, the same
+    abort rules (a non-causal state included); observe, if given, receives
+    each output state in place of the stored snapshots.
     """
-    if not (0 < cfl <= 1):
-        raise ValueError("cfl must lie in (0, 1]")
-    state = with_constraint(state)
-    speed0 = stepping.fluid_signal_speed(state)
-    return stepping.drive(state, _rk4_stepper, cfl * state.grid.h / speed0,
-                          speed0, t_final, n_outputs, eta_box, p_box,
-                          observe)
+    return stepping.drive(with_constraint(state), _rk4_stepper, cfl, t_final,
+                          n_outputs, eta_box, p_box, observe)

@@ -8,8 +8,8 @@ p_bar of the background.  From the Newtonian fields (eta0, p0, v0) we derive
                                                   - rho_inf(p_bar))],
     psi0     = (lap - kappa**2)**-1 [-4 pi G d_k(rho_inf(p0) v0^k)],
 
-phi0_inf by the limit system's own solve (`euler_poisson._potential`).  For
-finite c the potential datum is shifted by the background constants,
+phi0_inf by the limit system's own solve (`euler_poisson.with_constraint`).
+For finite c the potential datum is shifted by the background constants,
 phi0_c = phi0_inf - phi_bar_inf + phi_bar_c, so the deviation from the
 background is identical across the family.  The finite-c fluid state evolves
 the weighted pressure: w0_c = (eta0, exp(4 phi0_c/c**2) p0, v0).
@@ -110,15 +110,16 @@ def build_newtonian_data(spec, consts_inf, eos, grid, eta_bar=1.0, p_bar=1.0,
 
     g = consts_inf.grav_g
     phi_bar_inf = eos_mod.background_potential(consts_inf, eos, p_bar)
-    rho = eos_mod.mass_density(consts_inf, eos, p)
-    phi_inf = ep._potential(consts_inf, eos, grid, p_bar, rho)
+    w_inf = np.concatenate([eta[None], p[None], v])
+    limit = ep.with_constraint(ep.NewtState(w=w_inf, t=0.0, consts=consts_inf,
+                                            eos=eos, grid=grid, p_bar=p_bar))
+    rho = limit.density[0]
     # rho v near the float maximum overflows; the initial-state check aborts
     with np.errstate(over="ignore", invalid="ignore"):
         flux_div = sum(grid.derivative(rho * v[k], k) for k in range(3))
         psi0 = grid.helmholtz_solve(-4.0 * math.pi * g * flux_div, consts_inf.kappa)
-    w_inf = np.concatenate([eta[None], p[None], v])
     return DataBundle(grid=grid, eos=eos, p_bar=p_bar, w_inf=w_inf,
-                      phi_inf=phi_inf, psi0=psi0, phi_bar_inf=phi_bar_inf)
+                      phi_inf=limit.phi, psi0=psi0, phi_bar_inf=phi_bar_inf)
 
 
 def lift_to_relativistic(bundle, consts):

@@ -30,7 +30,6 @@ from . import euler_nordstrom as en
 from . import euler_poisson as ep
 from . import fields
 from . import initial_data
-from . import stepping
 from .eos import fit_slope
 
 
@@ -163,10 +162,9 @@ class SweepResult:
     run's fields.
 
     runs maps each light speed (math.inf for the limit run) to its dt,
-    dt_reason, steps, rhs_evals and wall_s, and for a rung also its
-    peak_rss_mb (`run_sweep`); phases_s maps each phase run so
-    far (bundle, then runs: the limit run and the rungs, which overlap) to
-    its wall time.
+    dt_reason, steps, rhs_evals, wall_s and peak_rss_mb (`run_sweep`);
+    phases_s maps each phase run so far (bundle, then runs: the limit run
+    and the rungs, which overlap) to its wall time.
     """
 
     config: SweepConfig
@@ -308,10 +306,10 @@ def run_sweep(config, progress=None):
 
     def run_rung(c):
         """One finite-c rung: lift the data, and run, taking the sup-in-time
-        Sobolev gaps against the limit run output by output.  Its record
-        adds peak_rss_mb, the peak resident memory of the process it ran
-        in: its forked worker's own, or, for a rung run in this process,
-        this process's peak so far."""
+        Sobolev gaps against the limit run output by output.  Its record's
+        peak_rss_mb is that of the process it ran in: its forked worker's
+        own, or, for a rung run in this process, this process's peak so
+        far."""
         consts_c = config.consts(c)
         lifted = initial_data.lift_to_relativistic(bundle, consts_c)
         order = config.sobolev_order
@@ -333,9 +331,7 @@ def run_sweep(config, progress=None):
 
         traj = en.run(en.from_bundle(lifted), config.t_final, observe=gaps,
                       **config.run_args())
-        return RungResult(record=dict(traj.record(),
-                                      peak_rss_mb=stepping.peak_rss_mb()),
-                          sup_w=w_sup, sup_phi=phi_sup,
+        return RungResult(record=traj.record(), sup_w=w_sup, sup_phi=phi_sup,
                           phi_bar_gap=abs(bundle.phi_bar_inf - lifted.phi_bar_c),
                           abort_reason=traj.abort_reason)
 
@@ -359,18 +355,13 @@ def run_sweep(config, progress=None):
     return result
 
 
-def newtonian_operator_residual(w, dt_w, phi, consts_inf, eos, grid,
-                                density=None):
-    """Pointwise residual of the limit system at (w, d_t w, phi): d_t w minus
-    the limit solver's operator `ep.newtonian_rhs` at the given potential,
-    the velocity rows multiplied by rho_inf (the momentum form).  density,
-    if given, is the (rho_inf, q_inf) of w (`eos.closure` at c = inf)."""
-    state = ep.NewtState(w=w, t=0.0, consts=consts_inf, eos=eos, grid=grid,
-                         p_bar=None, phi=phi)
-    if density is None:
-        density = ep._limit_density(state)
-    res = dt_w - ep.newtonian_rhs(state, density)
-    res[2:] *= density[0]
+def newtonian_operator_residual(state, dt_w):
+    """Pointwise residual of the limit system at d_t w and a limit state
+    carrying its potential and (rho_inf, q_inf): d_t w minus the limit
+    solver's operator `ep.newtonian_rhs`, the velocity rows multiplied by
+    rho_inf (the momentum form)."""
+    res = dt_w - ep.newtonian_rhs(state)
+    res[2:] *= state.density[0]
     return res
 
 
@@ -407,8 +398,10 @@ def approximate_solution_residuals(traj, phi_data, w_data_inf, consts, eos,
             return None, e2_norm
         dt_out = traj.ts[m + 1] - traj.ts[m - 1]
         dt_w = (pulled_back(m + 1) - pulled_back(m - 1)) / dt_out
-        e1 = newtonian_operator_residual(wm, dt_w, traj.phis[m],
-                                         consts_inf, eos, grid, (rho, q))
+        state = ep.NewtState(w=wm, t=traj.ts[m], consts=consts_inf, eos=eos,
+                             grid=grid, p_bar=None, phi=traj.phis[m],
+                             density=(rho, q))
+        e1 = newtonian_operator_residual(state, dt_w)
         return grid.sobolev_norm(e1, order - 1), e2_norm
 
     # one output per item, in the workers of a fork map; the sups are taken

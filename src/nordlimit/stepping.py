@@ -1,8 +1,9 @@
 """The run loop shared by the finite-c and the limit system.
 
 The experiment compares the two runs at matched output times, so the rules
-that make them comparable (output-time rounding, admissibility and CFL
-margin checks, the abort format, telemetry) live here once, in `drive`.
+that make them comparable (the step rule, output-time rounding,
+admissibility, causality and CFL margin checks, the abort format,
+telemetry) live here once, in `drive`.
 """
 
 import math
@@ -58,6 +59,7 @@ class Trajectory:
     abort_reason: str = None
     steps: int = 0
     wall_s: float = 0.0
+    peak_rss_mb: float = 0.0
 
     @property
     def ok(self):
@@ -90,7 +92,8 @@ class Trajectory:
     def record(self):
         """Telemetry of the run, as written to the manifests."""
         return {"dt": self.dt, "dt_reason": self.dt_reason, "steps": self.steps,
-                "rhs_evals": self.rhs_evals, "wall_s": self.wall_s}
+                "rhs_evals": self.rhs_evals, "wall_s": self.wall_s,
+                "peak_rss_mb": self.peak_rss_mb}
 
 
 def non_finite_field(state):
@@ -125,8 +128,16 @@ def check_admissibility(state, eta_box=None, p_box=None):
     return None
 
 
-def drive(state, start, dt_max, speed, t_final, n_outputs, eta_box=None,
-          p_box=None, observe=None):
+def _signal_speed(state):
+    """(s_fluid, None), or (inf, why) for a state the closure refuses."""
+    try:
+        return fluid_signal_speed(state), None
+    except ValueError as exc:
+        return math.inf, str(exc)
+
+
+def drive(state, start, cfl, t_final, n_outputs, eta_box=None, p_box=None,
+          observe=None):
     """Integrate state to t_final with outputs at n_outputs equal intervals;
     returns the Trajectory.
 
@@ -134,28 +145,33 @@ def drive(state, start, dt_max, speed, t_final, n_outputs, eta_box=None,
     to observe(state) if observe is given, or else into the stored
     snapshots.  The Trajectory records the output times, the last output
     state and the telemetry either way; its wall_s includes the observer's
-    time.
+    time, and its peak_rss_mb is this process's peak at the end.
 
-    Both systems step by one rule: dt_max is the fluid CFL step
-    cfl h / s_fluid of the initial state, speed the fluid signal speed
-    s_fluid behind it, and start(state, dt) returns the system's stepper, a
-    function that advances a state by one step of size dt.  dt is dt_max
-    rounded down so that every output time is hit exactly; this keeps the
-    two systems, at any c, on one time grid.  The recorded reason is
-    "fluid CFL", or "output interval" when one output interval is shorter
-    than dt_max and so sets dt.  The run aborts (partial trajectory
-    returned) when the initial state (then dt is dt_max) or an output is not
-    admissible, when speed is not finite or grows past 110% at an output,
-    on a ValueError raised inside a step, or when a step leaves a NaN or an
-    infinity in any field.  A dt_max that is not positive, or too small for
-    a finite number of steps per output, raises a ValueError before the
-    stepper is built, and so does a run of more than MAX_STEPS steps.
+    Both systems step by one rule, worked out here from cfl: dt_max =
+    cfl h / s_fluid of the initial state, rounded down to dt so that every
+    output time is hit exactly, which keeps the two systems, at any c, on
+    one time grid.  start(state, dt) returns the system's stepper, a
+    function that advances a state by one step of size dt.  The recorded
+    reason is "fluid CFL", or "output interval" when one output interval
+    is shorter than dt_max and so sets dt.  The run aborts (partial
+    trajectory returned) when the initial state (then dt is dt_max, 0 if
+    s_fluid is not finite or cannot be formed) or an output is not
+    admissible or not causal, when s_fluid is not finite or grows past 110%
+    at an output, on a ValueError raised inside a step, or when a step
+    leaves a NaN or an infinity in any field.  A cfl outside (0, 1], a
+    dt_max that is not positive or too small for a finite number of steps
+    per output, or a run of more than MAX_STEPS steps raises a ValueError
+    before the stepper is built.
     """
+    if not (0 < cfl <= 1):
+        raise ValueError("cfl must lie in (0, 1]")
     clock = time.perf_counter()
-    traj = Trajectory(dt=dt_max, dt_reason="fluid CFL")
+    traj = Trajectory(dt=0.0, dt_reason="fluid CFL")
     try:
         traj.add(state, observe)
-        reason = check_admissibility(state, eta_box, p_box)
+        speed, causality = _signal_speed(state)
+        traj.dt = dt_max = cfl * state.grid.h / speed
+        reason = check_admissibility(state, eta_box, p_box) or causality
         if reason is None and not math.isfinite(speed):
             reason = "non-finite fluid signal speed"
         if reason is not None:
@@ -196,8 +212,11 @@ def drive(state, start, dt_max, speed, t_final, n_outputs, eta_box=None,
             # land exactly on the nominal output time despite roundoff
             state = replace(state, t=(m + 1) * seg)
             reason = check_admissibility(state, eta_box, p_box)
-            if reason is None and fluid_signal_speed(state) > 1.1 * speed:
-                reason = "CFL margin violated: signal speed grew past 110% of initial"
+            if reason is None:
+                now, reason = _signal_speed(state)
+                if reason is None and now > 1.1 * speed:
+                    reason = ("CFL margin violated: signal speed grew past "
+                              "110% of initial")
             if reason is not None:
                 traj.abort_reason = reason
                 return traj
@@ -205,3 +224,4 @@ def drive(state, start, dt_max, speed, t_final, n_outputs, eta_box=None,
         return traj
     finally:
         traj.wall_s = time.perf_counter() - clock
+        traj.peak_rss_mb = peak_rss_mb()

@@ -579,11 +579,12 @@ def test_sweep_manifest_records_runs_and_progress(tmp_path, capsys):
     assert manifest["runs"]["inf"]["dt_reason"] == "output interval"
     assert "abort_reasons" not in manifest
     assert_positive_number(manifest["peak_rss_mb"])
-    # each rung records the peak of the process it ran in; the limit run
-    # runs in this process, whose peak the manifest records
-    for key in ("10", "20", "40"):
+    # each run records the peak of the process it ran in: a rung its
+    # worker's, the limit run this process's at its end
+    for key in ("inf", "10", "20", "40"):
         assert_positive_number(manifest["runs"][key]["peak_rss_mb"])
-    assert "peak_rss_mb" not in manifest["runs"]["inf"]
+    assert (manifest["runs"]["inf"]["peak_rss_mb"]
+            <= manifest["peak_rss_mb"])
     assert "peak_rss_children_mb" not in manifest
     assert set(manifest["phases_s"]) == {"bundle", "runs", "report"}
     assert all(t >= 0 for t in manifest["phases_s"].values())
@@ -803,11 +804,13 @@ def test_check_on_two_cpus_matches_one(tmp_path, monkeypatch, capsys):
         assert_records_parallelism(manifest, outputs=9)
         # the finite-c run's telemetry, keyed by its c as the sweep keys
         # its runs (8 outputs to t = 0.05, one step each), and the memory
+        run = manifest["runs"]["20"]
         assert manifest["runs"] == {"20": {
             "dt": pytest.approx(0.00625), "dt_reason": "output interval",
-            "steps": 8, "rhs_evals": 32,
-            "wall_s": manifest["runs"]["20"]["wall_s"]}}
-        assert manifest["runs"]["20"]["wall_s"] > 0
+            "steps": 8, "rhs_evals": 32, "wall_s": run["wall_s"],
+            "peak_rss_mb": run["peak_rss_mb"]}}
+        assert run["wall_s"] > 0
+        assert_positive_number(run["peak_rss_mb"])
         assert_positive_number(manifest["peak_rss_mb"])
         seen.append((capsys.readouterr().out,
                      (out / "divergence_check.csv").read_bytes(),
@@ -856,8 +859,72 @@ def test_lost_positivity_is_exit_2(tmp_path, monkeypatch):
     out = tmp_path / "out"
     path = os.path.join(CONFIGS, "quick.ini")
     assert cli.main(["--config", path, "--out", str(out), "check"]) == 2
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=_reject_constant)
     assert manifest["checks"]["positivity"] is False
+
+
+# gamma = 3 and p_bar = 0.5 are causal at c = 1.3, but the bump's peak
+# p = 1.3 is past the sound-speed bound (2 c**2 / 3)**1.5 = 1.196
+NON_CAUSAL_BUMP = """
+[grid]
+n = 16
+
+[eos]
+gamma = 3
+
+[background]
+p = 0.5
+
+[admissible]
+p_min = 0.1
+p_max = 2
+
+[perturbation]
+amp_p = 0.8
+
+[run]
+t_final = 0.05
+n_outputs = 5
+c = 1.3
+
+[sweep]
+c_values = 1.3,2,4
+"""
+NON_CAUSAL_REASON = ("initial state: sound speed reached the light speed: "
+                     "non-causal state at grid point (8, 8, 8)")
+
+
+def test_non_causal_run_en_is_recorded_abort(tmp_path, capsys):
+    # a physics failure, not a usage error: exit 2 with the abort and the
+    # run record (dt = 0: no signal speed can be formed) in strict JSON
+    path = write(tmp_path, NON_CAUSAL_BUMP)
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "run-en"]) == 2
+    assert capsys.readouterr().err == "run aborted: %s\n" % NON_CAUSAL_REASON
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=_reject_constant)
+    assert manifest["abort_reason"] == NON_CAUSAL_REASON
+    assert manifest["checks"]["run_completed"] is False
+    run = manifest["run"]
+    assert (run["c"], run["dt"], run["steps"]) == (1.3, 0.0, 0)
+    assert_positive_number(run["peak_rss_mb"])
+
+
+def test_non_causal_sweep_rung_is_recorded_abort(tmp_path):
+    # the first rung is not causal: the sweep exits 2 with its reason and
+    # the records of the limit run and of that rung
+    path = write(tmp_path, NON_CAUSAL_BUMP)
+    out = tmp_path / "out"
+    assert cli.main(["--config", path, "--out", str(out), "sweep"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=_reject_constant)
+    assert manifest["abort_reasons"] == {"1.3": NON_CAUSAL_REASON}
+    assert set(manifest["runs"]) == {"inf", "1.3"}
+    assert manifest["runs"]["inf"]["steps"] == 5
+    assert (manifest["runs"]["1.3"]["dt"], manifest["runs"]["1.3"]["steps"]) \
+        == (0.0, 0)
+    assert manifest["checks"]["rate_thresholds"] is False
 
 
 def check_lines(out):

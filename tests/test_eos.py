@@ -117,6 +117,21 @@ def test_closure_raises_on_causality_for_every_field():
     assert eos.mass_density(INF, e, 1e6) > 0
 
 
+def test_causality_error_names_the_grid_point():
+    # on a field the message names the point of the largest s_c**2 (two
+    # points are non-causal here); a scalar keeps the bare message
+    e = eos.PolytropicEos(gamma=3.0)
+    k = eos.PhysicalConstants(c=1.0)
+    message = "^sound speed reached the light speed: non-causal state"
+    p = np.full((4, 5, 6), 0.1)
+    p[3, 0, 0] = 1e5
+    p[1, 2, 3] = 1e6
+    with pytest.raises(ValueError, match=message + r" at grid point \(1, 2, 3\)$"):
+        eos.closure(k, e, p)
+    with pytest.raises(ValueError, match=message + "$"):
+        eos.closure(k, e, 1e6)
+
+
 def test_background_potential_limit_closed_form():
     k = eos.PhysicalConstants(grav_g=0.05, kappa=1.0)
     e = eos.PolytropicEos()

@@ -208,8 +208,10 @@ def test_fluid_rhs_c_to_limit_rate(grid, eosf):
         st = perturbed_state(grid, eosf, c)
         st = replace(st, pi=np.zeros_like(st.pi))
         rhs_c = en.fluid_rhs(st)
-        ns = ep.NewtState(w=en.pull_back(st.w, st.phi, st.consts), t=0.0,
-                          consts=INF, eos=eosf, grid=grid, p_bar=1.0, phi=st.phi)
+        w_inf = en.pull_back(st.w, st.phi, st.consts)
+        rho, _, q = eos.closure(INF, eosf, w_inf[1])
+        ns = ep.NewtState(w=w_inf, t=0.0, consts=INF, eos=eosf, grid=grid,
+                          p_bar=1.0, phi=st.phi, density=(rho, q))
         rhs_inf = ep.newtonian_rhs(ns)
         # compare in limit variables: d_t p = exp(-4 phi/c^2) d_t P at pi=0
         icc = 1.0 / c**2

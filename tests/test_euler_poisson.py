@@ -62,7 +62,7 @@ def test_constraint_single_mode(grid, eosf):
     amp = 1e-3
     st = replace(st, w=st.w.copy())
     st.w[1] = eosf.a_inf * ((1.0 + amp * np.sin(x)) / eosf.m0) ** eosf.gamma
-    phi = ep.solve_constraint(st)
+    phi = ep.with_constraint(st).phi
     phi_bar = -4.0 * math.pi * G / INF.kappa**2
     expect = phi_bar - 4.0 * math.pi * G * amp * np.sin(x) / (1.0 + INF.kappa**2)
     assert np.max(np.abs(phi - expect)) <= 1e-14
@@ -154,6 +154,15 @@ def test_rhs_requires_constraint(grid, eosf):
         ep.newtonian_rhs(background_state(grid, eosf))
 
 
+def test_solve_and_rhs_read_only_the_cached_density(grid, eosf):
+    # the closure is with_constraint's alone: a state with a potential but
+    # no density, or no density at all, is refused, not given a closure
+    st = ep.with_constraint(background_state(grid, eosf))
+    for call in (ep.newtonian_rhs, ep.solve_constraint):
+        with pytest.raises(ValueError, match="call with_constraint first"):
+            call(replace(st, density=None))
+
+
 def count_calls(monkeypatch, module, name):
     """Patch module.name to log the shapes of each call's arguments (not
     the arguments, which would stay alive); returns the log."""
@@ -180,9 +189,6 @@ def test_deriv_evaluates_the_closure_once(grid, eosf, monkeypatch):
     assert len(calls) == 1
     ep._deriv(st)
     assert len(calls) == 1
-    # a state that carries a potential but no density gets its own closure
-    ep._deriv(replace(st, density=None))
-    assert len(calls) == 2
 
 
 def test_step_solves_constraint_per_stage(grid, eosf, monkeypatch):

@@ -169,8 +169,7 @@ def test_newtonian_operator_residual_zero_on_rhs():
     # the operator residual vanish identically
     st = limit_state_n16()
     dt_w = ep.newtonian_rhs(st)
-    res = lh.newtonian_operator_residual(st.w, dt_w, st.phi, st.consts,
-                                         st.eos, st.grid)
+    res = lh.newtonian_operator_residual(st, dt_w)
     # velocity rows are scaled by the density, hence the loose absolute tol
     assert np.max(np.abs(res)) <= 1e-12
 
@@ -193,7 +192,7 @@ def test_newtonian_operator_residual_is_momentum_form():
     oracle[1] = dt_w[1] + adv(dp) + q_inf * (dv[0, 0] + dv[1, 1] + dv[2, 2])
     oracle[2:] = (r_inf * (dt_w[2:] + np.einsum("k...,jk...->j...", v, dv))
                   + dp + r_inf * grid.gradient(phi))
-    res = lh.newtonian_operator_residual(w, dt_w, phi, st.consts, st.eos, grid)
+    res = lh.newtonian_operator_residual(st, dt_w)
     assert np.max(np.abs(res - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
