@@ -34,7 +34,8 @@ class PhysicalConstants:
 
     c = math.inf selects the Newtonian (Euler-Poisson) limit everywhere.
     kappa must be positive: the kappa -> 0 regime is outside scope and the
-    elliptic/step operators divide by kappa**2.
+    elliptic/step operators divide by kappa**2.  So the square of kappa,
+    and of a finite c, must be a nonzero finite float.
     """
 
     grav_g: float = 1.0
@@ -48,6 +49,13 @@ class PhysicalConstants:
             raise ValueError("kappa must be positive (kappa=0 is outside scope)")
         if not (self.c > 0):
             raise ValueError("c must be positive (use math.inf for the limit)")
+        # the operators divide by these squares; c * c, not c**2, which
+        # raises OverflowError
+        for name, value in (("kappa", self.kappa), ("c", self.c)):
+            if (name == "kappa" or self.finite_c) and not (
+                    0 < value * value < math.inf):
+                raise ValueError("%s squared leaves the float range: %s = %g"
+                                 % (name, name, value))
 
     @property
     def finite_c(self):
@@ -211,10 +219,17 @@ def background_potential(consts, eos, p_bar):
     |F| <= BACKGROUND_TOL or, when roundoff keeps that out of reach (|phi|
     large), at the first step after the first that does not lower phi,
     whose result it returns.  A source rho_c(p_bar) - 3 p_bar/c**2 that
-    is not positive has no root: a ValueError names it and c.
+    is not positive has no root, and a background density rho_c(p_bar)
+    that is not finite has none either: a ValueError names it and c, as it
+    does when BACKGROUND_MAX_ITER steps do not converge.
     """
     g, kap = consts.grav_g, consts.kappa
-    rho = float(mass_density(consts, eos, p_bar))
+    # an overflowing density is the error below, not a warning here
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = float(mass_density(consts, eos, p_bar))
+    if not math.isfinite(rho):
+        raise ValueError("background density rho_c(p_bar) must be finite: "
+                         "%g at c = %g" % (rho, consts.c))
     if not consts.finite_c:
         return -4.0 * math.pi * g * rho / kap**2
 
@@ -234,7 +249,9 @@ def background_potential(consts, eos, p_bar):
         if it > 0 and step >= phi:
             return step
         phi = step
-    raise RuntimeError("background potential iteration did not converge")
+    raise ValueError("background potential did not converge in %d Newton "
+                     "steps: source rho_c - 3 p/c**2 = %.6g at c = %g"
+                     % (BACKGROUND_MAX_ITER, src, consts.c))
 
 
 def fit_slope(cs, vals):

@@ -15,12 +15,13 @@ read.  The pressure-form equations are evolved; the mass-form
 (evolving R = rho_inf directly in conservation form) is kept only as an
 equivalence oracle.
 
-From 64**3 points (`fields.FAN_OUT_POINTS`) a stage's per-point work also
-runs in x-slabs on the transform threads (`Grid3.per_slab`): the constraint
-source and the phi_bar sum, the terms of `newtonian_rhs`, the stage update
-and the running sum of the stages.  The gradients, the dealias and the
-FFT-based solve keep their per-component tasks.  Below that size, or on
-one CPU, the one slab is the whole grid.  An elementwise result does not
+From 64**3 points (`fields.FAN_OUT_POINTS`) the per-point work of a step
+runs in x-slabs on the transform threads (`Grid3.per_slab`): the terms of
+`newtonian_rhs`, and in `step` the stage updates, the running sum of the
+stages and their combination.  The gradients, the dealias and the
+FFT-based solve keep their per-component tasks; the solve's source and
+its sum with phi_bar are whole-array numpy.  Below that size, or on one
+CPU, the one slab is the whole grid.  An elementwise result does not
 depend on where the grid is cut, so a step is bit-identical on any number
 of CPUs.
 """
@@ -67,35 +68,17 @@ def _limit_density(state):
     return r_inf, q_inf
 
 
-def _slab(sl):
-    """Index of x-slab sl of a field (..., n, n, n)."""
-    return (Ellipsis, sl, slice(None), slice(None))
-
-
 def _potential(consts, eos, grid, p_bar, r_inf):
     """The potential solving the screened constraint for the limit density
     r_inf: the background's phi_bar plus the screened response to the
-    source 4 pi G (rho_inf - rho_bar), rho_bar the background's rho_inf.
-    The source and the sum are formed slab by slab (`Grid3.per_slab`)."""
+    source 4 pi G (rho_inf - rho_bar), rho_bar the background's rho_inf."""
     phi_bar = eos_mod.background_potential(consts, eos, p_bar)
     rho_bar = float(eos_mod.mass_density(consts, eos, p_bar))
-    fourpg = 4.0 * math.pi * consts.grav_g
-    src = np.empty(r_inf.shape)
-
-    def source(sl):
-        part = src[_slab(sl)]
-        np.subtract(r_inf[_slab(sl)], rho_bar, out=part)
-        part *= fourpg
-
-    grid.per_slab(source)
+    src = np.subtract(r_inf, rho_bar)
+    src *= 4.0 * math.pi * consts.grav_g
     phi = grid.helmholtz_solve(src, consts.kappa)
     del src
-
-    def add_background(sl):
-        part = phi[_slab(sl)]
-        part += phi_bar
-
-    grid.per_slab(add_background)
+    phi += phi_bar
     return phi
 
 
@@ -133,8 +116,7 @@ def newtonian_rhs(state):
     dphi = grid.gradient(state.phi)
     out = np.empty_like(state.w)
 
-    def terms(sl):
-        x = _slab(sl)
+    def terms(x):
         r = r_inf[x]
         if np.any(r <= 0):
             raise ValueError("nonpositive limit density")
@@ -207,18 +189,18 @@ def step(state, dt):
         """The state at w + a k, its potential solved."""
         new = np.empty_like(w)
 
-        def update(sl):
-            part = new[_slab(sl)]
-            np.multiply(k[_slab(sl)], a, out=part)
-            np.add(w[_slab(sl)], part, out=part)
+        def update(x):
+            part = new[x]
+            np.multiply(k[x], a, out=part)
+            np.add(w[x], part, out=part)
 
         per_slab(update)
         return with_constraint(replace(state, w=new, t=t_stage))
 
     def add_twice(k):
         """acc += 2 k, doubling k in place."""
-        def add(sl):
-            part, acc_part = k[_slab(sl)], acc[_slab(sl)]
+        def add(x):
+            part, acc_part = k[x], acc[x]
             part *= 2
             acc_part += part
 
@@ -237,13 +219,13 @@ def step(state, dt):
     k4 = _deriv(end)
     del end
 
-    def combine(sl):
+    def combine(x):
         """w + dt (acc + k4) / 6, into acc."""
-        part = acc[_slab(sl)]
-        part += k4[_slab(sl)]
+        part = acc[x]
+        part += k4[x]
         part *= dt
         part /= 6.0
-        np.add(w[_slab(sl)], part, out=part)
+        np.add(w[x], part, out=part)
 
     per_slab(combine)
     del k4

@@ -21,8 +21,8 @@ release the interpreter lock while they compute).  A task runs the same
 operations on the same data on any thread, so every result is bit-identical
 whatever the thread count.  From the same grid size, `Grid3.per_slab`
 shares per-point work over the same threads in x-slabs: a limit-system RK4
-stage forms its constraint source, its right-hand side's terms, its stage
-update and the running sum of its stages that way (`euler_poisson`).  An
+step forms its right-hand side's terms, its stage updates, the running sum
+of its stages and their combination that way (`euler_poisson`).  An
 elementwise result does not depend on where the grid is cut, so these too
 are bit-identical on any number of CPUs.  BLAS itself runs one thread per
 process (see the package docstring): these threads and the forked workers
@@ -109,9 +109,11 @@ def fork_map(fn, items, meanwhile=None):
     fork_workers(len(items)) == 1 it all runs here, with no pool: meanwhile
     first, then the items.  A worker's exception, or one of meanwhile, is
     raised here with its type and message; the items not yet started are
-    cancelled, and the running ones are waited for.  This process's
-    transform threads are stopped before the pool forks, and each worker
-    starts its own.
+    cancelled, and the running ones are waited for.  A worker that exits
+    without a result (killed, say, for lack of memory) raises
+    ChildProcessError, once the pool has ended its other workers.  This
+    process's transform threads are stopped before the pool forks, and
+    each worker starts its own.
     """
     global _fork_fn
     items = list(items)
@@ -124,6 +126,7 @@ def fork_map(fn, items, meanwhile=None):
     # which a process that never forks need not carry
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     stop_transform_threads()
     _fork_fn = fn
     try:
@@ -138,6 +141,8 @@ def fork_map(fn, items, meanwhile=None):
                 # after an exception, start no other item
                 for future in futures:
                     future.cancel()
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(str(exc)) from None
     finally:
         _fork_fn = None
 
@@ -263,25 +268,25 @@ class Grid3:
         return transform_threads(self.n) if tasks > 1 else 1
 
     def per_slab(self, task):
-        """Run task(slab) over the x-slabs of the grid and return when all
-        are done: transform_threads(n) contiguous ranges of x-planes, as
-        even as the split allows, one task each.  Below FAN_OUT_POINTS
-        points, or on one CPU, the one slab is slice(None), the whole grid.
+        """Run task(x) over the x-slabs of the grid and return when all are
+        done: transform_threads(n) contiguous ranges of x-planes, as even as
+        the split allows, one task each, x the index
+        (..., slice(a, b), :, :) of the slab.  Below FAN_OUT_POINTS points,
+        or on one CPU, the one slab holds all n planes and its task runs on
+        the calling thread (`_fan_out`).
 
-        This is how a limit stage's per-point work runs: a task works on
-        field[..., slab, :, :] alone, with numpy ufuncs and einsums that
-        write into the slab of their output.  A slab is whole x-planes, a
-        multiple of n**2 >= 4096 points starting a multiple of n**2 points
-        into the field, so a vectorised loop meets the same alignment and
-        no other tail than on the whole field, and each point's result is
-        bit-identical to the whole-grid operation's.
+        This is how the per-point work of a limit RK4 step runs: a task
+        works on field[x] alone, with numpy ufuncs and einsums that write
+        into out[x].  A slab is whole x-planes, a multiple of n**2 >= 4096
+        points starting a multiple of n**2 points into the field, so a
+        vectorised loop meets the same alignment and no other tail than on
+        the whole field, and each point's result is bit-identical to the
+        whole-grid operation's.
         """
         count = min(transform_threads(self.n), self.n)
-        if count == 1:
-            task(slice(None))
-            return
         cuts = [self.n * i // count for i in range(count + 1)]
-        _fan_out(count, task, [slice(a, b) for a, b in zip(cuts, cuts[1:])])
+        _fan_out(count, task, [(Ellipsis, slice(a, b), slice(None), slice(None))
+                               for a, b in zip(cuts, cuts[1:])])
 
     def fft(self, f):
         # leading axes, if any, are independent components

@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -231,13 +232,31 @@ def test_malformed_run_values_fail_cleanly(tmp_path, capsys, command, line, bad)
     (SMALL.replace("n = 16", "n = 16%"), "bad value for grid.n: "),
     # a finite length whose cube, the volume of the box, overflows
     (SMALL.replace("n = 16", "n = 16\nlength = 1e200"), "grid length must be "),
+    # constants whose squares, divisors of the operators, are 0 or inf
+    (SMALL + "\n[sweep]\nc_values = 10, 20, 1e200\n",
+     "c squared leaves the float range: c = 1e+200"),
+    (SMALL + "\n[constants]\nkappa = 1e-170\n",
+     "kappa squared leaves the float range: kappa = 1e-170"),
+    (SMALL + "\n[constants]\nkappa = 1e200\n",
+     "kappa squared leaves the float range: kappa = 1e+200"),
+    # a background density that overflows, and a coupling at which Newton's
+    # iteration for phi_bar does not converge: no background exists
+    (SMALL + "\n[eos]\nm0 = 1e308\n\n[background]\np = 4\n",
+     "background density rho_c(p_bar) must be finite: inf at c = 10\n"),
+    (SMALL + "\n[constants]\ngrav_g = 1e300\n",
+     "background potential did not converge in 200 Newton steps: source "
+     "rho_c - 3 p/c**2 = 0.98 at c = 10\n"),
 ], ids=["duplicate-section", "duplicate-option", "no-section-header", "percent",
-        "huge-length"])
+        "huge-length", "c-squared-overflow", "kappa-squared-underflow",
+        "kappa-squared-overflow", "background-density-overflow",
+        "background-newton-diverges"])
 def test_malformed_config_is_usage_error(tmp_path, capsys, text, message):
     path = write(tmp_path, text)
     assert cli.main(["--config", path, "--out", str(tmp_path / "out"),
                      "run-ep"]) == 1
-    assert capsys.readouterr().err.startswith("error: " + message)
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, line, value", [
@@ -426,6 +445,27 @@ def test_light_speed_without_background_is_usage_error(tmp_path, capsys,
     assert ("error: background source density rho_c - 3 p/c**2 must be "
             "positive: -1 at c = 1\n") in err
     assert "limit run:" not in err
+
+
+def test_sweep_worker_that_dies_is_exit_1(tmp_path, monkeypatch, capsys):
+    # a rung's worker that exits without a result (as one killed for lack
+    # of memory would) ends the sweep with a clear error, the manifest
+    # written and no worker left behind
+    from nordlimit import euler_nordstrom as en
+
+    def exit_abruptly(*args, **kwargs):
+        os._exit(3)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(en, "run", exit_abruptly)
+    out = tmp_path / "out"
+    path = os.path.join(CONFIGS, "quick.ini")
+    assert cli.main(["--config", path, "--out", str(out), "sweep"]) == 1
+    err = capsys.readouterr().err
+    assert "error: A process in the process pool was terminated abruptly" in err
+    assert "Traceback" not in err
+    assert (out / "manifest.json").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_out_flag_honoured_with_env_set(tmp_path, monkeypatch):

@@ -21,16 +21,6 @@ INF = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=math.inf)
 BOX = ((0.5, 1.5), (0.5, 1.5))
 
 
-@pytest.fixture(scope="module")
-def grid():
-    return Grid3(32, L)
-
-
-@pytest.fixture(scope="module")
-def eosf():
-    return eos.PolytropicEos()
-
-
 def rest_background(grid, c):
     """Uniform rest state (eta, p or P, v=0) as a coefficient record."""
     consts = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=c)

@@ -22,16 +22,6 @@ INF = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=math.inf)
 BOX = ((0.5, 1.5), (0.5, 1.5))
 
 
-@pytest.fixture(scope="module")
-def grid():
-    return Grid3(32, L)
-
-
-@pytest.fixture(scope="module")
-def eosf():
-    return eos.PolytropicEos()
-
-
 def background_state(grid, eosf, c):
     consts = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=c)
     phi_bar = eos.background_potential(consts, eosf, 1.0)

@@ -21,16 +21,6 @@ INF = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=math.inf)
 BOX = ((0.5, 1.5), (0.5, 1.5))
 
 
-@pytest.fixture(scope="module")
-def grid():
-    return Grid3(32, L)
-
-
-@pytest.fixture(scope="module")
-def eosf():
-    return eos.PolytropicEos()
-
-
 def background_state(grid, eosf):
     shape = (grid.n,) * 3
     w = np.zeros((5,) + shape)

@@ -19,11 +19,6 @@ from nordlimit.fields import Grid3, read_snapshot, write_snapshot
 L = 2.0 * math.pi
 
 
-@pytest.fixture(scope="module")
-def grid():
-    return Grid3(32, L)
-
-
 def band_limited_field(grid, rng, kmax=5):
     """Random real field with modes only up to kmax per axis."""
     x, y, z = grid.meshgrid()
@@ -451,26 +446,28 @@ def test_no_thread_pool_on_one_cpu_or_below_64_cubed(monkeypatch, fields64):
     (64, 3, [21, 21, 22]), (64, 2, [32, 32]), (64, 1, [64]), (32, 2, [32])])
 def test_per_slab_covers_the_x_planes_once(monkeypatch, n, cpus, planes):
     # transform_threads(n) contiguous, near-even x-slabs that cover the grid
-    # once; one slab, the whole grid, below 64**3 or on one CPU
+    # once, each handed out as the index (..., slice(a, b), :, :); one slab
+    # of all n planes below 64**3 or on one CPU, run on the calling thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    seen = np.zeros((n, n, n), dtype=int)
-    slabs = []
+    seen = np.zeros((2, n, n, n), dtype=int)
+    slabs, threads = [], set()
 
-    def task(sl):
-        slabs.append(sl)
-        seen[sl] += 1
+    def task(x):
+        slabs.append(x)
+        threads.add(threading.get_ident())
+        seen[x] += 1
 
     try:
         Grid3(n, L).per_slab(task)
     finally:
         fields.stop_transform_threads()
     assert np.all(seen == 1)
+    slabs.sort(key=lambda x: x[1].start)
+    starts = [0] + list(np.cumsum(planes)[:-1])
+    assert slabs == [(Ellipsis, slice(a, a + m), slice(None), slice(None))
+                     for a, m in zip(starts, planes)]
     if len(planes) == 1:
-        assert slabs == [slice(None)]
-    else:
-        slabs.sort(key=lambda sl: sl.start)
-        assert [sl.stop - sl.start for sl in slabs] == planes
-        assert [sl.start for sl in slabs] == [0] + list(np.cumsum(planes)[:-1])
+        assert threads == {threading.get_ident()}
 
 
 def _raise_at(item):

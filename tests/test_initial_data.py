@@ -7,7 +7,6 @@ import pytest
 
 from nordlimit import eos
 from nordlimit import euler_poisson as ep
-from nordlimit.fields import Grid3
 from nordlimit.initial_data import (PerturbationSpec, build_newtonian_data,
                                     gaussian_bump, lift_to_relativistic,
                                     mollify_bundle)
@@ -15,16 +14,6 @@ from nordlimit.initial_data import (PerturbationSpec, build_newtonian_data,
 L = 2.0 * math.pi
 INF = eos.PhysicalConstants(grav_g=0.05, kappa=1.0, c=math.inf)
 BOX = ((0.5, 1.5), (0.5, 1.5))
-
-
-@pytest.fixture(scope="module")
-def grid():
-    return Grid3(32, L)
-
-
-@pytest.fixture(scope="module")
-def eosf():
-    return eos.PolytropicEos()
 
 
 def generic_spec():

@@ -10,23 +10,12 @@ from nordlimit import eos
 from nordlimit import stepping
 from nordlimit import euler_nordstrom as en
 from nordlimit import euler_poisson as ep
-from nordlimit.fields import Grid3
 from nordlimit.initial_data import (PerturbationSpec, build_newtonian_data,
                                     lift_to_relativistic)
 
 G = 0.05
 INF = eos.PhysicalConstants(grav_g=G, kappa=1.0, c=math.inf)
 BOX = ((0.5, 1.5), (0.5, 1.5))
-
-
-@pytest.fixture(scope="module")
-def grid():
-    return Grid3(32, 2.0 * math.pi)
-
-
-@pytest.fixture(scope="module")
-def eosf():
-    return eos.PolytropicEos()
 
 
 def en_state(grid, eosf, c=40.0):
